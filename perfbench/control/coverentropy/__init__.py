@@ -1,0 +1,149 @@
+"""Classical and weighted entropies of measurable covers on finite spaces.
+
+Quick tour::
+
+    from coverentropy import (
+        DiscreteSpace, Measure, SetFamily,
+        shannon, tsallis, cover_entropy, cover_entropy_weighted,
+    )
+
+    space = DiscreteSpace(3)
+    mu = Measure(space, [1/3, 1/3, 1/3], probability=True)
+    q = SetFamily.of(space, [[0, 1], [1, 2]])
+    cover_entropy(shannon(), mu, q).value      # 0.9182958340544896
+    cover_entropy_weighted(shannon(), mu, q).value  # same value, division witness
+"""
+
+from .classical import (
+    Assignment,
+    CoverEntropyResult,
+    DEFAULT_BUDGET,
+    ENUMERATION_CAP,
+    assignment_to_partition,
+    cover_entropy,
+    enumerate_acceptable_partitions,
+    minimizing_assignment,
+    partition_entropy,
+    search_space_size,
+)
+from .errors import BudgetExceededError, SpaceMismatchError, ValidationError
+from .functionals import (
+    CompositionCase,
+    EntropyFunctional,
+    StructureReport,
+    builtin_functionals,
+    check_structure,
+    evaluate,
+    parse_functional,
+    renyi,
+    shannon,
+    tsallis,
+)
+from .measure import (
+    AtomSet,
+    DiscreteSpace,
+    MASS_TOL,
+    Measure,
+    SetFamily,
+    complement,
+    finer_than,
+    instance_dict,
+    is_mu_cover,
+    is_mu_partition,
+    load_instance,
+    parse_instance,
+    restrict,
+)
+from .mixture import (
+    LimitBridgeRow,
+    MixtureBoundReport,
+    MixtureSpec,
+    limit_bridge,
+    mix,
+    mix_division,
+    parse_mixture,
+    shannon_mixture_bounds,
+    tsallis_mixture_bounds,
+    verify_mixture_bounds,
+)
+from .weighted import (
+    ComparisonReport,
+    HlpInput,
+    WeightedCoverEntropyResult,
+    WeightedDivision,
+    cover_entropy_weighted,
+    disjointify,
+    disjointify_certificate,
+    division_dict,
+    division_from_assignment,
+    hlp_compare,
+    parse_division,
+    partition_to_division,
+    random_division,
+    weighted_entropy,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "Assignment",
+    "AtomSet",
+    "BudgetExceededError",
+    "ComparisonReport",
+    "CompositionCase",
+    "CoverEntropyResult",
+    "DEFAULT_BUDGET",
+    "DiscreteSpace",
+    "ENUMERATION_CAP",
+    "EntropyFunctional",
+    "HlpInput",
+    "LimitBridgeRow",
+    "MASS_TOL",
+    "Measure",
+    "MixtureBoundReport",
+    "MixtureSpec",
+    "SetFamily",
+    "SpaceMismatchError",
+    "StructureReport",
+    "ValidationError",
+    "WeightedCoverEntropyResult",
+    "WeightedDivision",
+    "assignment_to_partition",
+    "builtin_functionals",
+    "check_structure",
+    "complement",
+    "cover_entropy",
+    "cover_entropy_weighted",
+    "disjointify",
+    "disjointify_certificate",
+    "division_dict",
+    "division_from_assignment",
+    "enumerate_acceptable_partitions",
+    "evaluate",
+    "finer_than",
+    "hlp_compare",
+    "instance_dict",
+    "is_mu_cover",
+    "is_mu_partition",
+    "limit_bridge",
+    "load_instance",
+    "minimizing_assignment",
+    "mix",
+    "mix_division",
+    "parse_division",
+    "parse_functional",
+    "parse_instance",
+    "parse_mixture",
+    "partition_entropy",
+    "partition_to_division",
+    "random_division",
+    "restrict",
+    "renyi",
+    "search_space_size",
+    "shannon",
+    "shannon_mixture_bounds",
+    "tsallis",
+    "tsallis_mixture_bounds",
+    "verify_mixture_bounds",
+    "weighted_entropy",
+]

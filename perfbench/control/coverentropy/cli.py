@@ -1,0 +1,362 @@
+"""Batch CLI: parse instance files, dispatch computations, emit JSON reports.
+
+One command per invocation; the report is always written to stdout as
+canonical JSON (sorted keys, 17-significant-digit floats, infinities as the
+string ``"infinity"``), so identical inputs and flags reproduce the report
+byte for byte.  Exit code 0 means status ``ok``; other statuses map to
+distinct nonzero codes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
+from .errors import BudgetExceededError, ValidationError
+from .functionals import parse_functional
+from .measure import SetFamily, load_instance
+from .mixture import parse_mixture, verify_mixture_bounds
+from .selftest import run_selftest
+from .weighted import (
+    cover_entropy_weighted,
+    disjointify,
+    division_dict,
+    HlpInput,
+    hlp_compare,
+    parse_division,
+    random_division,
+    weighted_entropy,
+)
+
+EXIT_OK = 0
+EXIT_INVALID_INPUT = 1
+EXIT_BUDGET = 2
+EXIT_INFINITE = 3
+
+_STATUS_EXIT = {
+    "ok": EXIT_OK,
+    "invalid-input": EXIT_INVALID_INPUT,
+    "budget-exceeded": EXIT_BUDGET,
+    "infinite": EXIT_INFINITE,
+}
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON
+# ---------------------------------------------------------------------------
+
+def dumps_canonical(obj) -> str:
+    """Serialize with sorted keys and 17-significant-digit float literals."""
+    pieces: list[str] = []
+    _write_canonical(obj, pieces)
+    return "".join(pieces)
+
+
+def _write_canonical(obj, out: list[str]) -> None:
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite floats must be tagged upstream")
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _write_canonical(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _write_canonical(obj[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def _extended(value: float | None):
+    """Tag infinite values for the report (JSON has no infinity literal)."""
+    return "infinity" if value is None else float(value)
+
+
+def _digest_paths(*paths: str) -> str:
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(Path(p).read_bytes())
+    return h.hexdigest()
+
+
+def _digest_config(config: dict) -> str:
+    return hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
+
+
+def _emit(command: str, digest: str, status: str, results: dict) -> int:
+    report = {
+        "command": command,
+        "instance_digest": digest,
+        "status": status,
+        "results": results,
+    }
+    sys.stdout.write(dumps_canonical(report) + "\n")
+    return _STATUS_EXIT[status]
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+def _load_blocks(text: str) -> list[list[int]]:
+    """Accept inline JSON (starts with '[') or a path to a JSON file."""
+    raw = text.strip()
+    if not raw.startswith("["):
+        raw = Path(raw).read_text()
+    data = json.loads(raw)
+    if not isinstance(data, list) or not all(
+        isinstance(b, list) and all(isinstance(x, int) for x in b) for b in data
+    ):
+        raise ValidationError("blocks must be a JSON list of atom-index lists")
+    return data
+
+
+def cmd_partition(args) -> int:
+    digest = _digest_paths(args.instance)
+    mu, cover = load_instance(args.instance)
+    e = parse_functional(args.functional)
+    blocks = SetFamily.of(mu.space, _load_blocks(args.blocks))
+    value = partition_entropy(e, mu, blocks)
+    return _emit("partition", digest, "ok", {
+        "functional": e.name,
+        "partition": blocks.as_lists(),
+        "entropy": value,
+    })
+
+
+def cmd_cover(args) -> int:
+    digest = _digest_paths(args.instance)
+    mu, cover = load_instance(args.instance)
+    e = parse_functional(args.functional)
+    results: dict = {"functional": e.name, "mode": args.mode}
+    status = "ok"
+
+    classical = weighted = None
+    if args.mode in ("classical", "both"):
+        classical = cover_entropy(e, mu, cover, budget=args.budget)
+        results["classical"] = {
+            "value": _extended(classical.value),
+            "explored": classical.explored,
+            "witness_partition": (
+                None if classical.witness is None else classical.witness.as_lists()
+            ),
+        }
+        if classical.is_infinite:
+            status = "infinite"
+    if args.mode in ("weighted", "both"):
+        weighted = cover_entropy_weighted(e, mu, cover, budget=args.budget)
+        results["weighted"] = {
+            "value": _extended(weighted.value),
+            "explored": weighted.explored,
+            "witness_division": (
+                None if weighted.witness is None else division_dict(weighted.witness)
+            ),
+        }
+        if weighted.is_infinite:
+            status = "infinite"
+        if not weighted.is_infinite and args.samples > 0:
+            floor = weighted.value
+            violations = 0
+            for i in range(args.samples):
+                d = random_division(mu, cover, seed=args.seed + i)
+                if weighted_entropy(e, d) < floor - args.tol:
+                    violations += 1
+            results["weighted"]["sandwich"] = {
+                "samples": args.samples,
+                "violations": violations,
+                "seed": args.seed,
+            }
+    if args.mode == "both":
+        both_infinite = classical.is_infinite and weighted.is_infinite
+        if both_infinite:
+            results["equality"] = {"difference": "infinity", "within_tol": True}
+        else:
+            diff = abs(classical.value_or_inf() - weighted.value_or_inf())
+            results["equality"] = {
+                "difference": _extended(None if math.isinf(diff) else diff),
+                "within_tol": diff <= args.tol,
+            }
+    return _emit("cover", digest, status, results)
+
+
+def cmd_mixture(args) -> int:
+    digest = _digest_paths(args.mixture)
+    try:
+        with open(args.mixture, "rb") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot parse mixture file: {exc}") from exc
+    spec, cover, e = parse_mixture(data)
+    report = verify_mixture_bounds(e, spec, cover, budget=args.budget)
+    status = "infinite" if report.is_infinite else "ok"
+    return _emit("mixture", digest, status, {
+        "functional": e.name,
+        "alpha": report.alpha,
+        "coefficients": list(report.coefficients),
+        "component_entropies": [_extended(h) for h in report.component_entropies],
+        "lower": _extended(report.lower),
+        "upper": _extended(report.upper),
+        "achieved": _extended(report.achieved),
+        "containment": report.containment_ok,
+    })
+
+
+def cmd_hlp(args) -> int:
+    digest = _digest_paths(args.input)
+    try:
+        with open(args.input, "rb") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot parse hlp file: {exc}") from exc
+    if not isinstance(data, dict) or not {"x", "y", "functional"} <= set(data):
+        raise ValidationError('hlp JSON needs keys "x", "y" and "functional"')
+    e = parse_functional(str(data["functional"]))
+    inp = HlpInput(x_seq=tuple(data["x"]), y_seq=tuple(data["y"]))
+    shape = "concave" if e.minimizes_g_sum else "convex"
+    report = hlp_compare(inp, e.g, shape, tol=args.tol)
+    return _emit("hlp", digest, "ok", {
+        "functional": e.name,
+        "phi_shape": report.shape,
+        "sum_phi_x": report.sum_x,
+        "sum_phi_y": report.sum_y,
+        "confirmed": report.confirmed,
+    })
+
+
+def cmd_disjointify(args) -> int:
+    digest = _digest_paths(args.instance, args.division)
+    mu, cover = load_instance(args.instance)
+    try:
+        with open(args.division, "rb") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot parse division file: {exc}") from exc
+    d = parse_division(data, mu, cover)
+    e = parse_functional(args.functional)
+    partition = disjointify(d)
+    return _emit("disjointify", digest, "ok", {
+        "functional": e.name,
+        "partition": partition.as_lists(),
+        "partition_entropy": partition_entropy(e, mu, partition),
+        "division_entropy": weighted_entropy(e, d),
+    })
+
+
+def cmd_selftest(args) -> int:
+    config = {"scale": args.scale, "seed": args.seed, "budget": args.budget}
+    digest = _digest_config(config)
+    outcomes, ok = run_selftest(scale=args.scale, seed=args.seed, budget=args.budget)
+    results = {
+        "scale": args.scale,
+        "seed": args.seed,
+        "properties": [o.as_dict() for o in outcomes],
+        "all_passed": ok,
+    }
+    # a failing property means the install itself is unsound, which is the
+    # closest thing to invalid input this command has; exit stays nonzero
+    return _emit("selftest", digest, "ok" if ok else "invalid-input", results)
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="candidate-assignment budget (default 10^6)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="base seed for seeded sampling (default 0)")
+    common.add_argument("--tol", type=float, default=1e-9,
+                        help="numeric tolerance for report checks (default 1e-9)")
+
+    parser = argparse.ArgumentParser(
+        prog="coverentropy",
+        description="Entropies of measurable covers: classical, weighted, and "
+                    "mixture bounds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("partition", parents=[common],
+                       help="entropy of an explicit partition")
+    p.add_argument("instance", help="instance JSON file")
+    p.add_argument("--functional", required=True,
+                   help="shannon | renyi:ALPHA | tsallis:ALPHA")
+    p.add_argument("--blocks", required=True,
+                   help="partition blocks as inline JSON or a JSON file path")
+    p.set_defaults(func=cmd_partition)
+
+    p = sub.add_parser("cover", parents=[common],
+                       help="cover entropy (classical, weighted, or both)")
+    p.add_argument("instance")
+    p.add_argument("--functional", required=True)
+    p.add_argument("--mode", choices=["classical", "weighted", "both"],
+                   default="both")
+    p.add_argument("--samples", type=int, default=100,
+                   help="random divisions for the weighted sandwich check")
+    p.set_defaults(func=cmd_cover)
+
+    p = sub.add_parser("mixture", parents=[common],
+                       help="verify mixture-entropy bounds from a mixture JSON")
+    p.add_argument("mixture")
+    p.set_defaults(func=cmd_mixture)
+
+    p = sub.add_parser("hlp", parents=[common],
+                       help="Hardy-Littlewood-Polya comparison for a named phi")
+    p.add_argument("input", help='JSON with "x", "y" and "functional"')
+    p.set_defaults(func=cmd_hlp)
+
+    p = sub.add_parser("disjointify", parents=[common],
+                       help="disjointify a division and report both entropies")
+    p.add_argument("instance")
+    p.add_argument("division")
+    p.add_argument("--functional", required=True)
+    p.set_defaults(func=cmd_disjointify)
+
+    p = sub.add_parser("selftest", parents=[common],
+                       help="run the seeded property suite")
+    p.add_argument("--scale", choices=["quick", "default", "full"],
+                   default="default")
+    p.set_defaults(func=cmd_selftest)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = args.command
+    try:
+        return args.func(args)
+    except ValidationError as exc:
+        return _emit(command, "", "invalid-input", {"error": str(exc)})
+    except BudgetExceededError as exc:
+        return _emit(command, "", "budget-exceeded", {"error": str(exc)})
+    except OSError as exc:
+        return _emit(command, "", "invalid-input", {"error": str(exc)})
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

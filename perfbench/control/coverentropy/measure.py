@@ -1,0 +1,276 @@
+"""Finite discrete probability spaces, measures, and families of atom sets.
+
+The whole package works on a fixed finite model: atoms are the integers
+``0..n-1``, every subset is measurable, and a measure is a nonnegative mass
+vector.  Families of atom sets play two roles: *partitions* (pairwise
+disjoint, covering all mass) and *covers* (overlaps allowed, covering all
+mass).  All types are immutable after construction and all operations are
+pure functions, so everything here is safe to share across threads.
+
+This module also owns the instance JSON schema consumed by the CLI::
+
+    {"n": int, "mu": [float, ...], "cover": [[int, ...], ...]}
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from .errors import SpaceMismatchError, ValidationError
+
+#: Absolute tolerance for mu-null discrepancies.  All sums in this package
+#: involve at most a few thousand binary64 terms, so 1e-12 is generous.
+MASS_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class DiscreteSpace:
+    """Atom set ``{0, ..., n-1}`` with the full power set as sigma-algebra."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValidationError(f"space needs a positive integer atom count, got {self.n!r}")
+
+    def atoms(self) -> range:
+        return range(self.n)
+
+
+def _readonly_vector(values, n: int, what: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if arr.shape != (n,):
+        raise ValidationError(f"{what} must be a length-{n} vector, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Measure:
+    """Nonnegative mass vector over a space; at most sub-probability total.
+
+    ``probability=True`` additionally pins the total mass to 1 (within
+    ``MASS_TOL``).  Restrictions and the per-cover-set submeasures are plain
+    sub-probability measures.
+    """
+
+    space: DiscreteSpace
+    mass: np.ndarray
+    probability: bool = False
+
+    def __post_init__(self) -> None:
+        arr = _readonly_vector(self.mass, self.space.n, "mass")
+        object.__setattr__(self, "mass", arr)
+        if np.any(arr < 0.0):
+            worst = float(arr.min())
+            raise ValidationError(f"mass vector has a negative entry ({worst})")
+        total = float(arr.sum())
+        if total > 1.0 + MASS_TOL:
+            raise ValidationError(f"total mass {total} exceeds 1 beyond tolerance")
+        if self.probability and abs(total - 1.0) > MASS_TOL:
+            raise ValidationError(f"probability measure must have total 1, got {total}")
+
+    @property
+    def total(self) -> float:
+        return float(self.mass.sum())
+
+    def mass_of(self, a: "AtomSet") -> float:
+        """Total mass carried by the atoms of ``a``."""
+        if a.space != self.space:
+            raise SpaceMismatchError("atom set lives on a different space")
+        if not a.members:
+            return 0.0
+        return float(self.mass[list(a.members)].sum())
+
+    def support(self) -> tuple[int, ...]:
+        """Atoms with strictly positive mass, ascending."""
+        return tuple(int(i) for i in np.flatnonzero(self.mass > 0.0))
+
+
+@dataclass(frozen=True)
+class AtomSet:
+    """A subset of atoms, stored canonically (sorted, deduplicated)."""
+
+    space: DiscreteSpace
+    members: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        canon = tuple(sorted({int(m) for m in self.members}))
+        for m in canon:
+            if m < 0 or m >= self.space.n:
+                raise ValidationError(f"atom {m} outside space of size {self.space.n}")
+        object.__setattr__(self, "members", canon)
+
+    def __contains__(self, atom: int) -> bool:
+        return atom in set(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def issubset(self, other: "AtomSet") -> bool:
+        return set(self.members) <= set(other.members)
+
+    def mask(self) -> np.ndarray:
+        m = np.zeros(self.space.n, dtype=bool)
+        if self.members:
+            m[list(self.members)] = True
+        return m
+
+
+@dataclass(frozen=True)
+class SetFamily:
+    """An indexed list of atom sets; the index is the tie-break everywhere."""
+
+    space: DiscreteSpace
+    sets: tuple[AtomSet, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sets", tuple(self.sets))
+        for s in self.sets:
+            if not isinstance(s, AtomSet):
+                raise ValidationError("family entries must be AtomSet instances")
+            if s.space != self.space:
+                raise SpaceMismatchError("all sets of a family must share one space")
+
+    @classmethod
+    def of(cls, space: DiscreteSpace, blocks: Iterable[Iterable[int]]) -> "SetFamily":
+        return cls(space, tuple(AtomSet(space, tuple(b)) for b in blocks))
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def __iter__(self) -> Iterator[AtomSet]:
+        return iter(self.sets)
+
+    def __getitem__(self, i: int) -> AtomSet:
+        return self.sets[i]
+
+    def union_mask(self) -> np.ndarray:
+        m = np.zeros(self.space.n, dtype=bool)
+        for s in self.sets:
+            if s.members:
+                m[list(s.members)] = True
+        return m
+
+    def as_lists(self) -> list[list[int]]:
+        return [list(s.members) for s in self.sets]
+
+
+def _require_shared_space(a, b) -> None:
+    if a.space != b.space:
+        raise SpaceMismatchError(
+            f"operands live on different spaces ({a.space.n} vs {b.space.n} atoms)"
+        )
+
+
+def restrict(mu: Measure, a: AtomSet) -> Measure:
+    """Restriction of ``mu`` to ``a``: keep mass on members, zero elsewhere."""
+    _require_shared_space(mu, a)
+    out = np.zeros(mu.space.n, dtype=np.float64)
+    if a.members:
+        idx = list(a.members)
+        out[idx] = mu.mass[idx]
+    return Measure(mu.space, out)
+
+
+def complement(a: AtomSet) -> AtomSet:
+    return AtomSet(a.space, tuple(i for i in a.space.atoms() if i not in set(a.members)))
+
+
+def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
+    """True iff the sets are pairwise disjoint and miss at most mu-null mass."""
+    _require_shared_space(fam, mu)
+    coverage = np.zeros(fam.space.n, dtype=np.int64)
+    for s in fam.sets:
+        if s.members:
+            coverage[list(s.members)] += 1
+    if np.any(coverage > 1):
+        return False
+    uncovered = float(mu.mass[coverage == 0].sum())
+    return uncovered <= MASS_TOL
+
+
+def is_mu_cover(fam: SetFamily, mu: Measure) -> bool:
+    """True iff at most mu-null mass lies outside the union (overlaps allowed)."""
+    _require_shared_space(fam, mu)
+    uncovered = float(mu.mass[~fam.union_mask()].sum())
+    return uncovered <= MASS_TOL
+
+
+def finer_than(p: SetFamily, q: SetFamily) -> bool:
+    """True iff every nonempty set of ``p`` sits inside some set of ``q``.
+
+    Containment is non-strict, so a family is finer than itself.  Empty sets
+    of ``p`` are ignored.
+    """
+    _require_shared_space(p, q)
+    q_members = [set(s.members) for s in q.sets]
+    for block in p.sets:
+        if not block.members:
+            continue
+        b = set(block.members)
+        if not any(b <= qm for qm in q_members):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Instance JSON schema
+# ---------------------------------------------------------------------------
+
+def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
+    """Validate a ``{"n":, "mu":, "cover":}`` mapping into (measure, cover)."""
+    if not isinstance(data, dict):
+        raise ValidationError("instance must be a JSON object")
+    missing = {"n", "mu", "cover"} - set(data)
+    if missing:
+        raise ValidationError(f"instance is missing keys: {sorted(missing)}")
+    n = data["n"]
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError(f'"n" must be a positive integer, got {n!r}')
+    space = DiscreteSpace(n)
+    mu_raw = data["mu"]
+    if not isinstance(mu_raw, list) or len(mu_raw) != n:
+        raise ValidationError(f'"mu" must be a list of {n} numbers')
+    try:
+        mu = Measure(space, [float(v) for v in mu_raw], probability=True)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ValidationError):
+            raise
+        raise ValidationError(f'"mu" entries must be numbers: {exc}') from exc
+    cover_raw = data["cover"]
+    if not isinstance(cover_raw, list):
+        raise ValidationError('"cover" must be a list of atom-index lists')
+    blocks = []
+    for i, block in enumerate(cover_raw):
+        if not isinstance(block, list) or not all(isinstance(x, int) for x in block):
+            raise ValidationError(f"cover set {i} must be a list of integers")
+        blocks.append(block)
+    cover = SetFamily.of(space, blocks)
+    return mu, cover
+
+
+def load_instance(path: str | Path) -> tuple[Measure, SetFamily]:
+    """Read and validate an instance JSON file."""
+    try:
+        with open(path, "rb") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read instance file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"instance file is not valid JSON: {exc}") from exc
+    return parse_instance(data)
+
+
+def instance_dict(mu: Measure, cover: SetFamily) -> dict:
+    """Inverse of :func:`parse_instance`, handy for tests and reports."""
+    return {
+        "n": mu.space.n,
+        "mu": [float(v) for v in mu.mass],
+        "cover": cover.as_lists(),
+    }

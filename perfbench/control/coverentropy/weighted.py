@@ -1,0 +1,382 @@
+"""Weighted divisions of a measure over a cover, and the weighted cover entropy.
+
+A weighted division splits the measure itself instead of the space: each
+cover set receives a submeasure supported inside it, and the submeasures add
+back up to the original measure.  The weighted entropy applies the functional
+to the vector of submeasure totals.  Two constructive bridges connect the
+picture to partitions:
+
+* ``partition_to_division`` turns a partition finer than the cover into a
+  division with no larger entropy (blocks sharing a cover set get merged);
+* ``disjointify`` turns a division into a partition with no larger entropy,
+  by sorting the cover sets by submeasure mass and taking set differences.
+
+The second direction is certified by prefix-sum dominance between the sorted
+row masses and the block masses (a Hardy-Littlewood-Polya comparison, exposed
+via :func:`hlp_compare`).  Minimising the weighted entropy over the whole
+division polytope therefore matches the classical cover entropy; the minimum
+is attained at an assignment-induced (vertex) division, which is how
+:func:`cover_entropy_weighted` computes it.  All operations are pure and the
+random sampler depends only on ``(seed, instance)``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Literal
+
+import numpy as np
+
+from .classical import Assignment, DEFAULT_BUDGET, minimizing_assignment
+from .errors import SpaceMismatchError, ValidationError
+from .functionals import EntropyFunctional, evaluate
+from .measure import (
+    MASS_TOL,
+    AtomSet,
+    Measure,
+    SetFamily,
+    finer_than,
+    is_mu_cover,
+    is_mu_partition,
+    restrict,
+)
+
+#: Rows whose total mass does not exceed this are treated as unused when a
+#: division is reduced to its positive-mass cover sets.
+ROW_MASS_TOL = MASS_TOL
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedDivision:
+    """Per-cover-set submeasures: ``rows[i][x]`` is set ``i``'s mass on atom ``x``.
+
+    Invariants (validated on construction): entries are nonnegative, a row is
+    exactly zero outside its cover set, and the rows sum atomwise to the
+    measure within ``MASS_TOL``.
+    """
+
+    mu: Measure
+    cover: SetFamily
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.mu.space != self.cover.space:
+            raise SpaceMismatchError("measure and cover live on different spaces")
+        rows = np.array(self.rows, dtype=np.float64, copy=True)
+        expected = (len(self.cover), self.mu.space.n)
+        if rows.shape != expected:
+            raise ValidationError(
+                f"rows must have shape {expected} (cover size x atom count), "
+                f"got {rows.shape}"
+            )
+        if np.any(rows < 0.0):
+            raise ValidationError("division rows must be nonnegative")
+        for i, s in enumerate(self.cover.sets):
+            outside = np.ones(self.mu.space.n, dtype=bool)
+            if s.members:
+                outside[list(s.members)] = False
+            if np.any(rows[i][outside] != 0.0):
+                raise ValidationError(
+                    f"row {i} carries mass outside its cover set"
+                )
+        gap = np.abs(rows.sum(axis=0) - self.mu.mass)
+        if float(gap.max(initial=0.0)) > MASS_TOL:
+            atom = int(gap.argmax())
+            raise ValidationError(
+                f"rows do not sum back to the measure at atom {atom} "
+                f"(off by {float(gap[atom])})"
+            )
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def row_masses(self) -> np.ndarray:
+        return self.rows.sum(axis=1)
+
+    def positive_rows(self) -> list[int]:
+        """Cover indices whose submeasure mass exceeds ``ROW_MASS_TOL``."""
+        masses = self.row_masses
+        return [i for i in range(len(self.cover)) if masses[i] > ROW_MASS_TOL]
+
+
+def weighted_entropy(e: EntropyFunctional, d: WeightedDivision) -> float:
+    """Apply the functional to the submeasure totals (zero rows drop out)."""
+    return evaluate(e, d.row_masses)
+
+
+def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
+    """Vertex division: each atom's full mass goes to its assigned set's row."""
+    rows = np.zeros((len(a.cover), mu.space.n), dtype=np.float64)
+    for atom, idx in a.choice:
+        rows[idx, atom] = mu.mass[atom]
+    return WeightedDivision(mu, a.cover, rows)
+
+
+def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDivision:
+    """Division induced by a partition finer than the cover.
+
+    Every block is routed to the lowest-index cover set containing it; row
+    ``i`` is the restriction of ``mu`` to the union of blocks routed to set
+    ``i``.  The weighted entropy of the result never exceeds the partition
+    entropy of ``p`` (merging within one cover set only helps).
+    """
+    if not is_mu_partition(p, mu):
+        raise ValidationError("p is not a mu-partition")
+    if not finer_than(p, q):
+        raise ValidationError("p is not finer than q")
+    q_members = [set(s.members) for s in q.sets]
+    routed: dict[int, list[int]] = {}
+    for block in p.sets:
+        if not block.members:
+            continue
+        target = next(
+            i for i, qm in enumerate(q_members) if set(block.members) <= qm
+        )
+        routed.setdefault(target, []).extend(block.members)
+    rows = np.zeros((len(q), mu.space.n), dtype=np.float64)
+    for idx, atoms in routed.items():
+        rows[idx] = restrict(mu, AtomSet(mu.space, tuple(atoms))).mass
+    return WeightedDivision(mu, q, rows)
+
+
+def _sorted_positive_rows(d: WeightedDivision) -> list[int]:
+    """Positive-mass cover indices, sorted by mass descending, index ascending."""
+    masses = d.row_masses
+    kept = d.positive_rows()
+    return sorted(kept, key=lambda i: (-float(masses[i]), i))
+
+
+def _difference_chain(d: WeightedDivision) -> tuple[list[int], list[AtomSet]]:
+    """Sorted positive rows plus their greedy set-difference blocks."""
+    order = _sorted_positive_rows(d)
+    taken: set[int] = set()
+    blocks: list[AtomSet] = []
+    for i in order:
+        fresh = tuple(a for a in d.cover[i].members if a not in taken)
+        taken.update(fresh)
+        blocks.append(AtomSet(d.mu.space, fresh))
+    return order, blocks
+
+
+def disjointify(d: WeightedDivision) -> SetFamily:
+    """Greedy disjointification of the positive-mass cover sets.
+
+    Sort the positive rows by submeasure mass (descending, cover index breaks
+    ties), peel each set by everything taken before it, and drop mu-null
+    blocks.  The result is a mu-partition finer than the cover whose entropy
+    never exceeds the division's weighted entropy.
+    """
+    order, blocks = _difference_chain(d)
+    kept = SetFamily(d.mu.space, tuple(d.cover[i] for i in order))
+    if not is_mu_cover(kept, d.mu):
+        raise ValidationError(
+            "positive-mass rows do not cover the measure's support"
+        )
+    pruned = tuple(b for b in blocks if b.members and d.mu.mass_of(b) > 0.0)
+    return SetFamily(d.mu.space, pruned)
+
+
+def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
+    """Prefix-dominance certificate behind :func:`disjointify`.
+
+    ``x`` holds the sorted positive row masses and ``y`` the corresponding
+    block masses; ``x`` is prefix-dominated by ``y`` with equal totals, which
+    is exactly what the concave/convex comparison needs.
+    """
+    order, blocks = _difference_chain(d)
+    masses = d.row_masses
+    x = tuple(float(masses[i]) for i in order)
+    y = tuple(d.mu.mass_of(b) for b in blocks)
+    return HlpInput(x_seq=x, y_seq=y)
+
+
+# ---------------------------------------------------------------------------
+# Hardy-Littlewood-Polya comparison
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HlpInput:
+    """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``."""
+
+    x_seq: tuple[float, ...]
+    y_seq: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            x = tuple(float(v) for v in self.x_seq)
+            y = tuple(float(v) for v in self.y_seq)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sequence entries must be numbers: {exc}") from exc
+        object.__setattr__(self, "x_seq", x)
+        object.__setattr__(self, "y_seq", y)
+        if len(x) != len(y):
+            raise ValidationError("x and y must have the same length")
+        if any(v < 0.0 for v in x) or any(v < 0.0 for v in y):
+            raise ValidationError("sequence entries must be nonnegative")
+        if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
+            raise ValidationError("x must be nonincreasing")
+        if abs(sum(x) - sum(y)) > MASS_TOL:
+            raise ValidationError(
+                f"totals differ: sum x = {sum(x)}, sum y = {sum(y)}"
+            )
+        px = py = 0.0
+        for i in range(len(x)):
+            px += x[i]
+            py += y[i]
+            if px > py + MASS_TOL:
+                raise ValidationError(
+                    f"prefix dominance fails at position {i}: {px} > {py}"
+                )
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Both transformed sums plus whether the predicted direction held."""
+
+    sum_x: float
+    sum_y: float
+    shape: str
+    confirmed: bool
+
+
+def hlp_compare(
+    inp: HlpInput,
+    phi: Callable[[float], float],
+    shape: Literal["concave", "convex"],
+    tol: float = 1e-9,
+) -> ComparisonReport:
+    """Compare ``sum phi(x)`` against ``sum phi(y)``.
+
+    For a continuous ``phi`` with ``phi(0) = 0``, prefix dominance of the
+    nonincreasing ``x`` by ``y`` (equal totals) forces ``sum phi(x) >= sum
+    phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
+    reports that direction within ``tol``.
+    """
+    if shape not in ("concave", "convex"):
+        raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
+    sum_x = float(sum(phi(v) for v in inp.x_seq))
+    sum_y = float(sum(phi(v) for v in inp.y_seq))
+    if shape == "concave":
+        confirmed = sum_x >= sum_y - tol
+    else:
+        confirmed = sum_x <= sum_y + tol
+    return ComparisonReport(sum_x=sum_x, sum_y=sum_y, shape=shape, confirmed=confirmed)
+
+
+# ---------------------------------------------------------------------------
+# Weighted cover entropy and random divisions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightedCoverEntropyResult:
+    """Like the classical result, but the witness is an optimal division."""
+
+    value: float | None
+    witness: WeightedDivision | None
+    explored: int
+
+    def __post_init__(self) -> None:
+        if (self.value is None) != (self.witness is None):
+            raise ValidationError("value and witness must be absent together")
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.value is None
+
+    def value_or_inf(self) -> float:
+        return float("inf") if self.value is None else self.value
+
+
+def cover_entropy_weighted(
+    e: EntropyFunctional,
+    mu: Measure,
+    q: SetFamily,
+    budget: int = DEFAULT_BUDGET,
+    method: str = "auto",
+) -> WeightedCoverEntropyResult:
+    """Minimum weighted entropy over all divisions of ``mu`` with respect to ``q``.
+
+    The division polytope is empty exactly when ``q`` is not a mu-cover, in
+    which case the tagged infinite result is returned.  Otherwise the minimum
+    sits at a vertex division induced by an assignment, so the same certified
+    search as the classical side runs and the witness division is rebuilt
+    from its optimal assignment; the reported value is recomputed from the
+    witness's row masses.
+    """
+    if mu.space != q.space:
+        raise SpaceMismatchError("measure and cover live on different spaces")
+    if not is_mu_cover(q, mu):
+        return WeightedCoverEntropyResult(value=None, witness=None, explored=0)
+    assignment, explored = minimizing_assignment(e, mu, q, budget=budget, method=method)
+    witness = division_from_assignment(assignment, mu)
+    return WeightedCoverEntropyResult(
+        value=weighted_entropy(e, witness),
+        witness=witness,
+        explored=explored,
+    )
+
+
+def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
+    """Seeded uniform sample from the division polytope.
+
+    Each positive-mass atom spreads its mass over the cover sets containing
+    it with flat-Dirichlet weights drawn from ``numpy.random.default_rng(seed)``
+    in ascending atom order, so the result depends only on ``(seed,
+    instance)``.  Atoms contained in a single set keep their whole mass there
+    regardless of the seed.
+    """
+    if mu.space != q.space:
+        raise SpaceMismatchError("measure and cover live on different spaces")
+    if not is_mu_cover(q, mu):
+        raise ValidationError("family is not a mu-cover of the measure")
+    membership: dict[int, list[int]] = {}
+    for idx, s in enumerate(q.sets):
+        for atom in s.members:
+            membership.setdefault(atom, []).append(idx)
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((len(q), mu.space.n), dtype=np.float64)
+    for atom in range(mu.space.n):
+        m = float(mu.mass[atom])
+        if m <= 0.0:
+            continue
+        options = membership.get(atom)
+        if not options:
+            continue  # jointly mu-null by the cover check
+        if len(options) == 1:
+            rows[options[0], atom] = m
+        else:
+            weights = rng.dirichlet(np.ones(len(options)))
+            rows[options, atom] = m * weights
+    return WeightedDivision(mu, q, rows)
+
+
+# ---------------------------------------------------------------------------
+# Division JSON schema (CLI exchange format)
+# ---------------------------------------------------------------------------
+
+def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivision:
+    """Validate ``{"cover_index_rows": [[...], ...]}`` against an instance.
+
+    Rows align with the instance's cover order; misaligned shapes are
+    rejected before the division invariants run.
+    """
+    if not isinstance(data, dict) or "cover_index_rows" not in data:
+        raise ValidationError('division JSON needs a "cover_index_rows" key')
+    rows_raw = data["cover_index_rows"]
+    if not isinstance(rows_raw, list) or len(rows_raw) != len(cover):
+        raise ValidationError(
+            f'"cover_index_rows" must hold {len(cover)} rows (one per cover set)'
+        )
+    for i, row in enumerate(rows_raw):
+        if not isinstance(row, list) or len(row) != mu.space.n:
+            raise ValidationError(f"row {i} must list {mu.space.n} atom masses")
+    try:
+        rows = np.array(rows_raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"division rows must be numeric: {exc}") from exc
+    return WeightedDivision(mu, cover, rows)
+
+
+def division_dict(d: WeightedDivision) -> dict:
+    """Inverse of :func:`parse_division`."""
+    return {"cover_index_rows": [[float(v) for v in row] for row in d.rows]}
