@@ -1,293 +1,122 @@
-"""Hot search kernels over the atom-to-cover-set assignment space.
+"""The certified search over cell assignments, and its exhaustive reference.
 
-Two interchangeable backends:
+Both searches take one positive mass per searched unit (a Venn cell, see
+:func:`coverentropy.classical.minimizing_assignment`), the ascending cover-set
+indices that may receive each unit, the number of cover sets, the
+functional's inner map ``g`` and the direction of the g-sum's optimum.
 
-* ``numba``  -- the scalar loops below compiled with ``@njit`` (default when
-  numba imports cleanly);
-* ``numpy``  -- a vectorised chunked scan plus the same loops interpreted.
-
-Select with the environment variable ``COVERENTROPY_BACKEND`` (``numba`` or
-``numpy``) before import.  Results are deterministic for either backend:
-assignments are visited in lexicographic choice order and the incumbent is
-replaced only on strict improvement, so the reported optimum is always the
-lexicographically smallest one.  ``benchmarks/bench_search.py`` compares the
-backends head to head.
+Arithmetic is fixed so that the two agree bit for bit: a group's mass is the
+sum of its units' masses added in unit order, and an assignment's g-sum adds
+``g`` of the positive groups in set order.  ``g`` is never called on an
+empty group, so a custom ``g`` need not define ``g(0)``.  Assignments are
+visited in lexicographic order (first unit slowest, candidates ascending)
+and the incumbent moves only on strict improvement, so both return the
+lexicographically smallest optimal choice vector.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
+import math
 
-import numpy as np
-
-from .errors import ValidationError
-from .functionals import G_SHANNON
-
-_requested = os.environ.get("COVERENTROPY_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ImportError(
-        f"COVERENTROPY_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-_njit = None
-if _requested != "numpy":
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-BACKEND = "numba" if _njit is not None else "numpy"
+#: Name of the search implementation; recorded in benchmark metadata.
+BACKEND = "python"
 
 # Pruning slack: bounds are exact in real arithmetic, so anything beyond a
 # few ulps of headroom only protects against float noise in the bound itself.
 _PRUNE_SLACK = 1e-12
 
 
-def _g_eval(m, g_code, alpha):
-    if m <= 0.0:
-        return 0.0
-    if g_code == G_SHANNON:
-        return m * np.log2(m)
-    return m ** alpha
+def _g_sum(g, group) -> float:
+    s = 0.0
+    for m in group:
+        if m > 0.0:
+            s += g(m)
+    return s
 
 
-def _scan_loop(masses, cand_flat, cand_start, cand_count, n_sets, g_code, alpha, maximize):
-    """Exhaustive scan; returns (best g-sum, chosen set per atom, candidates)."""
-    n_atoms = masses.shape[0]
-    digits = np.zeros(n_atoms, np.int64)
-    group = np.zeros(n_sets, np.float64)
-    best_choice = np.zeros(n_atoms, np.int64)
-    total = 1
-    for i in range(n_atoms):
-        total *= cand_count[i]
-    best = -np.inf if maximize else np.inf
-    for _ in range(total):
-        for j in range(n_sets):
-            group[j] = 0.0
-        for i in range(n_atoms):
-            group[cand_flat[cand_start[i] + digits[i]]] += masses[i]
-        s = 0.0
-        for j in range(n_sets):
-            s += _g_eval(group[j], g_code, alpha)
-        if (maximize and s > best) or (not maximize and s < best):
-            best = s
-            for i in range(n_atoms):
-                best_choice[i] = cand_flat[cand_start[i] + digits[i]]
-        # mixed-radix odometer, last atom fastest (lexicographic order)
-        k = n_atoms - 1
-        while k >= 0:
-            digits[k] += 1
-            if digits[k] < cand_count[k]:
-                break
-            digits[k] = 0
-            k -= 1
+def assignment_count(cand_lists) -> int:
+    """Size of the assignment space (a Python int; no overflow)."""
+    return math.prod(len(c) for c in cand_lists)
+
+
+def scan_assignments(masses, cand_lists, n_sets, g, maximize):
+    """Exhaustive reference scan over every assignment.
+
+    Returns (best g-sum, chosen set per unit, assignments examined).  The
+    package never calls it: tests compare :func:`branch_and_bound` with it.
+    """
+    best = -math.inf if maximize else math.inf
+    best_choice: list[int] = []
+    total = 0
+    for combo in itertools.product(*cand_lists):
+        total += 1
+        group = [0.0] * n_sets
+        for m, c in zip(masses, combo):
+            group[c] += m
+        s = _g_sum(g, group)
+        if (s > best) if maximize else (s < best):
+            best, best_choice = s, list(combo)
     return best, best_choice, total
 
 
-def _bb_loop(masses, cand_flat, cand_start, cand_count, n_sets, g_code, alpha,
-             maximize, max_leaves):
-    """Depth-first branch and bound over the same space as ``_scan_loop``.
+def branch_and_bound(masses, cand_lists, n_sets, g, maximize, max_leaves):
+    """Depth-first branch and bound over the same space as the scan.
 
-    The bound extends a partial assignment by placing all remaining mass into
-    the single most favourable group, which is exact for the relaxed problem
-    because the g-sum is concave (minimising case) or convex (maximising
-    case) in the placement.  Returns (best, choice, leaves evaluated,
-    completed flag); when the flag is false the leaf budget ran out and the
+    A node's bound places all the mass of the units not yet assigned into
+    the heaviest group.  When ``g`` is concave (minimising case) or convex
+    (maximising case), ``g(s + r) - g(s)`` is monotone in ``s``, so this is
+    the best completion of the relaxed problem in which any group may take
+    any unit, and the bound is valid.  Subtrees are pruned only when their
+    bound is worse than the incumbent by more than ``_PRUNE_SLACK``, so no
+    optimum and no earlier tie is lost.
+
+    A leaf is a complete assignment; ``max_leaves`` caps how many are
+    evaluated.  Returns (best g-sum, chosen set per unit, leaves evaluated,
+    completed flag); when the flag is false the budget ran out and the
     incumbent is not certified.
     """
-    n_atoms = masses.shape[0]
-    best_choice = np.zeros(n_atoms, np.int64)
-    if n_atoms == 0:
-        return 0.0, best_choice, 1, True
-    rem = np.zeros(n_atoms + 1, np.float64)
-    for i in range(n_atoms - 1, -1, -1):
+    n = len(masses)
+    if n == 0:
+        return 0.0, [], 1, True
+    rem = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         rem[i] = rem[i + 1] + masses[i]
-    snap = np.zeros((n_atoms + 1, n_sets), np.float64)
-    digits = np.zeros(n_atoms, np.int64)
-    best = -np.inf if maximize else np.inf
+    # snaps[d]: group masses after the first d units are placed
+    snaps = [[0.0] * n_sets for _ in range(n + 1)]
+    digits = [0] * n
+    chosen = [0] * n
+    best = -math.inf if maximize else math.inf
+    best_choice: list[int] = []
     leaves = 0
+    last = n - 1
     d = 0
     while d >= 0:
-        if d == n_atoms:
-            if leaves >= max_leaves:
-                return best, best_choice, leaves, False
-            leaves += 1
-            s = 0.0
-            for j in range(n_sets):
-                s += _g_eval(snap[d, j], g_code, alpha)
-            if (maximize and s > best) or (not maximize and s < best):
-                best = s
-                for i in range(n_atoms):
-                    best_choice[i] = cand_flat[cand_start[i] + digits[i]]
-            d -= 1
-            digits[d] += 1
-            continue
-        if digits[d] >= cand_count[d]:
+        cands = cand_lists[d]
+        if digits[d] == len(cands):
             digits[d] = 0
             d -= 1
             if d >= 0:
                 digits[d] += 1
             continue
-        c = cand_flat[cand_start[d] + digits[d]]
-        for j in range(n_sets):
-            snap[d + 1, j] = snap[d, j]
-        snap[d + 1, c] += masses[d]
-        r = rem[d + 1]
-        s_part = 0.0
-        for j in range(n_sets):
-            s_part += _g_eval(snap[d + 1, j], g_code, alpha)
-        if r > 0.0:
-            if maximize:
-                ext = -np.inf
-                for j in range(n_sets):
-                    delta = _g_eval(snap[d + 1, j] + r, g_code, alpha) - _g_eval(
-                        snap[d + 1, j], g_code, alpha)
-                    if delta > ext:
-                        ext = delta
-            else:
-                ext = np.inf
-                for j in range(n_sets):
-                    delta = _g_eval(snap[d + 1, j] + r, g_code, alpha) - _g_eval(
-                        snap[d + 1, j], g_code, alpha)
-                    if delta < ext:
-                        ext = delta
-            bound = s_part + ext
-        else:
-            bound = s_part
+        c = chosen[d] = cands[digits[d]]
+        group = snaps[d + 1]
+        group[:] = snaps[d]
+        group[c] += masses[d]
+        s = _g_sum(g, group)
+        if d == last:
+            if leaves >= max_leaves:
+                return best, best_choice, leaves, False
+            leaves += 1
+            if (s > best) if maximize else (s < best):
+                best, best_choice = s, chosen[:]
+            digits[d] += 1
+            continue
+        top = max(group)
+        bound = s + g(top + rem[d + 1]) - (g(top) if top > 0.0 else 0.0)
         slack = _PRUNE_SLACK * (1.0 + abs(best))
-        prune = False
-        if maximize:
-            if bound <= best - slack:
-                prune = True
-        else:
-            if bound >= best + slack:
-                prune = True
-        if prune:
+        if (bound <= best - slack) if maximize else (bound >= best + slack):
             digits[d] += 1
             continue
         d += 1
     return best, best_choice, leaves, True
-
-
-#: Interpreted references, kept importable for tests and benchmarks.
-scan_loop_py = _scan_loop
-bb_loop_py = _bb_loop
-
-if BACKEND == "numba":
-    _g_eval = _njit(cache=True)(_g_eval)
-    _scan_loop = _njit(cache=True)(_scan_loop)
-    _bb_loop = _njit(cache=True)(_bb_loop)
-
-
-def scan_numpy(masses, cand_flat, cand_start, cand_count, n_sets, g_code, alpha,
-               maximize, chunk=1 << 15):
-    """Vectorised exhaustive scan over chunks of assignment indices.
-
-    Array ``log2``/``**`` may differ in the last bits from the scalar
-    ``_g_eval`` used by the loops (numpy routes ``** 0.5`` to ``sqrt``,
-    ``** 2`` to ``square`` and other powers to a SIMD ``pow``).  So the
-    vectorised g-sums only shortlist each chunk: every row within
-    ``_PRUNE_SLACK`` (relative to the best row's summed ``|terms|``, at
-    least 1) of the chunk's best is re-ranked with ``_g_eval``, adding the
-    groups in set order as the loops do, and the incumbent moves only on
-    strict improvement in index order.  Group masses come from ``bincount``,
-    which adds atoms in order just as the loops do, so value and witness are
-    bit-identical to ``_scan_loop`` and ``_bb_loop``.
-    """
-    n_atoms = masses.shape[0]
-    total = 1
-    for c in cand_count:
-        total *= int(c)
-    if n_atoms == 0:
-        return 0.0, np.zeros(0, np.int64), 1
-    strides = np.ones(n_atoms, dtype=np.int64)
-    for i in range(n_atoms - 2, -1, -1):
-        strides[i] = strides[i + 1] * int(cand_count[i + 1])
-    cands = [
-        np.asarray(cand_flat[cand_start[i]: cand_start[i] + cand_count[i]], dtype=np.int64)
-        for i in range(n_atoms)
-    ]
-    best = -np.inf if maximize else np.inf
-    best_index = 0
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        rows = hi - lo
-        idx = np.arange(lo, hi, dtype=np.int64)
-        row_base = np.arange(0, rows * n_sets, n_sets, dtype=np.int64)
-        # atom-major bins: bincount still adds each group's atoms in order
-        bins = np.empty((n_atoms, rows), dtype=np.int64)
-        for i in range(n_atoms):
-            np.add(cands[i][(idx // strides[i]) % cand_count[i]], row_base, out=bins[i])
-        gm = np.bincount(bins.ravel(), weights=np.repeat(masses, rows),
-                         minlength=rows * n_sets).reshape(rows, n_sets)
-        terms = np.zeros_like(gm)
-        if g_code == G_SHANNON:
-            np.log2(gm, out=terms, where=gm > 0.0)
-            terms *= gm
-        else:
-            np.power(gm, alpha, out=terms, where=gm > 0.0)
-        s = terms.sum(axis=1)
-        j = int(np.argmax(s)) if maximize else int(np.argmin(s))
-        tol = _PRUNE_SLACK * (1.0 + float(np.abs(terms[j]).sum()))
-        if maximize:
-            near = np.nonzero(s >= s[j] - tol)[0]
-        else:
-            near = np.nonzero(s <= s[j] + tol)[0]
-        for r in near.tolist():
-            v = 0.0
-            for m in gm[r]:
-                v += _g_eval(m, g_code, alpha)
-            if (maximize and v > best) or (not maximize and v < best):
-                best = v
-                best_index = lo + r
-    choice = np.empty(n_atoms, dtype=np.int64)
-    for i in range(n_atoms):
-        choice[i] = cands[i][(best_index // int(strides[i])) % int(cand_count[i])]
-    return best, choice, total
-
-
-def _pack(masses, cand_lists):
-    masses = np.asarray(masses, dtype=np.float64)
-    counts = np.array([len(c) for c in cand_lists], dtype=np.int64)
-    if np.any(counts == 0):
-        raise ValidationError("every searched atom needs at least one candidate set")
-    flat = np.array([s for c in cand_lists for s in c], dtype=np.int64)
-    starts = np.zeros(len(cand_lists), dtype=np.int64)
-    if len(cand_lists) > 1:
-        starts[1:] = np.cumsum(counts)[:-1]
-    return masses, flat, starts, counts
-
-
-def assignment_count(cand_lists) -> int:
-    """Size of the assignment space (a Python int; no overflow)."""
-    total = 1
-    for c in cand_lists:
-        total *= len(c)
-    return total
-
-
-def scan_assignments(masses, cand_lists, n_sets, g_code, alpha, maximize):
-    """Backend dispatcher for the exhaustive scan.
-
-    ``cand_lists`` holds, per searched atom, the ascending cover-set indices
-    that may receive it.  Returns (best g-sum, chosen set per atom, number of
-    assignments examined).
-    """
-    masses, flat, starts, counts = _pack(masses, cand_lists)
-    if BACKEND == "numba":
-        best, choice, total = _scan_loop(
-            masses, flat, starts, counts, n_sets, g_code, float(alpha), maximize)
-        return float(best), np.asarray(choice), int(total)
-    best, choice, total = scan_numpy(
-        masses, flat, starts, counts, n_sets, g_code, float(alpha), maximize)
-    return float(best), np.asarray(choice), int(total)
-
-
-def branch_and_bound(masses, cand_lists, n_sets, g_code, alpha, maximize, max_leaves):
-    """Backend dispatcher for the certified branch-and-bound search."""
-    masses, flat, starts, counts = _pack(masses, cand_lists)
-    best, choice, leaves, completed = _bb_loop(
-        masses, flat, starts, counts, n_sets, g_code, float(alpha), maximize,
-        int(max_leaves))
-    return float(best), np.asarray(choice), int(leaves), bool(completed)

@@ -4,11 +4,11 @@ The cover entropy of a measure ``mu`` under a cover ``q`` is the least
 partition entropy over partitions finer than ``q`` (infinite when no such
 partition exists).  Because merging blocks that share a cover set never
 increases an admissible functional, an optimal partition always groups the
-positive-mass atoms by an atom-to-cover-set assignment, so the search space
-is the finite product of per-atom candidate sets.  The search itself runs in
-:mod:`coverentropy._kernels`; it may be split across workers as long as the
-lexicographic tie-break is preserved, and the sequential kernels used here
-make the result independent of any thread-count setting.
+positive-mass atoms by an atom-to-cover-set assignment, and some optimal
+assignment never splits a Venn cell (see :func:`minimizing_assignment`).
+The search therefore assigns whole cells with the branch and bound of
+:mod:`coverentropy._kernels`; it is sequential and deterministic, so
+results do not depend on any thread-count setting.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from . import _kernels
 from .errors import BudgetExceededError, SpaceMismatchError, ValidationError
-from .functionals import G_CUSTOM, EntropyFunctional, evaluate
+from .functionals import EntropyFunctional, evaluate
 from .measure import (
     AtomSet,
     DiscreteSpace,
@@ -31,7 +29,7 @@ from .measure import (
     is_mu_partition,
 )
 
-#: Default cap on the number of candidate assignments a search may examine.
+#: Default cap on the leaves (complete cell assignments) a search may evaluate.
 DEFAULT_BUDGET = 10 ** 6
 
 #: Hard cap for the exhaustive partition generator.
@@ -87,8 +85,8 @@ class CoverEntropyResult:
     """Outcome of a cover-entropy search.
 
     ``value is None`` tags the infinite case (no acceptable partition), which
-    always comes without a witness.  ``explored`` counts the candidate
-    assignments the search actually evaluated.
+    always comes without a witness.  ``explored`` counts the leaves
+    (complete cell assignments) the search evaluated.
     """
 
     value: float | None
@@ -125,10 +123,11 @@ def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int
     for idx, s in enumerate(q.sets):
         for atom in s.members:
             membership.setdefault(atom, []).append(idx)
+    mass = mu.mass.tolist()
     atoms: list[int] = []
     cands: list[list[int]] = []
     for atom in range(mu.space.n):
-        if mu.mass[atom] <= 0.0:
+        if mass[atom] <= 0.0:
             continue
         options = membership.get(atom)
         if options:
@@ -170,70 +169,69 @@ def enumerate_acceptable_partitions(mu: Measure, q: SetFamily) -> Iterator[SetFa
         yield SetFamily(mu.space, tuple(AtomSet(mu.space, b) for b in ordered))
 
 
+def _venn_cells(
+    mu: Measure, q: SetFamily
+) -> list[tuple[float, list[int], tuple[int, ...]]]:
+    """Searched atoms grouped by the cover sets that hold them.
+
+    Returns ``(mass, atoms, candidate sets)`` per cell, heaviest first; the
+    smallest atom breaks ties.  A cell's mass adds its atoms in ascending
+    order.
+    """
+    by_sets: dict[tuple[int, ...], list[int]] = {}
+    for atom, options in zip(*_searched_atoms(mu, q)):
+        by_sets.setdefault(tuple(options), []).append(atom)
+    mass = mu.mass.tolist()
+    cells = []
+    for options, atoms in by_sets.items():
+        m = 0.0
+        for atom in atoms:
+            m += mass[atom]
+        cells.append((m, atoms, options))
+    cells.sort(key=lambda cell: (-cell[0], cell[1][0]))
+    return cells
+
+
 def minimizing_assignment(
     e: EntropyFunctional,
     mu: Measure,
     q: SetFamily,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
 ) -> tuple[Assignment, int]:
     """Find the entropy-minimizing assignment; shared by both cover entropies.
 
-    ``method`` is ``auto`` (scan when the space fits the budget, otherwise
-    branch and bound), ``scan`` or ``branch-and-bound``.  Ties go to the
-    lexicographically smallest choice vector.  Raises
+    The searched atoms are grouped into Venn cells (atoms held by exactly
+    the same cover sets) and branch and bound assigns whole cells, heaviest
+    first; every atom then gets its cell's set.  Cells are exact: within one
+    cell the g-sum is concave (minimising case) or convex (maximising case)
+    in how the cell's mass splits between two groups, so some optimum never
+    splits a cell.  Custom functionals take the same path, and the result
+    is exact whenever their declared case holds.
+
+    Witness tie-break: the lexicographically smallest optimal cell-choice
+    vector, with cells listed by decreasing mass (smallest atom breaking
+    ties) and each cell trying its candidate sets in ascending order.
+    Optima that tie within rounding may resolve either way.
+
+    ``budget`` caps the leaves (complete cell assignments) evaluated, and
+    the returned count is the leaves evaluated.  There are never more cell
+    assignments than atom assignments, so every instance whose atom
+    assignment space fits the budget completes.  Raises
     :class:`BudgetExceededError` when no certified optimum fits the budget.
     """
-    if method not in ("auto", "scan", "branch-and-bound"):
-        raise ValidationError(f"unknown search method {method!r}")
-    atoms, cands = _searched_atoms(mu, q)
-    masses = mu.mass[atoms] if atoms else np.zeros(0)
-    space_size = _kernels.assignment_count(cands)
-    maximize = not e.minimizes_g_sum
-    alpha = 0.0 if e.alpha is None else float(e.alpha)
-
-    if e.g_code == G_CUSTOM:
-        if space_size > budget:
-            raise BudgetExceededError(
-                f"{space_size} assignments exceed budget {budget} and no compiled "
-                "bound is available for a custom functional"
-            )
-        return _minimize_interpreted(e, mu, q, atoms, cands)
-
-    if method == "scan" or (method == "auto" and space_size <= budget):
-        if space_size > budget:
-            raise BudgetExceededError(
-                f"{space_size} assignments exceed budget {budget}"
-            )
-        _, choice, explored = _kernels.scan_assignments(
-            masses, cands, len(q), e.g_code, alpha, maximize)
-    else:
-        _, choice, explored, completed = _kernels.branch_and_bound(
-            masses, cands, len(q), e.g_code, alpha, maximize, budget)
-        if not completed:
-            raise BudgetExceededError(
-                f"branch and bound passed {budget} candidates without certifying "
-                "an optimum"
-            )
-    assignment = Assignment(mu.space, q, tuple(zip(atoms, (int(c) for c in choice))))
-    return assignment, explored
-
-
-def _minimize_interpreted(e, mu, q, atoms, cands):
-    best_value = None
-    best_combo = None
-    explored = 0
-    for combo in itertools.product(*cands):
-        explored += 1
-        blocks: dict[int, float] = {}
-        for atom, idx in zip(atoms, combo):
-            blocks[idx] = blocks.get(idx, 0.0) + float(mu.mass[atom])
-        value = evaluate(e, [blocks[i] for i in sorted(blocks)])
-        if best_value is None or value < best_value:
-            best_value = value
-            best_combo = combo
-    assignment = Assignment(mu.space, q, tuple(zip(atoms, best_combo)))
-    return assignment, explored
+    cells = _venn_cells(mu, q)
+    _, choice, explored, completed = _kernels.branch_and_bound(
+        [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,
+        not e.minimizes_g_sum, budget)
+    if not completed:
+        raise BudgetExceededError(
+            f"branch and bound evaluated {budget} cell assignments without "
+            "certifying an optimum"
+        )
+    pairs = tuple(
+        (atom, idx) for (_, atoms, _), idx in zip(cells, choice) for atom in atoms
+    )
+    return Assignment(mu.space, q, pairs), explored
 
 
 def cover_entropy(
@@ -241,7 +239,6 @@ def cover_entropy(
     mu: Measure,
     q: SetFamily,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
 ) -> CoverEntropyResult:
     """Exact minimum of partition entropy over partitions finer than ``q``.
 
@@ -253,7 +250,7 @@ def cover_entropy(
         raise SpaceMismatchError("measure and cover live on different spaces")
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0)
-    assignment, explored = minimizing_assignment(e, mu, q, budget=budget, method=method)
+    assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = assignment_to_partition(assignment)
     return CoverEntropyResult(
         value=partition_entropy(e, mu, witness),

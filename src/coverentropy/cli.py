@@ -287,7 +287,8 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="candidate-assignment budget (default 10^6)")
+                        help="search budget: complete cell assignments the search may "
+                             "evaluate (default 10^6)")
     common.add_argument("--seed", type=int, default=0,
                         help="base seed for seeded sampling (default 0)")
     common.add_argument("--tol", type=float, default=1e-9,

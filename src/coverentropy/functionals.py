@@ -26,13 +26,6 @@ import numpy as np
 from .errors import ValidationError
 from .measure import MASS_TOL
 
-# Kernel dispatch codes for the inner map g.  Custom functionals carry
-# G_CUSTOM and fall back to interpreted search paths.
-G_SHANNON = 0  # t * log2(t), extended by g(0) = 0
-G_POWER = 1    # t ** alpha,  g(0) = 0
-G_CUSTOM = -1
-
-
 class CompositionCase(enum.Enum):
     """Which of the two admissible (f, g) shapes a functional declares."""
 
@@ -44,8 +37,8 @@ class CompositionCase(enum.Enum):
 class EntropyFunctional:
     """An ``f(sum g(mass))`` functional with its declared composition case.
 
-    ``g_code`` selects the compiled search kernel (``G_SHANNON``/``G_POWER``)
-    and must describe ``g`` exactly; wrap custom maps with ``G_CUSTOM``.
+    The cover-entropy search calls ``g`` itself and relies on the declared
+    case; :func:`check_structure` probes it numerically.
     """
 
     name: str
@@ -53,7 +46,6 @@ class EntropyFunctional:
     f: Callable[[float], float]
     g: Callable[[float], float]
     case: CompositionCase
-    g_code: int = G_CUSTOM
 
     @property
     def minimizes_g_sum(self) -> bool:
@@ -105,7 +97,6 @@ def shannon() -> EntropyFunctional:
         g=_g_shannon,
         # f is decreasing; t*log2(t) is convex and, with g(0)=0, superadditive.
         case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX,
-        g_code=G_SHANNON,
     )
 
 
@@ -150,7 +141,6 @@ def renyi(alpha: float) -> EntropyFunctional:
         f=f,
         g=_g_power(alpha),
         case=_power_case(alpha),
-        g_code=G_POWER,
     )
 
 
@@ -167,7 +157,6 @@ def tsallis(alpha: float) -> EntropyFunctional:
         f=f,
         g=_g_power(alpha),
         case=_power_case(alpha),
-        g_code=G_POWER,
     )
 
 

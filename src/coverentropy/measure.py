@@ -15,6 +15,7 @@ This module also owns the instance JSON schema consumed by the CLI::
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -52,7 +53,7 @@ def _readonly_vector(values, n: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Nonnegative mass vector over a space; at most sub-probability total.
+    """Finite, nonnegative mass vector over a space; at most sub-probability total.
 
     ``probability=True`` additionally pins the total mass to 1 (within
     ``MASS_TOL``).  Restrictions and the per-cover-set submeasures are plain
@@ -66,6 +67,8 @@ class Measure:
     def __post_init__(self) -> None:
         arr = _readonly_vector(self.mass, self.space.n, "mass")
         object.__setattr__(self, "mass", arr)
+        if not np.isfinite(arr).all():
+            raise ValidationError("mass vector has a non-finite entry")
         if np.any(arr < 0.0):
             worst = float(arr.min())
             raise ValidationError(f"mass vector has a negative entry ({worst})")
@@ -107,7 +110,8 @@ class AtomSet:
         object.__setattr__(self, "members", canon)
 
     def __contains__(self, atom: int) -> bool:
-        return atom in set(self.members)
+        i = bisect_left(self.members, atom)
+        return i < len(self.members) and self.members[i] == atom
 
     def __len__(self) -> int:
         return len(self.members)
@@ -179,7 +183,8 @@ def restrict(mu: Measure, a: AtomSet) -> Measure:
 
 
 def complement(a: AtomSet) -> AtomSet:
-    return AtomSet(a.space, tuple(i for i in a.space.atoms() if i not in set(a.members)))
+    members = set(a.members)
+    return AtomSet(a.space, tuple(i for i in a.space.atoms() if i not in members))
 
 
 def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:

@@ -22,12 +22,19 @@ random sampler depends only on ``(seed, instance)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from .classical import Assignment, DEFAULT_BUDGET, minimizing_assignment
+from .classical import (
+    DEFAULT_BUDGET,
+    Assignment,
+    CoverEntropyResult,
+    _searched_atoms,
+    minimizing_assignment,
+)
 from .errors import SpaceMismatchError, ValidationError
 from .functionals import EntropyFunctional, evaluate
 from .measure import (
@@ -69,8 +76,9 @@ class WeightedDivision:
                 f"rows must have shape {expected} (cover size x atom count), "
                 f"got {rows.shape}"
             )
-        if np.any(rows < 0.0):
-            raise ValidationError("division rows must be nonnegative")
+        # false for NaN too; an infinite entry fails the sum-back check
+        if not (rows >= 0.0).all():
+            raise ValidationError("division rows must be finite and nonnegative")
         for i, s in enumerate(self.cover.sets):
             outside = np.ones(self.mu.space.n, dtype=bool)
             if s.members:
@@ -211,8 +219,8 @@ class HlpInput:
         object.__setattr__(self, "y_seq", y)
         if len(x) != len(y):
             raise ValidationError("x and y must have the same length")
-        if any(v < 0.0 for v in x) or any(v < 0.0 for v in y):
-            raise ValidationError("sequence entries must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in x + y):
+            raise ValidationError("sequence entries must be finite and nonnegative")
         if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
             raise ValidationError("x must be nonincreasing")
         if abs(sum(x) - sum(y)) > MASS_TOL:
@@ -268,23 +276,10 @@ def hlp_compare(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WeightedCoverEntropyResult:
+class WeightedCoverEntropyResult(CoverEntropyResult):
     """Like the classical result, but the witness is an optimal division."""
 
-    value: float | None
     witness: WeightedDivision | None
-    explored: int
-
-    def __post_init__(self) -> None:
-        if (self.value is None) != (self.witness is None):
-            raise ValidationError("value and witness must be absent together")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def value_or_inf(self) -> float:
-        return float("inf") if self.value is None else self.value
 
 
 def cover_entropy_weighted(
@@ -292,7 +287,6 @@ def cover_entropy_weighted(
     mu: Measure,
     q: SetFamily,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
 ) -> WeightedCoverEntropyResult:
     """Minimum weighted entropy over all divisions of ``mu`` with respect to ``q``.
 
@@ -307,7 +301,7 @@ def cover_entropy_weighted(
         raise SpaceMismatchError("measure and cover live on different spaces")
     if not is_mu_cover(q, mu):
         return WeightedCoverEntropyResult(value=None, witness=None, explored=0)
-    assignment, explored = minimizing_assignment(e, mu, q, budget=budget, method=method)
+    assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = division_from_assignment(assignment, mu)
     return WeightedCoverEntropyResult(
         value=weighted_entropy(e, witness),
@@ -329,19 +323,10 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
         raise SpaceMismatchError("measure and cover live on different spaces")
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
-    membership: dict[int, list[int]] = {}
-    for idx, s in enumerate(q.sets):
-        for atom in s.members:
-            membership.setdefault(atom, []).append(idx)
     rng = np.random.default_rng(seed)
     rows = np.zeros((len(q), mu.space.n), dtype=np.float64)
-    for atom in range(mu.space.n):
-        m = float(mu.mass[atom])
-        if m <= 0.0:
-            continue
-        options = membership.get(atom)
-        if not options:
-            continue  # jointly mu-null by the cover check
+    for atom, options in zip(*_searched_atoms(mu, q)):
+        m = mu.mass[atom]
         if len(options) == 1:
             rows[options[0], atom] = m
         else:

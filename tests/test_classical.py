@@ -230,37 +230,74 @@ class TestOracleAgreement:
                 assert best <= partition_entropy(e, mu, refined) + 1e-12
 
 
-class TestBudgetAndBranchBound:
-    def test_scan_budget_error(self):
-        mu, q = uniform(4), family(4, [0, 1, 2, 3], [0, 1, 2, 3])
-        with pytest.raises(BudgetExceededError):
-            cover_entropy(shannon(), mu, q, budget=3, method="scan")
+def _enumeration_minimum(e, mu, q):
+    return min(partition_entropy(e, mu, p) for p in enumerate_acceptable_partitions(mu, q))
 
+
+class TestBudgetAndBranchBound:
     def test_branch_and_bound_budget_error(self):
         mu, q = uniform(4), family(4, [0, 1, 2, 3], [0, 1, 2, 3])
         with pytest.raises(BudgetExceededError):
-            cover_entropy(shannon(), mu, q, budget=0, method="branch-and-bound")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError):
-            cover_entropy(shannon(), uniform(2), family(2, [0], [1]), method="magic")
+            cover_entropy(shannon(), mu, q, budget=0)
 
     def test_branch_and_bound_matches_scan_on_thousand_instances(self):
-        # exactness of the bound: identical value and witness everywhere
+        # exactness of the cell search: the enumeration minimum everywhere,
+        # attained by the witness
         rng = np.random.default_rng(404)
         for _ in range(1000):
             mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 5))
             e = builtin_functionals()[int(rng.integers(5))]
-            sa, _ = minimizing_assignment(e, mu, q, method="scan")
-            ba, _ = minimizing_assignment(e, mu, q, method="branch-and-bound")
-            assert sa.choice == ba.choice
-            va = partition_entropy(e, mu, assignment_to_partition(sa))
-            vb = partition_entropy(e, mu, assignment_to_partition(ba))
-            assert va == pytest.approx(vb, abs=1e-12)
+            a, _ = minimizing_assignment(e, mu, q)
+            value = partition_entropy(e, mu, assignment_to_partition(a))
+            assert value == pytest.approx(_enumeration_minimum(e, mu, q), abs=1e-12)
 
     def test_branch_and_bound_explores_fewer_candidates(self):
         mu, q = uniform(8), family(8, *( [list(range(8))] * 4 ))
         full = search_space_size(mu, q)
-        r = cover_entropy(shannon(), mu, q, method="branch-and-bound", budget=full)
+        r = cover_entropy(shannon(), mu, q, budget=full)
         assert r.explored < full
         assert r.value == pytest.approx(0.0, abs=1e-12)
+        # every atom its own cell (the whole space plus singletons): 2^6
+        # cell assignments, and pruning leaves almost all of them unvisited
+        mu, q = uniform(6), family(6, list(range(6)), *([a] for a in range(6)))
+        r = cover_entropy(shannon(), mu, q, budget=search_space_size(mu, q))
+        assert r.explored < search_space_size(mu, q) // 8
+        assert r.value == pytest.approx(0.0, abs=1e-12)
+
+
+class TestLargeInstances:
+    """Many atoms over 3 sets collapse to at most 7 Venn cells."""
+
+    @staticmethod
+    def _instance(n, seed):
+        rng = np.random.default_rng(seed)
+        sets = [[a for a in range(n) if rng.random() < 0.6] for _ in range(3)]
+        for a in range(n):
+            if not any(a in s for s in sets):
+                sets[int(rng.integers(3))].append(a)
+        mu = Measure(DiscreteSpace(n), rng.dirichlet(np.ones(n)), probability=True)
+        return mu, family(n, *sets)
+
+    @staticmethod
+    def _collapsed(mu, q):
+        # one atom per Venn cell, carrying the cell's mass
+        cells = {}
+        for a in range(mu.space.n):
+            key = tuple(j for j, s in enumerate(q) if a in s)
+            cells[key] = cells.get(key, 0.0) + float(mu.mass[a])
+        keys = sorted(cells)
+        space = DiscreteSpace(len(keys))
+        blocks = [[i for i, key in enumerate(keys) if j in key] for j in range(len(q))]
+        mu = Measure(space, [cells[key] for key in keys], probability=True)
+        return mu, SetFamily.of(space, blocks)
+
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_value_is_the_collapsed_enumeration_minimum(self, n):
+        mu, q = self._instance(n, seed=n)
+        small_mu, small_q = self._collapsed(mu, q)
+        assert small_mu.space.n <= 7
+        for e in builtin_functionals():
+            r = cover_entropy(e, mu, q)
+            assert is_mu_partition(r.witness, mu) and finer_than(r.witness, q)
+            assert r.value == pytest.approx(
+                _enumeration_minimum(e, small_mu, small_q), abs=1e-12)

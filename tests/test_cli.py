@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coverentropy
 from coverentropy.cli import dumps_canonical, main
 
 INSTANCE = {
@@ -87,6 +92,22 @@ class TestCoverCommand:
                                "--functional", "shannon")
         assert code == 1
         assert report["status"] == "invalid-input"
+
+    def test_nan_literal_is_invalid_input(self, tmp_path):
+        # Python's json reads NaN; the report must still be one JSON line
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"n": 2, "mu": [NaN, 1.0], "cover": [[0, 1]]}')
+        src = str(Path(coverentropy.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "coverentropy.cli", "cover", str(bad),
+             "--functional", "shannon"],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["status"] == "invalid-input"
 
 
 class TestPartitionCommand:

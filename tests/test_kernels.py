@@ -1,16 +1,25 @@
-"""Backend agreement: compiled loops, interpreted loops, and the numpy scan."""
+"""The certified search against the exhaustive reference scan.
 
-import os
-import subprocess
-import sys
+Inputs are packed as the package packs them: one unit per Venn cell,
+heaviest cell first.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-from coverentropy import builtin_functionals
-from coverentropy import _kernels
-from coverentropy.classical import _searched_atoms
-from coverentropy.functionals import G_POWER
+from coverentropy import (
+    CompositionCase,
+    EntropyFunctional,
+    _kernels,
+    builtin_functionals,
+    cover_entropy,
+    enumerate_acceptable_partitions,
+    partition_entropy,
+    tsallis,
+)
+from coverentropy.classical import _searched_atoms, _venn_cells
 from coverentropy.selftest import random_instance
 
 
@@ -18,124 +27,90 @@ def _packed_cases(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         mu, q = random_instance(rng, n_range=(2, 7), k_range=(2, 5))
-        atoms, cands = _searched_atoms(mu, q)
-        masses = mu.mass[atoms] if atoms else np.zeros(0)
+        cells = _venn_cells(mu, q)
+        masses = [m for m, _, _ in cells]
+        cands = [c for _, _, c in cells]
         for e in builtin_functionals():
-            alpha = 0.0 if e.alpha is None else e.alpha
-            yield masses, cands, len(q), e.g_code, alpha, not e.minimizes_g_sum
+            yield masses, cands, len(q), e.g, not e.minimizes_g_sum
 
 
 class TestBackendAgreement:
-    def test_numpy_scan_matches_loop(self):
-        for masses, cands, n_sets, g_code, alpha, maximize in _packed_cases(1, 100):
-            m, f, s, c = _kernels._pack(masses, cands)
-            b1, ch1, t1 = _kernels._scan_loop(m, f, s, c, n_sets, g_code, alpha, maximize)
-            b2, ch2, t2 = _kernels.scan_numpy(m, f, s, c, n_sets, g_code, alpha, maximize)
-            assert t1 == t2
-            assert b1 == b2
-            assert np.array_equal(ch1, ch2)
-
-    def test_numpy_scan_chunking_boundaries(self):
-        for masses, cands, n_sets, g_code, alpha, maximize in _packed_cases(2, 20):
-            m, f, s, c = _kernels._pack(masses, cands)
-            big = _kernels.scan_numpy(m, f, s, c, n_sets, g_code, alpha, maximize)
-            tiny = _kernels.scan_numpy(m, f, s, c, n_sets, g_code, alpha, maximize,
-                                       chunk=3)
-            assert big[0] == tiny[0]
-            assert np.array_equal(big[1], tiny[1])
+    def test_branch_and_bound_matches_scan_bitwise(self):
+        for masses, cands, n_sets, g, maximize in (
+                case for seed in range(4, 60) for case in _packed_cases(seed, 120)):
+            b1, ch1, total = _kernels.scan_assignments(masses, cands, n_sets, g,
+                                                       maximize)
+            b2, ch2, leaves, done = _kernels.branch_and_bound(
+                masses, cands, n_sets, g, maximize, max_leaves=10 ** 7)
+            assert done and leaves <= total
+            assert b1 == b2  # same g and add order at the leaves: bit identical
+            assert ch1 == ch2
 
     def test_interpreted_loop_matches_dispatched(self):
-        for masses, cands, n_sets, g_code, alpha, maximize in _packed_cases(3, 30):
-            m, f, s, c = _kernels._pack(masses, cands)
-            b1, ch1, _ = _kernels.scan_loop_py(m, f, s, c, n_sets, g_code, alpha, maximize)
-            b2, ch2, _ = _kernels.scan_assignments(masses, cands, n_sets, g_code,
-                                                   alpha, maximize)
-            assert b1 == pytest.approx(b2, abs=1e-12)
-            assert np.array_equal(ch1, ch2)
-
-    def test_branch_and_bound_matches_scan_bitwise(self):
-        for masses, cands, n_sets, g_code, alpha, maximize in _packed_cases(4, 120):
-            b1, ch1, _ = _kernels.scan_assignments(masses, cands, n_sets, g_code,
-                                                   alpha, maximize)
-            b2, ch2, leaves, done = _kernels.branch_and_bound(
-                masses, cands, n_sets, g_code, alpha, maximize,
-                max_leaves=10 ** 7)
-            assert done
-            assert b1 == b2  # same g and add order at the leaves: bit identical
-            assert np.array_equal(ch1, ch2)
+        # the reference scan over atoms (no cells) reaches the value that the
+        # cell search behind cover_entropy reports
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            mu, q = random_instance(rng, n_range=(2, 7), k_range=(2, 5))
+            atoms, cands = _searched_atoms(mu, q)
+            masses = [float(mu.mass[a]) for a in atoms]
+            for e in builtin_functionals():
+                best, _, _ = _kernels.scan_assignments(
+                    masses, cands, len(q), e.g, not e.minimizes_g_sum)
+                assert cover_entropy(e, mu, q).value == pytest.approx(
+                    e.f(best), abs=1e-12)
 
     def test_general_power_scan_matches_branch_and_bound(self):
-        # alpha = 0.25 takes numpy's SIMD pow, not the sqrt/square shortcuts;
-        # ranked by array powers alone, the scan picks witness [3, 0, 1, 0, 0, 0]
-        masses = np.array([0.06344219993644984, 0.4224902862436267,
-                           0.08822773484715178, 0.1401024813496706,
-                           0.06875713472022942, 0.21698016290287164])
+        # witnesses [3, 0, 1, 0, 0, 0] and [3, 0, 4, 0, 0, 0] have the same
+        # block masses; only the set order of the g-sum's additions tells
+        # them apart, so both searches must add in the same order
+        masses = [0.06344219993644984, 0.4224902862436267,
+                  0.08822773484715178, 0.1401024813496706,
+                  0.06875713472022942, 0.21698016290287164]
         cands = [[3], [0, 1, 2, 3, 4], [1, 2, 4], [0, 1, 3], [0, 1, 2, 4], [0]]
-        b1, ch1, _ = _kernels.scan_assignments(masses, cands, 5, G_POWER, 0.25,
-                                               False)
-        b2, ch2, _, done = _kernels.branch_and_bound(masses, cands, 5, G_POWER,
-                                                     0.25, False, max_leaves=10 ** 7)
+        g = tsallis(0.25).g
+        b1, ch1, _ = _kernels.scan_assignments(masses, cands, 5, g, False)
+        b2, ch2, _, done = _kernels.branch_and_bound(masses, cands, 5, g, False,
+                                                     max_leaves=10 ** 7)
         assert done
         assert b1 == b2
-        assert ch1.tolist() == ch2.tolist() == [3, 0, 4, 0, 0, 0]
+        assert ch1 == ch2 == [3, 0, 4, 0, 0, 0]
 
     def test_empty_atom_list(self):
-        best, choice, total = _kernels.scan_assignments(
-            np.zeros(0), [], 3, 0, 0.0, True)
-        assert best == 0.0 and total == 1 and choice.size == 0
+        g = builtin_functionals()[0].g
+        best, choice, total = _kernels.scan_assignments([], [], 3, g, True)
+        assert best == 0.0 and total == 1 and choice == []
+        best, choice, leaves, done = _kernels.branch_and_bound([], [], 3, g, True, 1)
+        assert best == 0.0 and choice == [] and done
 
 
 class TestTieBreak:
     def test_first_lexicographic_optimum_wins(self):
         # two identical cover sets: merging into set 0 and into set 1 tie
-        masses = np.array([0.5, 0.5])
+        masses = [0.5, 0.5]
         cands = [[0, 1], [0, 1]]
-        for g_code, alpha, maximize in ((0, 0.0, True), (1, 2.0, True), (1, 0.5, False)):
-            _, choice, _ = _kernels.scan_assignments(masses, cands, 2, g_code,
-                                                     alpha, maximize)
-            assert choice.tolist() == [0, 0]
+        for e in builtin_functionals():
+            maximize = not e.minimizes_g_sum
+            _, choice, _ = _kernels.scan_assignments(masses, cands, 2, e.g, maximize)
+            assert choice == [0, 0]
+            _, choice, _, _ = _kernels.branch_and_bound(masses, cands, 2, e.g,
+                                                        maximize, 10 ** 6)
+            assert choice == [0, 0]
 
 
-class TestBackendSelection:
-    def test_default_backend_is_numba_here(self):
-        # numba is optional: the default follows whether it imports
-        code = (
-            "try:\n"
-            "    import numba\n"
-            "    has_numba = True\n"
-            "except ImportError:\n"
-            "    has_numba = False\n"
-            "from coverentropy import _kernels\n"
-            "print(_kernels.BACKEND, has_numba)\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "COVERENTROPY_BACKEND"}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        backend, has_numba = out.stdout.split()
-        assert backend == ("numba" if has_numba == "True" else "numpy")
+class TestCustomFunctional:
+    def test_g_is_never_called_on_empty_groups(self):
+        # a g undefined at 0 still works: empty groups are skipped
+        def g(t):
+            if t <= 0.0:
+                raise AssertionError("g called on an empty group")
+            return t * math.log2(t)
 
-    def test_numpy_backend_via_env(self):
-        code = (
-            "from coverentropy import _kernels, cover_entropy, shannon, "
-            "Measure, DiscreteSpace, SetFamily\n"
-            "assert _kernels.BACKEND == 'numpy'\n"
-            "mu = Measure(DiscreteSpace(3), [1/3, 1/3, 1/3], probability=True)\n"
-            "q = SetFamily.of(DiscreteSpace(3), [[0, 1], [1, 2]])\n"
-            "r = cover_entropy(shannon(), mu, q)\n"
-            "assert abs(r.value - 0.9182958340544896) < 1e-12, r.value\n"
-            "print('numpy-backend-ok')\n"
-        )
-        env = dict(os.environ, COVERENTROPY_BACKEND="numpy")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert "numpy-backend-ok" in out.stdout
-
-    def test_invalid_backend_rejected(self):
-        code = "import coverentropy"
-        env = dict(os.environ, COVERENTROPY_BACKEND="cuda")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode != 0
-        assert "COVERENTROPY_BACKEND" in out.stderr
+        e = EntropyFunctional(name="shannon-strict", alpha=None, f=lambda x: -x,
+                              g=g, case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 4))
+            expected = min(partition_entropy(e, mu, p)
+                           for p in enumerate_acceptable_partitions(mu, q))
+            assert cover_entropy(e, mu, q).value == pytest.approx(expected, abs=1e-12)

@@ -64,6 +64,16 @@ class TestTypes:
         with pytest.raises(ValidationError):
             measure(0.5, -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_measure_rejects_non_finite_mass(self, bad):
+        # every comparison with NaN is False, so range checks alone let it in
+        with pytest.raises(ValidationError, match="non-finite"):
+            measure(0.5, bad)
+        with pytest.raises(ValidationError, match="non-finite"):
+            measure(bad, 0.5, probability=True)
+        with pytest.raises(ValidationError, match="non-finite"):
+            parse_instance({"n": 2, "mu": [bad, 0.5], "cover": [[0, 1]]})
+
     def test_measure_rejects_super_probability(self):
         with pytest.raises(ValidationError):
             measure(0.8, 0.5)

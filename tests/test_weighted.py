@@ -65,6 +65,12 @@ class TestWeightedDivisionValidation:
             WeightedDivision(measure(0.5, 0.5), family(2, [0, 1], [0, 1]),
                              [[0.6, 0.5], [-0.1, 0.0]])
 
+    def test_non_finite_entry(self):
+        # a NaN inside the row's set passes every range and sum check
+        with pytest.raises(ValidationError, match="finite"):
+            WeightedDivision(measure(0.5, 0.5), family(2, [0, 1], [0, 1]),
+                             [[float("nan"), 0.5], [0.5, 0.0]])
+
     def test_rows_readonly(self):
         d = random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=0)
         with pytest.raises(ValueError):
@@ -203,6 +209,12 @@ class TestDisjointify:
 
 
 class TestHlpCompare:
+    def test_non_finite_entries_rejected(self):
+        for x, y in (((float("nan"), 0.5), (0.5, 0.5)),
+                     ((0.5, 0.5), (0.5, float("inf")))):
+            with pytest.raises(ValidationError, match="finite"):
+                HlpInput(x, y)
+
     def test_concave_direction(self):
         inp = HlpInput((0.5, 0.5), (0.7, 0.3))
         phi = lambda t: -t * math.log2(t) if t > 0 else 0.0
