@@ -54,13 +54,17 @@ class Assignment:
             raise SpaceMismatchError("assignment cover lives on a different space")
         pairs = tuple(sorted((int(a), int(c)) for a, c in self.choice))
         atoms = [a for a, _ in pairs]
+        sets = [c for _, c in pairs]
         if len(set(atoms)) != len(atoms):
             raise ValidationError("an atom is assigned more than once")
-        for atom, idx in pairs:
-            if idx < 0 or idx >= len(self.cover):
-                raise ValidationError(f"cover index {idx} out of range")
-            if atom not in self.cover[idx]:
-                raise ValidationError(f"atom {atom} is not a member of cover set {idx}")
+        if pairs and not 0 <= min(sets) <= max(sets) < len(self.cover):
+            raise ValidationError(f"cover indices must lie in 0..{len(self.cover) - 1}")
+        if pairs and not 0 <= atoms[0] <= atoms[-1] < self.space.n:
+            raise ValidationError(f"assigned atoms must lie in 0..{self.space.n - 1}")
+        member = self.cover.incidence[sets, atoms]
+        if not member.all():
+            j = int(member.argmin())
+            raise ValidationError(f"atom {atoms[j]} is not a member of cover set {sets[j]}")
         object.__setattr__(self, "choice", pairs)
 
     @classmethod

@@ -19,7 +19,7 @@ from pathlib import Path
 from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
 from .errors import BudgetExceededError, ValidationError
 from .functionals import parse_functional
-from .measure import SetFamily, load_instance
+from .measure import SetFamily, load_instance, load_json
 from .mixture import parse_mixture, verify_mixture_bounds
 from .selftest import run_selftest
 from .weighted import (
@@ -124,9 +124,7 @@ def _emit(command: str, digest: str, status: str, results: dict) -> int:
 def _load_blocks(text: str) -> list[list[int]]:
     """Accept inline JSON (starts with '[') or a path to a JSON file."""
     raw = text.strip()
-    if not raw.startswith("["):
-        raw = Path(raw).read_text()
-    data = json.loads(raw)
+    data = load_json(raw.encode() if raw.startswith("[") else raw, "blocks")
     if not isinstance(data, list) or not all(
         isinstance(b, list) and all(isinstance(x, int) for x in b) for b in data
     ):
@@ -204,12 +202,7 @@ def cmd_cover(args) -> int:
 
 def cmd_mixture(args) -> int:
     digest = _digest_paths(args.mixture)
-    try:
-        with open(args.mixture, "rb") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot parse mixture file: {exc}") from exc
-    spec, cover, e = parse_mixture(data)
+    spec, cover, e = parse_mixture(load_json(args.mixture, "mixture file"))
     report = verify_mixture_bounds(e, spec, cover, budget=args.budget)
     status = "infinite" if report.is_infinite else "ok"
     return _emit("mixture", digest, status, {
@@ -226,13 +219,11 @@ def cmd_mixture(args) -> int:
 
 def cmd_hlp(args) -> int:
     digest = _digest_paths(args.input)
-    try:
-        with open(args.input, "rb") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot parse hlp file: {exc}") from exc
+    data = load_json(args.input, "hlp file")
     if not isinstance(data, dict) or not {"x", "y", "functional"} <= set(data):
         raise ValidationError('hlp JSON needs keys "x", "y" and "functional"')
+    if not isinstance(data["x"], list) or not isinstance(data["y"], list):
+        raise ValidationError('hlp "x" and "y" must be lists of numbers')
     e = parse_functional(str(data["functional"]))
     inp = HlpInput(x_seq=tuple(data["x"]), y_seq=tuple(data["y"]))
     shape = "concave" if e.minimizes_g_sum else "convex"
@@ -249,12 +240,7 @@ def cmd_hlp(args) -> int:
 def cmd_disjointify(args) -> int:
     digest = _digest_paths(args.instance, args.division)
     mu, cover = load_instance(args.instance)
-    try:
-        with open(args.division, "rb") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot parse division file: {exc}") from exc
-    d = parse_division(data, mu, cover)
+    d = parse_division(load_json(args.division, "division file"), mu, cover)
     e = parse_functional(args.functional)
     partition = disjointify(d)
     return _emit("disjointify", digest, "ok", {

@@ -5,7 +5,9 @@ The whole package works on a fixed finite model: atoms are the integers
 vector.  Families of atom sets play two roles: *partitions* (pairwise
 disjoint, covering all mass) and *covers* (overlaps allowed, covering all
 mass).  All types are immutable after construction and all operations are
-pure functions, so everything here is safe to share across threads.
+pure functions, so everything here is safe to share across threads.  A
+family's ``incidence`` matrix is built on first use and is read-only; two
+threads that race to build it build the same matrix.
 
 This module also owns the instance JSON schema consumed by the CLI::
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,8 +27,11 @@ import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 
-#: Absolute tolerance for mu-null discrepancies.  All sums in this package
-#: involve at most a few thousand binary64 terms, so 1e-12 is generous.
+#: Absolute tolerance for mu-null discrepancies.  A left-to-right sum of n
+#: nonnegative binary64 masses with total at most 1 is off by at most
+#: (n - 1) * 2**-53, which reaches 1e-12 at n = 9,008 atoms; beyond that a
+#: worst-case instance can fail a mass check by rounding alone.  numpy's
+#: pairwise sums stay far inside the bound.
 MASS_TOL = 1e-12
 
 
@@ -36,7 +42,7 @@ class DiscreteSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"space needs a positive integer atom count, got {self.n!r}")
 
     def atoms(self) -> range:
@@ -116,15 +122,6 @@ class AtomSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def issubset(self, other: "AtomSet") -> bool:
-        return set(self.members) <= set(other.members)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.space.n, dtype=bool)
-        if self.members:
-            m[list(self.members)] = True
-        return m
-
 
 @dataclass(frozen=True)
 class SetFamily:
@@ -154,11 +151,16 @@ class SetFamily:
     def __getitem__(self, i: int) -> AtomSet:
         return self.sets[i]
 
-    def union_mask(self) -> np.ndarray:
-        m = np.zeros(self.space.n, dtype=bool)
-        for s in self.sets:
-            if s.members:
-                m[list(s.members)] = True
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only boolean ``(len, n)`` matrix, true where set ``i`` holds atom ``x``.
+
+        Built on first use and kept; every membership check reads it.
+        """
+        m = np.zeros((len(self.sets), self.space.n), dtype=bool)
+        rows = np.repeat(np.arange(len(self.sets)), [len(s) for s in self.sets])
+        m[rows, [a for s in self.sets for a in s.members]] = True
+        m.setflags(write=False)
         return m
 
     def as_lists(self) -> list[list[int]]:
@@ -190,10 +192,10 @@ def complement(a: AtomSet) -> AtomSet:
 def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
     """True iff the sets are pairwise disjoint and miss at most mu-null mass."""
     _require_shared_space(fam, mu)
-    coverage = np.zeros(fam.space.n, dtype=np.int64)
-    for s in fam.sets:
-        if s.members:
-            coverage[list(s.members)] += 1
+    # counted from the members: a partition may have up to n blocks, too
+    # many for an incidence matrix
+    members = [a for s in fam.sets for a in s.members]
+    coverage = np.bincount(members, minlength=fam.space.n)
     if np.any(coverage > 1):
         return False
     uncovered = float(mu.mass[coverage == 0].sum())
@@ -203,7 +205,7 @@ def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
 def is_mu_cover(fam: SetFamily, mu: Measure) -> bool:
     """True iff at most mu-null mass lies outside the union (overlaps allowed)."""
     _require_shared_space(fam, mu)
-    uncovered = float(mu.mass[~fam.union_mask()].sum())
+    uncovered = float(mu.mass[~fam.incidence.any(axis=0)].sum())
     return uncovered <= MASS_TOL
 
 
@@ -214,14 +216,15 @@ def finer_than(p: SetFamily, q: SetFamily) -> bool:
     of ``p`` are ignored.
     """
     _require_shared_space(p, q)
-    q_members = [set(s.members) for s in q.sets]
-    for block in p.sets:
-        if not block.members:
-            continue
-        b = set(block.members)
-        if not any(b <= qm for qm in q_members):
-            return False
-    return True
+    return all(
+        _first_container(q, block) is not None for block in p.sets if block.members
+    )
+
+
+def _first_container(q: SetFamily, block: AtomSet) -> int | None:
+    """Lowest index of a set of ``q`` holding every atom of ``block``, if any."""
+    fits = q.incidence[:, list(block.members)].all(axis=1)
+    return int(fits.argmax()) if fits.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +245,7 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     mu_raw = data["mu"]
     if not isinstance(mu_raw, list) or len(mu_raw) != n:
         raise ValidationError(f'"mu" must be a list of {n} numbers')
-    try:
-        mu = Measure(space, [float(v) for v in mu_raw], probability=True)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f'"mu" entries must be numbers: {exc}') from exc
+    mu = Measure(space, parse_numbers(mu_raw, '"mu"'), probability=True)
     cover_raw = data["cover"]
     if not isinstance(cover_raw, list):
         raise ValidationError('"cover" must be a list of atom-index lists')
@@ -260,16 +258,30 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     return mu, cover
 
 
+def parse_numbers(raw: list, what: str) -> list[float]:
+    """``float`` of every entry; an entry that is no number is a ValidationError."""
+    try:
+        return [float(v) for v in raw]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} entries must be numbers: {exc}") from exc
+
+
+def load_json(source: str | Path | bytes, what: str):
+    """Parse one JSON document from a file path, or from ``bytes`` holding it.
+
+    An unreadable file, undecodable bytes, malformed JSON and nesting too
+    deep to parse all raise :class:`ValidationError` naming ``what``.
+    """
+    try:
+        text = source if isinstance(source, bytes) else Path(source).read_bytes()
+        return json.loads(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"cannot parse {what}: {exc}") from exc
+
+
 def load_instance(path: str | Path) -> tuple[Measure, SetFamily]:
     """Read and validate an instance JSON file."""
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"instance file is not valid JSON: {exc}") from exc
-    return parse_instance(data)
+    return parse_instance(load_json(path, "instance file"))
 
 
 def instance_dict(mu: Measure, cover: SetFamily) -> dict:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import SpaceMismatchError, ValidationError
-from .functionals import EntropyFunctional
-from .measure import MASS_TOL, Measure, SetFamily
+from .functionals import EntropyFunctional, parse_functional
+from .measure import MASS_TOL, DiscreteSpace, Measure, SetFamily, parse_numbers
 from .weighted import WeightedDivision
 
 #: Containment checks use the package-wide numeric tolerance.
@@ -308,9 +308,6 @@ def limit_bridge(
 
 def parse_mixture(data: dict) -> tuple[MixtureSpec, SetFamily, EntropyFunctional]:
     """Validate ``{"n":, "coefficients":, "measures":, "cover":, "functional":}``."""
-    from .functionals import parse_functional
-    from .measure import DiscreteSpace, SetFamily as _SF
-
     if not isinstance(data, dict):
         raise ValidationError("mixture must be a JSON object")
     missing = {"n", "coefficients", "measures", "cover", "functional"} - set(data)
@@ -326,20 +323,18 @@ def parse_mixture(data: dict) -> tuple[MixtureSpec, SetFamily, EntropyFunctional
         raise ValidationError('"coefficients" and "measures" must be lists')
     if len(coeffs) != len(measures):
         raise ValidationError("one coefficient per measure is required")
+    weights = parse_numbers(coeffs, '"coefficients"')
     comps = []
-    for i, (a, mass) in enumerate(zip(coeffs, measures)):
-        try:
-            weight = float(a)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"coefficient {i} is not a number") from exc
+    for i, (weight, mass) in enumerate(zip(weights, measures)):
         if not isinstance(mass, list) or len(mass) != n:
             raise ValidationError(f"measure {i} must list {n} masses")
-        comps.append((weight, Measure(space, [float(v) for v in mass], probability=True)))
+        masses = parse_numbers(mass, f"measure {i}")
+        comps.append((weight, Measure(space, masses, probability=True)))
     cover_raw = data["cover"]
     if not isinstance(cover_raw, list) or not all(
         isinstance(b, list) and all(isinstance(x, int) for x in b) for b in cover_raw
     ):
         raise ValidationError('"cover" must be a list of atom-index lists')
-    cover = _SF.of(space, cover_raw)
+    cover = SetFamily.of(space, cover_raw)
     functional = parse_functional(str(data["functional"]))
     return MixtureSpec(tuple(comps)), cover, functional

@@ -42,10 +42,10 @@ from .measure import (
     AtomSet,
     Measure,
     SetFamily,
+    _first_container,
     finer_than,
     is_mu_cover,
     is_mu_partition,
-    restrict,
 )
 
 #: Rows whose total mass does not exceed this are treated as unused when a
@@ -79,14 +79,11 @@ class WeightedDivision:
         # false for NaN too; an infinite entry fails the sum-back check
         if not (rows >= 0.0).all():
             raise ValidationError("division rows must be finite and nonnegative")
-        for i, s in enumerate(self.cover.sets):
-            outside = np.ones(self.mu.space.n, dtype=bool)
-            if s.members:
-                outside[list(s.members)] = False
-            if np.any(rows[i][outside] != 0.0):
-                raise ValidationError(
-                    f"row {i} carries mass outside its cover set"
-                )
+        stray = ((rows != 0.0) & ~self.cover.incidence).any(axis=1)
+        if stray.any():
+            raise ValidationError(
+                f"row {stray.argmax()} carries mass outside its cover set"
+            )
         gap = np.abs(rows.sum(axis=0) - self.mu.mass)
         if float(gap.max(initial=0.0)) > MASS_TOL:
             atom = int(gap.argmax())
@@ -124,26 +121,19 @@ def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDi
     """Division induced by a partition finer than the cover.
 
     Every block is routed to the lowest-index cover set containing it; row
-    ``i`` is the restriction of ``mu`` to the union of blocks routed to set
-    ``i``.  The weighted entropy of the result never exceeds the partition
-    entropy of ``p`` (merging within one cover set only helps).
+    ``i`` carries ``mu`` on the blocks routed to set ``i`` and is zero
+    elsewhere.  The weighted entropy of the result never exceeds the
+    partition entropy of ``p`` (merging within one cover set only helps).
     """
     if not is_mu_partition(p, mu):
         raise ValidationError("p is not a mu-partition")
     if not finer_than(p, q):
         raise ValidationError("p is not finer than q")
-    q_members = [set(s.members) for s in q.sets]
-    routed: dict[int, list[int]] = {}
-    for block in p.sets:
-        if not block.members:
-            continue
-        target = next(
-            i for i, qm in enumerate(q_members) if set(block.members) <= qm
-        )
-        routed.setdefault(target, []).extend(block.members)
     rows = np.zeros((len(q), mu.space.n), dtype=np.float64)
-    for idx, atoms in routed.items():
-        rows[idx] = restrict(mu, AtomSet(mu.space, tuple(atoms))).mass
+    for block in p.sets:
+        if block.members:
+            atoms = list(block.members)
+            rows[_first_container(q, block), atoms] = mu.mass[atoms]
     return WeightedDivision(mu, q, rows)
 
 

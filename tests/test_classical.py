@@ -79,6 +79,13 @@ class TestAssignment:
         with pytest.raises(ValidationError):
             Assignment.from_mapping(cover, {0: 1})
 
+    @pytest.mark.parametrize("atom", [-1, 2])
+    def test_rejects_atom_outside_space(self, atom):
+        # a negative atom must not wrap around to the last one
+        cover = family(2, [0, 1])
+        with pytest.raises(ValidationError, match="atoms must lie in"):
+            Assignment(cover.space, cover, ((atom, 0),))
+
     def test_rejects_duplicate_atom(self):
         cover = family(2, [0, 1], [0, 1])
         with pytest.raises(ValidationError):

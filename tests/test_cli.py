@@ -110,6 +110,36 @@ class TestCoverCommand:
         assert json.loads(lines[0])["status"] == "invalid-input"
 
 
+# command, input file content (None: the valid instance), extra flags
+MALFORMED = {
+    "blocks": ("partition", None, ["--functional", "shannon", "--blocks", "[[0],[1"]),
+    "mass-string": ("mixture", {**MIXTURE, "measures": [["abc", 1.0], [0.0, 1.0]]}, []),
+    "mass-null": ("mixture", {**MIXTURE, "measures": [[None, 1.0], [0.0, 1.0]]}, []),
+    "hlp-scalar": ("hlp", {"x": 5, "y": [1.0], "functional": "shannon"}, []),
+    "not-utf8": ("cover", b"\xff\xfe\xfa", ["--functional", "shannon"]),
+    "n-bool": ("cover", {"n": True, "mu": [1.0], "cover": [[0]]}, ["--functional", "shannon"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_invalid_input_line(
+    capsys, tmp_path, instance_file, case
+):
+    command, content, flags = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    code = main([command, instance_file if content is None else str(path), *flags])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert lines[0] == dumps_canonical(report)
+    assert report["status"] == "invalid-input"
+
+
 class TestPartitionCommand:
     def test_inline_blocks(self, capsys, instance_file):
         code, report = run_cli(capsys, "partition", instance_file,

@@ -106,6 +106,16 @@ class TestTypes:
         with pytest.raises(SpaceMismatchError):
             SetFamily(DiscreteSpace(2), (a, b))
 
+    def test_incidence_matches_members_and_is_readonly(self):
+        fam = family(4, [2, 0], [], [1, 2, 3])
+        inc = fam.incidence
+        assert inc.dtype == bool and inc.shape == (3, 4)
+        for i, s in enumerate(fam):
+            assert np.flatnonzero(inc[i]).tolist() == list(s.members)
+        with pytest.raises(ValueError):
+            inc[1, 0] = True
+        assert fam.incidence is inc
+
 
 # -- restrict ----------------------------------------------------------------
 

@@ -50,6 +50,11 @@ class TestWeightedDivisionValidation:
             WeightedDivision(measure(0.5, 0.5), family(2, [0], [1]),
                              [[0.5, 0.1], [0.0, 0.4]])
 
+    def test_support_violation_names_first_row(self):
+        with pytest.raises(ValidationError, match="row 1 carries"):
+            WeightedDivision(measure(0.2, 0.3, 0.5), family(3, [0, 1, 2], [0], [1]),
+                             [[0.1, 0.1, 0.5], [0.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
+
     def test_decomposition_violation(self):
         with pytest.raises(ValidationError, match="sum back"):
             WeightedDivision(measure(0.5, 0.5), family(2, [0, 1], [0, 1]),
