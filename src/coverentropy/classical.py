@@ -178,9 +178,10 @@ def _venn_cells(
 ) -> list[tuple[float, list[int], tuple[int, ...]]]:
     """Searched atoms grouped by the cover sets that hold them.
 
-    Returns ``(mass, atoms, candidate sets)`` per cell, heaviest first; the
-    smallest atom breaks ties.  A cell's mass adds its atoms in ascending
-    order.
+    Returns ``(mass, atoms, candidate sets)`` per cell: first the cells that
+    only one cover set holds (forced cells), then the others, each part
+    heaviest first with the smallest atom breaking ties.  A cell's mass adds
+    its atoms in ascending order.
     """
     by_sets: dict[tuple[int, ...], list[int]] = {}
     for atom, options in zip(*_searched_atoms(mu, q)):
@@ -192,7 +193,7 @@ def _venn_cells(
         for atom in atoms:
             m += mass[atom]
         cells.append((m, atoms, options))
-    cells.sort(key=lambda cell: (-cell[0], cell[1][0]))
+    cells.sort(key=lambda cell: (len(cell[2]) > 1, -cell[0], cell[1][0]))
     return cells
 
 
@@ -205,17 +206,21 @@ def minimizing_assignment(
     """Find the entropy-minimizing assignment; shared by both cover entropies.
 
     The searched atoms are grouped into Venn cells (atoms held by exactly
-    the same cover sets) and branch and bound assigns whole cells, heaviest
-    first; every atom then gets its cell's set.  Cells are exact: within one
+    the same cover sets) and branch and bound assigns whole cells, forced
+    cells (one candidate set) first and then the others heaviest first;
+    every atom then gets its cell's set.  Cells are exact: within one
     cell the g-sum is concave (minimising case) or convex (maximising case)
     in how the cell's mass splits between two groups, so some optimum never
     splits a cell.  Custom functionals take the same path, and the result
     is exact whenever their declared case holds.
 
     Witness tie-break: the lexicographically smallest optimal cell-choice
-    vector, with cells listed by decreasing mass (smallest atom breaking
-    ties) and each cell trying its candidate sets in ascending order.
-    Optima that tie within rounding may resolve either way.
+    vector, with the forced cells first and then the other cells by
+    decreasing mass (smallest atom breaking ties), each cell trying its
+    candidate sets in ascending order.  Forced cells have one choice, so
+    the order among the other cells decides.  Groups add their cells'
+    masses in that order, so optima that tie within rounding may resolve
+    either way.
 
     ``budget`` caps the leaves (complete cell assignments) evaluated, and
     the returned count is the leaves evaluated.  There are never more cell

@@ -19,7 +19,7 @@ from pathlib import Path
 from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
 from .errors import BudgetExceededError, ValidationError
 from .functionals import parse_functional
-from .measure import SetFamily, load_instance, load_json
+from .measure import SetFamily, load_instance, load_json, parse_blocks, parse_numbers
 from .mixture import parse_mixture, verify_mixture_bounds
 from .selftest import run_selftest
 from .weighted import (
@@ -95,21 +95,22 @@ def _extended(value: float | None):
     return "infinity" if value is None else float(value)
 
 
-def _digest_paths(*paths: str) -> str:
-    h = hashlib.sha256()
+def _read_inputs(args, *paths: str) -> list[bytes]:
+    """Read each input file once; the report digest hashes their bytes in order."""
+    data = []
     for p in paths:
-        h.update(Path(p).read_bytes())
-    return h.hexdigest()
+        try:
+            data.append(Path(p).read_bytes())
+        except OSError as exc:
+            raise ValidationError(f"cannot read {p}: {exc.strerror}") from exc
+    args.digest = hashlib.sha256(b"".join(data)).hexdigest()
+    return data
 
 
-def _digest_config(config: dict) -> str:
-    return hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
-
-
-def _emit(command: str, digest: str, status: str, results: dict) -> int:
+def _emit(args, status: str, results: dict) -> int:
     report = {
-        "command": command,
-        "instance_digest": digest,
+        "command": args.command,
+        "instance_digest": args.digest,
         "status": status,
         "results": results,
     }
@@ -124,21 +125,17 @@ def _emit(command: str, digest: str, status: str, results: dict) -> int:
 def _load_blocks(text: str) -> list[list[int]]:
     """Accept inline JSON (starts with '[') or a path to a JSON file."""
     raw = text.strip()
-    data = load_json(raw.encode() if raw.startswith("[") else raw, "blocks")
-    if not isinstance(data, list) or not all(
-        isinstance(b, list) and all(isinstance(x, int) for x in b) for b in data
-    ):
-        raise ValidationError("blocks must be a JSON list of atom-index lists")
-    return data
+    return parse_blocks(load_json(raw.encode() if raw.startswith("[") else raw, "blocks"),
+                        "blocks")
 
 
 def cmd_partition(args) -> int:
-    digest = _digest_paths(args.instance)
-    mu, cover = load_instance(args.instance)
+    [instance] = _read_inputs(args, args.instance)
+    mu, cover = load_instance(instance)
     e = parse_functional(args.functional)
     blocks = SetFamily.of(mu.space, _load_blocks(args.blocks))
     value = partition_entropy(e, mu, blocks)
-    return _emit("partition", digest, "ok", {
+    return _emit(args, "ok", {
         "functional": e.name,
         "partition": blocks.as_lists(),
         "entropy": value,
@@ -146,8 +143,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    digest = _digest_paths(args.instance)
-    mu, cover = load_instance(args.instance)
+    [instance] = _read_inputs(args, args.instance)
+    mu, cover = load_instance(instance)
     e = parse_functional(args.functional)
     results: dict = {"functional": e.name, "mode": args.mode}
     status = "ok"
@@ -197,15 +194,15 @@ def cmd_cover(args) -> int:
                 "difference": _extended(None if math.isinf(diff) else diff),
                 "within_tol": diff <= args.tol,
             }
-    return _emit("cover", digest, status, results)
+    return _emit(args, status, results)
 
 
 def cmd_mixture(args) -> int:
-    digest = _digest_paths(args.mixture)
-    spec, cover, e = parse_mixture(load_json(args.mixture, "mixture file"))
+    [mixture] = _read_inputs(args, args.mixture)
+    spec, cover, e = parse_mixture(load_json(mixture, "mixture file"))
     report = verify_mixture_bounds(e, spec, cover, budget=args.budget)
     status = "infinite" if report.is_infinite else "ok"
-    return _emit("mixture", digest, status, {
+    return _emit(args, status, {
         "functional": e.name,
         "alpha": report.alpha,
         "coefficients": list(report.coefficients),
@@ -218,17 +215,18 @@ def cmd_mixture(args) -> int:
 
 
 def cmd_hlp(args) -> int:
-    digest = _digest_paths(args.input)
-    data = load_json(args.input, "hlp file")
+    [hlp] = _read_inputs(args, args.input)
+    data = load_json(hlp, "hlp file")
     if not isinstance(data, dict) or not {"x", "y", "functional"} <= set(data):
         raise ValidationError('hlp JSON needs keys "x", "y" and "functional"')
     if not isinstance(data["x"], list) or not isinstance(data["y"], list):
         raise ValidationError('hlp "x" and "y" must be lists of numbers')
     e = parse_functional(str(data["functional"]))
-    inp = HlpInput(x_seq=tuple(data["x"]), y_seq=tuple(data["y"]))
+    inp = HlpInput(x_seq=tuple(parse_numbers(data["x"], '"x"')),
+                   y_seq=tuple(parse_numbers(data["y"], '"y"')))
     shape = "concave" if e.minimizes_g_sum else "convex"
     report = hlp_compare(inp, e.g, shape, tol=args.tol)
-    return _emit("hlp", digest, "ok", {
+    return _emit(args, "ok", {
         "functional": e.name,
         "phi_shape": report.shape,
         "sum_phi_x": report.sum_x,
@@ -238,12 +236,12 @@ def cmd_hlp(args) -> int:
 
 
 def cmd_disjointify(args) -> int:
-    digest = _digest_paths(args.instance, args.division)
-    mu, cover = load_instance(args.instance)
-    d = parse_division(load_json(args.division, "division file"), mu, cover)
+    instance, division = _read_inputs(args, args.instance, args.division)
+    mu, cover = load_instance(instance)
+    d = parse_division(load_json(division, "division file"), mu, cover)
     e = parse_functional(args.functional)
     partition = disjointify(d)
-    return _emit("disjointify", digest, "ok", {
+    return _emit(args, "ok", {
         "functional": e.name,
         "partition": partition.as_lists(),
         "partition_entropy": partition_entropy(e, mu, partition),
@@ -253,7 +251,7 @@ def cmd_disjointify(args) -> int:
 
 def cmd_selftest(args) -> int:
     config = {"scale": args.scale, "seed": args.seed, "budget": args.budget}
-    digest = _digest_config(config)
+    args.digest = hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
     outcomes, ok = run_selftest(scale=args.scale, seed=args.seed, budget=args.budget)
     results = {
         "scale": args.scale,
@@ -263,24 +261,45 @@ def cmd_selftest(args) -> int:
     }
     # a failing property means the install itself is unsound, which is the
     # closest thing to invalid input this command has; exit stays nonzero
-    return _emit("selftest", digest, "ok" if ok else "invalid-input", results)
+    return _emit(args, "ok" if ok else "invalid-input", results)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as :class:`ValidationError` instead of printing
+    usage and exiting with 2, which is the budget exit code."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _at_least(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common = _Parser(add_help=False)
+    common.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                         help="search budget: complete cell assignments the search may "
                              "evaluate (default 10^6)")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_at_least(0), default=0,
                         help="base seed for seeded sampling (default 0)")
     common.add_argument("--tol", type=float, default=1e-9,
                         help="numeric tolerance for report checks (default 1e-9)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coverentropy",
         description="Entropies of measurable covers: classical, weighted, and "
                     "mixture bounds.",
@@ -302,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", required=True)
     p.add_argument("--mode", choices=["classical", "weighted", "both"],
                    default="both")
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=_at_least(0), default=100,
                    help="random divisions for the weighted sandwich check")
     p.set_defaults(func=cmd_cover)
 
@@ -332,17 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
+    # command and digest stay empty until the arguments name one and the
+    # input files are read
+    args = argparse.Namespace(command="", digest="")
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.func(args)
     except ValidationError as exc:
-        return _emit(command, "", "invalid-input", {"error": str(exc)})
+        return _emit(args, "invalid-input", {"error": str(exc)})
     except BudgetExceededError as exc:
-        return _emit(command, "", "budget-exceeded", {"error": str(exc)})
-    except OSError as exc:
-        return _emit(command, "", "invalid-input", {"error": str(exc)})
+        return _emit(args, "budget-exceeded", {"error": str(exc)})
 
 
 if __name__ == "__main__":

@@ -246,24 +246,27 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     if not isinstance(mu_raw, list) or len(mu_raw) != n:
         raise ValidationError(f'"mu" must be a list of {n} numbers')
     mu = Measure(space, parse_numbers(mu_raw, '"mu"'), probability=True)
-    cover_raw = data["cover"]
-    if not isinstance(cover_raw, list):
-        raise ValidationError('"cover" must be a list of atom-index lists')
-    blocks = []
-    for i, block in enumerate(cover_raw):
-        if not isinstance(block, list) or not all(isinstance(x, int) for x in block):
-            raise ValidationError(f"cover set {i} must be a list of integers")
-        blocks.append(block)
-    cover = SetFamily.of(space, blocks)
+    cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
     return mu, cover
 
 
 def parse_numbers(raw: list, what: str) -> list[float]:
-    """``float`` of every entry; an entry that is no number is a ValidationError."""
-    try:
-        return [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} entries must be numbers: {exc}") from exc
+    """``float`` of every entry; an entry that is no JSON number (a string,
+    ``null`` or a boolean) is a ValidationError."""
+    for v in raw:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{what} entries must be numbers, got {v!r}")
+    return [float(v) for v in raw]
+
+
+def parse_blocks(raw, what: str) -> list[list[int]]:
+    """``raw`` unchanged if it is a list of atom-index lists, else a
+    ValidationError; booleans are not atom indices."""
+    if not isinstance(raw, list) or not all(
+        isinstance(b, list) and all(type(x) is int for x in b) for b in raw
+    ):
+        raise ValidationError(f"{what} must be a list of atom-index lists")
+    return raw
 
 
 def load_json(source: str | Path | bytes, what: str):
@@ -279,9 +282,9 @@ def load_json(source: str | Path | bytes, what: str):
         raise ValidationError(f"cannot parse {what}: {exc}") from exc
 
 
-def load_instance(path: str | Path) -> tuple[Measure, SetFamily]:
-    """Read and validate an instance JSON file."""
-    return parse_instance(load_json(path, "instance file"))
+def load_instance(source: str | Path | bytes) -> tuple[Measure, SetFamily]:
+    """Read and validate an instance JSON file, or ``bytes`` holding one."""
+    return parse_instance(load_json(source, "instance file"))
 
 
 def instance_dict(mu: Measure, cover: SetFamily) -> dict:

@@ -30,7 +30,14 @@ import numpy as np
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import SpaceMismatchError, ValidationError
 from .functionals import EntropyFunctional, parse_functional
-from .measure import MASS_TOL, DiscreteSpace, Measure, SetFamily, parse_numbers
+from .measure import (
+    MASS_TOL,
+    DiscreteSpace,
+    Measure,
+    SetFamily,
+    parse_blocks,
+    parse_numbers,
+)
 from .weighted import WeightedDivision
 
 #: Containment checks use the package-wide numeric tolerance.
@@ -330,11 +337,6 @@ def parse_mixture(data: dict) -> tuple[MixtureSpec, SetFamily, EntropyFunctional
             raise ValidationError(f"measure {i} must list {n} masses")
         masses = parse_numbers(mass, f"measure {i}")
         comps.append((weight, Measure(space, masses, probability=True)))
-    cover_raw = data["cover"]
-    if not isinstance(cover_raw, list) or not all(
-        isinstance(b, list) and all(isinstance(x, int) for x in b) for b in cover_raw
-    ):
-        raise ValidationError('"cover" must be a list of atom-index lists')
-    cover = SetFamily.of(space, cover_raw)
+    cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
     functional = parse_functional(str(data["functional"]))
     return MixtureSpec(tuple(comps)), cover, functional

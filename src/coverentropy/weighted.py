@@ -46,6 +46,7 @@ from .measure import (
     finer_than,
     is_mu_cover,
     is_mu_partition,
+    parse_numbers,
 )
 
 #: Rows whose total mass does not exceed this are treated as unused when a
@@ -342,14 +343,12 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
         raise ValidationError(
             f'"cover_index_rows" must hold {len(cover)} rows (one per cover set)'
         )
+    rows = []
     for i, row in enumerate(rows_raw):
         if not isinstance(row, list) or len(row) != mu.space.n:
             raise ValidationError(f"row {i} must list {mu.space.n} atom masses")
-    try:
-        rows = np.array(rows_raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"division rows must be numeric: {exc}") from exc
-    return WeightedDivision(mu, cover, rows)
+        rows.append(parse_numbers(row, f"row {i}"))
+    return WeightedDivision(mu, cover, np.array(rows, dtype=np.float64))
 
 
 def division_dict(d: WeightedDivision) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -82,8 +83,9 @@ class TestCoverCommand:
         assert report["results"]["classical"]["value"] == "infinity"
 
     def test_budget_exceeded_status(self, capsys, instance_file):
+        # the smallest valid budget; this instance needs two leaves
         code, report = run_cli(capsys, "cover", instance_file,
-                               "--functional", "shannon", "--budget", "0")
+                               "--functional", "shannon", "--budget", "1")
         assert code == 2
         assert report["status"] == "budget-exceeded"
 
@@ -118,6 +120,21 @@ MALFORMED = {
     "hlp-scalar": ("hlp", {"x": 5, "y": [1.0], "functional": "shannon"}, []),
     "not-utf8": ("cover", b"\xff\xfe\xfa", ["--functional", "shannon"]),
     "n-bool": ("cover", {"n": True, "mu": [1.0], "cover": [[0]]}, ["--functional", "shannon"]),
+    "mu-bool": ("cover", {"n": 2, "mu": [True, False], "cover": [[0, 1]]},
+                ["--functional", "shannon"]),
+    "cover-bool": ("cover", {"n": 2, "mu": [0.5, 0.5], "cover": [[0, True]]},
+                   ["--functional", "shannon"]),
+    "mixture-cover-bool": ("mixture", {**MIXTURE, "cover": [[False], [True]]}, []),
+    "coefficient-bool": ("mixture", {**MIXTURE, "coefficients": [True, 0.0]}, []),
+    "blocks-bool": ("partition", None, ["--functional", "shannon", "--blocks", "[[0, true], [2]]"]),
+    "hlp-bool": ("hlp", {"x": [True], "y": [1.0], "functional": "shannon"}, []),
+    "budget-negative": ("cover", None, ["--functional", "shannon", "--budget", "-5"]),
+    "budget-zero": ("cover", None, ["--functional", "shannon", "--budget", "0"]),
+    "budget-not-int": ("cover", None, ["--functional", "shannon", "--budget", "abc"]),
+    "samples-negative": ("cover", None, ["--functional", "shannon", "--mode", "weighted",
+                                         "--samples", "-3"]),
+    "seed-negative": ("cover", None, ["--functional", "shannon", "--seed", "-1"]),
+    "unknown-flag": ("cover", None, ["--functional", "shannon", "--frobnicate"]),
 }
 
 
@@ -132,12 +149,27 @@ def test_malformed_input_is_one_invalid_input_line(
     elif content is not None:
         path.write_text(json.dumps(content))
     code = main([command, instance_file if content is None else str(path), *flags])
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert code == 1
+    assert captured.err == ""  # no usage text
     assert len(lines) == 1
     report = json.loads(lines[0])
     assert lines[0] == dumps_canonical(report)
     assert report["status"] == "invalid-input"
+
+
+@pytest.mark.parametrize("content, flags, status", [
+    (json.dumps(INSTANCE).encode(), ["--budget", "1"], "budget-exceeded"),
+    (b'{"n": 2, "mu": [NaN, 1.0], "cover": [[0, 1]]}', [], "invalid-input"),
+], ids=["budget-exceeded", "nan-literal"])
+def test_failure_reports_carry_the_input_digest(capsys, tmp_path, content, flags, status):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    _, report = run_cli(capsys, "cover", str(path), "--functional", "shannon",
+                        "--mode", "classical", *flags)
+    assert report["status"] == status
+    assert report["instance_digest"] == hashlib.sha256(content).hexdigest()
 
 
 class TestPartitionCommand:

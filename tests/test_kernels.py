@@ -1,13 +1,15 @@
 """The certified search against the exhaustive reference scan.
 
-Inputs are packed as the package packs them: one unit per Venn cell,
-heaviest cell first.
+Inputs are packed as the package packs them: one unit per Venn cell, cells
+with a single candidate set first, then heaviest first.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverentropy import (
     CompositionCase,
@@ -76,6 +78,29 @@ class TestBackendAgreement:
         assert b1 == b2
         assert ch1 == ch2 == [3, 0, 4, 0, 0, 0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_branch_and_bound_matches_scan_on_random_packings(self, data):
+        # any unit order, forced (single-candidate) units included
+        n_sets = data.draw(st.integers(1, 4), label="n_sets")
+        n = data.draw(st.integers(1, 6), label="units")
+        forced = data.draw(st.integers(0, n), label="forced")
+        sets = st.integers(0, n_sets - 1)
+        cands = [sorted(data.draw(st.sets(sets, min_size=1, max_size=1 if u < forced
+                                          else n_sets)))
+                 for u in range(n)]
+        cands = data.draw(st.permutations(cands), label="cands")
+        masses = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n),
+                           label="masses")
+        e = data.draw(st.sampled_from(builtin_functionals()), label="functional")
+        maximize = not e.minimizes_g_sum
+        b1, ch1, total = _kernels.scan_assignments(masses, cands, n_sets, e.g, maximize)
+        b2, ch2, leaves, done = _kernels.branch_and_bound(
+            masses, cands, n_sets, e.g, maximize, max_leaves=10 ** 7)
+        assert done and leaves <= total
+        assert b1 == b2
+        assert ch1 == ch2
+
     def test_empty_atom_list(self):
         g = builtin_functionals()[0].g
         best, choice, total = _kernels.scan_assignments([], [], 3, g, True)
@@ -96,6 +121,23 @@ class TestTieBreak:
             _, choice, _, _ = _kernels.branch_and_bound(masses, cands, 2, e.g,
                                                         maximize, 10 ** 6)
             assert choice == [0, 0]
+
+    def test_optimal_greedy_seed_yields_to_first_optimum(self):
+        # the greedy incumbent puts the middle unit with the forced one
+        # (choice [1, 1, 0]); that is optimal, but [1, 0, 0] has the same
+        # blocks under other labels and comes first, so both searches return it
+        masses = [0.25, 0.5, 0.25]
+        cands = [[1], [0, 1, 2], [0, 2]]
+        for e in builtin_functionals():
+            maximize = not e.minimizes_g_sum
+            seed, greedy = _kernels._greedy(masses, cands, 3, e.g, maximize)
+            best, choice, _ = _kernels.scan_assignments(masses, cands, 3, e.g, maximize)
+            assert greedy == [1, 1, 0] and seed == best
+            assert choice == [1, 0, 0]
+            best2, choice, _, done = _kernels.branch_and_bound(masses, cands, 3, e.g,
+                                                               maximize, 10 ** 6)
+            assert done and best2 == best
+            assert choice == [1, 0, 0]
 
 
 class TestCustomFunctional:

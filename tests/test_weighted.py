@@ -361,3 +361,8 @@ class TestDivisionSchema:
     def test_rejects_wrong_row_length(self):
         with pytest.raises(ValidationError, match="atom masses"):
             parse_division({"cover_index_rows": [[1.0]]}, uniform(2), family(2, [0, 1]))
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_rejects_non_number_entry(self, bad):
+        with pytest.raises(ValidationError, match="row 0"):
+            parse_division({"cover_index_rows": [[bad, 0.5]]}, uniform(2), family(2, [0, 1]))
