@@ -7,15 +7,12 @@ functional's inner map ``g`` and the direction of the g-sum's optimum.
 
 Arithmetic is fixed so that the two agree bit for bit: a group's mass is the
 sum of its units' masses added in unit order, and the g-sum that ranks an
-assignment adds ``g`` of the positive groups in set order.  Branch and bound
-steers by incremental g-sums (a node's sum is its parent's with one term
-replaced), which may differ from the set-order sum in the last bits, so it
-ranks a leaf by the exact set-order sum whenever the incremental one comes
-within ``_PRUNE_SLACK`` of the incumbent.  ``g`` is never called on an empty
-group, so a custom ``g`` need not define ``g(0)``.  Assignments are visited
-in lexicographic order (first unit slowest, candidates ascending) and the
-incumbent moves only on strict improvement, so both return the
-lexicographically smallest optimal choice vector.
+assignment adds ``g`` of the positive groups in set order.  ``g`` is never
+called on an empty group, so a custom ``g`` need not define ``g(0)``.  Both
+return the lexicographically smallest optimal choice vector (first unit
+slowest, candidates ascending): the scan visits assignments in that order
+and moves only on strict improvement, and :func:`ordering_dp` ranks its
+optimal candidates the same way.
 """
 
 from __future__ import annotations
@@ -26,17 +23,9 @@ import math
 #: Name of the search implementation; recorded in benchmark metadata.
 BACKEND = "python"
 
-# Pruning slack: bounds are exact in real arithmetic, so anything beyond a
-# few ulps of headroom only protects against float noise in the bound itself.
+# Relative slack within which a move counts as optimal in the witness walk:
+# DP values add the set-order sum's g terms in another order.
 _PRUNE_SLACK = 1e-12
-
-
-def _g_sum(g, group) -> float:
-    s = 0.0
-    for m in group:
-        if m > 0.0:
-            s += g(m)
-    return s
 
 
 def assignment_count(cand_lists) -> int:
@@ -48,7 +37,7 @@ def scan_assignments(masses, cand_lists, n_sets, g, maximize):
     """Exhaustive reference scan over every assignment.
 
     Returns (best g-sum, chosen set per unit, assignments examined).  The
-    package never calls it: tests compare :func:`branch_and_bound` with it.
+    package never calls it: tests compare :func:`ordering_dp` with it.
     """
     best = -math.inf if maximize else math.inf
     best_choice: list[int] = []
@@ -58,127 +47,134 @@ def scan_assignments(masses, cand_lists, n_sets, g, maximize):
         group = [0.0] * n_sets
         for m, c in zip(masses, combo):
             group[c] += m
-        s = _g_sum(g, group)
+        s = 0.0
+        for m in group:
+            if m > 0.0:
+                s += g(m)
         if (s > best) if maximize else (s < best):
             best, best_choice = s, list(combo)
     return best, best_choice, total
 
 
-def _cut(best, maximize):
-    """A bound or incremental sum at least this bad cannot beat ``best``."""
-    slack = _PRUNE_SLACK * (1.0 + abs(best))
-    return best - slack if maximize else best + slack
+def _mass(masses, mask) -> float:
+    """Mass of the units in a bitmask, added in unit order."""
+    s = 0.0
+    while mask:
+        low = mask & -mask
+        s += masses[low.bit_length() - 1]
+        mask ^= low
+    return s
 
 
-def _greedy(masses, cand_lists, n_sets, g, maximize):
-    """Greedy incumbent: each unit in turn joins the candidate set with the
-    best marginal ``g(s + m) - g(s)``, the lowest index on ties.
+def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
+    """Exact search over the assignments induced by orderings of the sets.
 
-    Returns (g-sum of that assignment in set order, chosen set per unit).
-    """
-    group = [0.0] * n_sets
-    gval = [0.0] * n_sets
-    choice = []
-    for m, cands in zip(masses, cand_lists):
-        pick = -1
-        for c in cands:
-            new = g(group[c] + m)
-            gain = new - gval[c]
-            if pick < 0 or ((gain > best_gain) if maximize else (gain < best_gain)):
-                pick, best_gain, best_new = c, gain, new
-        group[pick] += m
-        gval[pick] = best_new
-        choice.append(pick)
-    return _g_sum(g, group), choice
+    Some optimum is induced by an ordering of the cover sets, each unit
+    going to the first set in the order that holds it (README, "Search").
+    With ``R`` the bitmask of units not yet placed and ``H[i]`` those that
+    set ``i`` holds, the g-sum splits along the order:
 
+        V(R) = opt over sets i meeting R of g(mass(R & H[i])) + V(R & ~H[i])
 
-def branch_and_bound(masses, cand_lists, n_sets, g, maximize, max_leaves):
-    """Depth-first branch and bound over the same space as the scan.
+    with ``V(0) = 0``.  Sets whose part ``R & H[i]`` has no other candidate
+    set take it in every ordering and are placed together in one move.
+    Masses add units in unit order, never as a difference, and ``g`` of a
+    mask is computed once.  The residuals reachable from the full mask are
+    expanded, then valued in ascending order (each is a proper submask of
+    its parent), so nothing recurses.  The witness walk follows every move
+    within ``_PRUNE_SLACK`` (relative) of ``V``, deduplicated on (residual,
+    partial choice), and ranks the induced choice vectors as the scan does.
 
-    The incumbent starts as the greedy assignment (:func:`_greedy`).  The
-    first leaf at least as good replaces it and after that only strict
-    improvement counts, so the seed only sharpens pruning and the same
-    lexicographically smallest optimum comes back.
-
-    The state is one list of group masses with the cached ``g`` of each,
-    changed in place and restored from an undo record per depth, so a node
-    costs one ``g`` call for the group it grows and one for its bound.
-
-    A node's bound places all the mass of the units not yet assigned into
-    the heaviest group that one of those units may join.  When ``g`` is
-    concave (minimising case) or convex (maximising case),
-    ``g(s + r) - g(s)`` is monotone in ``s``, so this is the best completion
-    of the relaxed problem in which any remaining unit may join any set
-    that some remaining unit can reach, and the bound is valid.  Subtrees
-    are pruned only when their bound is worse than the incumbent by more
-    than ``_PRUNE_SLACK``, so no optimum and no earlier tie is lost.
-
-    A leaf is a complete assignment; ``max_leaves`` caps how many are
-    evaluated.  Returns (best g-sum, chosen set per unit, leaves evaluated,
-    completed flag); when the flag is false the budget ran out and the
-    incumbent is not certified.
+    ``budget`` caps the transitions (one per set a move places) that the
+    expansion and the walk evaluate together.  Returns (best g-sum, chosen
+    set per unit, transitions evaluated, completed flag); when the flag is
+    false the budget ran out, the g-sum is NaN and the choice is empty.
     """
     n = len(masses)
-    if n == 0:
-        return 0.0, [], 1, True
-    best, best_choice = _greedy(masses, cand_lists, n_sets, g, maximize)
-    seeded = True
-    cut = _cut(best, maximize)
-    # rem[d], reach[d]: mass and union of candidate sets of the units d,
-    # d+1, ...; reach is None when that union holds every set
-    rem = [0.0] * (n + 1)
-    reach = [()] * (n + 1)
-    union: set[int] = set()
-    for i in range(n - 1, -1, -1):
-        rem[i] = rem[i + 1] + masses[i]
-        union.update(cand_lists[i])
-        reach[i] = None if len(union) == n_sets else tuple(union)
-    group = [0.0] * n_sets
-    gval = [0.0] * n_sets
-    mass_of = group.__getitem__
-    sums = [0.0] * n           # sums[d]: g-sum before unit d is placed
-    undo_m = [0.0] * n         # group mass and g replaced at depth d
-    undo_g = [0.0] * n
-    tried = [0] * n            # candidates of unit d tried so far
-    chosen = [0] * n
-    leaves = 0
-    last = n - 1
-    d = 0
-    while d >= 0:
-        cands = cand_lists[d]
-        k = tried[d]
-        if k:
-            c = chosen[d]
-            group[c] = undo_m[d]
-            gval[c] = undo_g[d]
-            if k == len(cands):
-                tried[d] = 0
-                d -= 1
-                continue
-        tried[d] = k + 1
-        c = chosen[d] = cands[k]
-        m0 = undo_m[d] = group[c]
-        g0 = undo_g[d] = gval[c]
-        m1 = group[c] = m0 + masses[d]
-        g1 = gval[c] = g(m1)
-        s = sums[d] - g0 + g1
-        if d == last:
-            if leaves >= max_leaves:
-                return best, best_choice, leaves, False
-            leaves += 1
-            if (s >= cut) if maximize else (s <= cut):
-                exact = _g_sum(g, group)
-                if ((exact > best) if maximize else (exact < best)) or (
-                        seeded and exact == best):
-                    best, best_choice, seeded = exact, chosen[:], False
-                    cut = _cut(best, maximize)
+    holders = [0] * n_sets
+    shared = 0  # units with more than one candidate set
+    for u, cands in enumerate(cand_lists):
+        for c in cands:
+            holders[c] |= 1 << u
+        if len(cands) > 1:
+            shared |= 1 << u
+    full = (1 << n) - 1
+    # one-set moves (units left, sets placed), shared so move lists copy no mask
+    single = [(full ^ h, (i,)) for i, h in enumerate(holders)]
+    gvals = {}
+    # residual -> its moves, each (g terms, (units left, sets placed))
+    succ = {}
+    count = 0
+    todo = [full] if full else []
+    while todo:
+        r = todo.pop()
+        if r in succ:
             continue
-        r = reach[d + 1]
-        top = max(group) if r is None else max(map(mass_of, r))
-        # groups of equal mass have equal cached g, so the first one will do
-        bound = s + g(top + rem[d + 1]) - gval[group.index(top)]
-        if (bound <= cut) if maximize else (bound >= cut):
+        out, alone = [], []
+        for i, h in enumerate(holders):
+            part = r & h
+            if part:
+                gp = gvals.get(part)
+                if gp is None:
+                    gp = gvals[part] = g(_mass(masses, part))
+                out.append((gp, single[i]))
+                if not part & shared:
+                    alone.append(i)
+        placed = len(out)
+        if alone and placed > 1:
+            # a unit left in r keeps all its candidate sets, so these sets'
+            # parts have no other holder: one move places them all (the
+            # parts are disjoint, so their sum is their union)
+            parts = [r & holders[i] for i in alone]
+            out = [(sum(map(gvals.get, parts)), (r ^ sum(parts), tuple(alone)))]
+            placed = len(alone)
+        count += placed
+        if count > budget:
+            return math.nan, [], budget, False
+        succ[r] = out
+        for _, (keep, _) in out:
+            rest = r & keep
+            if rest and rest not in succ:
+                todo.append(rest)
+
+    opt = max if maximize else min
+    memo = {0: 0.0}
+    for r in sorted(succ):
+        memo[r] = opt([memo[r & keep] + s for s, (keep, _) in succ[r]])
+
+    slack = _PRUNE_SLACK * (1.0 + abs(memo[full]))
+    ranked, visited = [], set()
+    stack = [(full, ())]
+    while stack:
+        r, groups = stack.pop()
+        if not r:
+            # groups are in set order with masses added in unit order, so
+            # adding their g values gives the scan's g-sum bit for bit
+            choice = [0] * n
+            s = 0.0
+            for i, part in groups:
+                s += gvals[part]
+                while part:
+                    low = part & -part
+                    choice[low.bit_length() - 1] = i
+                    part ^= low
+            ranked.append((choice, s))
             continue
-        d += 1
-        sums[d] = s
-    return best, best_choice, leaves, True
+        for s, (keep, placed) in succ[r]:
+            count += len(placed)
+            if count > budget:
+                return math.nan, [], budget, False
+            rest = r & keep
+            if abs(memo[rest] + s - memo[r]) <= slack:
+                added = ((i, r & holders[i]) for i in placed)
+                node = (rest, tuple(sorted((*groups, *added))))
+                if node not in visited:
+                    visited.add(node)
+                    stack.append(node)
+    # the scan's rule: the best g-sum, the first choice vector among equals
+    best_choice, best = min(ranked, key=lambda cs: (-cs[1] if maximize else cs[1], cs[0]))
+    return best, best_choice, count, True
+
+
+# The benchmark harness traces the search under this name.
+branch_and_bound = ordering_dp

@@ -5,8 +5,9 @@ partition entropy over partitions finer than ``q`` (infinite when no such
 partition exists).  Because merging blocks that share a cover set never
 increases an admissible functional, an optimal partition always groups the
 positive-mass atoms by an atom-to-cover-set assignment, and some optimal
-assignment never splits a Venn cell (see :func:`minimizing_assignment`).
-The search therefore assigns whole cells with the branch and bound of
+assignment never splits a Venn cell and is induced by an ordering of the
+cover sets (see :func:`minimizing_assignment`).  The search therefore
+assigns whole cells with the dynamic program over set orderings of
 :mod:`coverentropy._kernels`; it is sequential and deterministic, so
 results do not depend on any thread-count setting.
 """
@@ -29,7 +30,7 @@ from .measure import (
     is_mu_partition,
 )
 
-#: Default cap on the leaves (complete cell assignments) a search may evaluate.
+#: Default cap on the DP transitions (witness walk included) of one search.
 DEFAULT_BUDGET = 10 ** 6
 
 #: Hard cap for the exhaustive partition generator.
@@ -89,8 +90,8 @@ class CoverEntropyResult:
     """Outcome of a cover-entropy search.
 
     ``value is None`` tags the infinite case (no acceptable partition), which
-    always comes without a witness.  ``explored`` counts the leaves
-    (complete cell assignments) the search evaluated.
+    always comes without a witness.  ``explored`` counts the DP transitions
+    the search evaluated, witness walk included.
     """
 
     value: float | None
@@ -206,36 +207,37 @@ def minimizing_assignment(
     """Find the entropy-minimizing assignment; shared by both cover entropies.
 
     The searched atoms are grouped into Venn cells (atoms held by exactly
-    the same cover sets) and branch and bound assigns whole cells, forced
-    cells (one candidate set) first and then the others heaviest first;
-    every atom then gets its cell's set.  Cells are exact: within one
-    cell the g-sum is concave (minimising case) or convex (maximising case)
-    in how the cell's mass splits between two groups, so some optimum never
-    splits a cell.  Custom functionals take the same path, and the result
-    is exact whenever their declared case holds.
+    the same cover sets), and :func:`coverentropy._kernels.ordering_dp`
+    assigns whole cells; every atom then gets its cell's set.  Cells are
+    exact: within one cell the g-sum is concave (minimising case) or convex
+    (maximising case) in how the cell's mass splits between two groups, so
+    some optimum never splits a cell; by the same condition some optimum
+    puts every cell in its heaviest candidate group, which ordering the
+    sets by group mass induces (README, "Search").  Custom functionals take
+    the same path, and the result is exact whenever their declared case
+    holds.
 
     Witness tie-break: the lexicographically smallest optimal cell-choice
-    vector, with the forced cells first and then the other cells by
-    decreasing mass (smallest atom breaking ties), each cell trying its
-    candidate sets in ascending order.  Forced cells have one choice, so
-    the order among the other cells decides.  Groups add their cells'
-    masses in that order, so optima that tie within rounding may resolve
-    either way.
+    vector, with the forced cells (one candidate set) first and then the
+    other cells by decreasing mass (smallest atom breaking ties), each cell
+    trying its candidate sets in ascending order.  Forced cells have one
+    choice, so the order among the other cells decides.  Groups add their
+    cells' masses in that order, so optima that tie within rounding may
+    resolve either way.
 
-    ``budget`` caps the leaves (complete cell assignments) evaluated, and
-    the returned count is the leaves evaluated.  There are never more cell
-    assignments than atom assignments, so every instance whose atom
-    assignment space fits the budget completes.  Raises
-    :class:`BudgetExceededError` when no certified optimum fits the budget.
+    ``budget`` caps the DP transitions evaluated, witness walk included
+    (README, "Search", bounds them), and the returned count is the
+    transitions evaluated.  Raises :class:`BudgetExceededError` when no
+    certified optimum fits the budget.
     """
     cells = _venn_cells(mu, q)
-    _, choice, explored, completed = _kernels.branch_and_bound(
+    _, choice, explored, completed = _kernels.ordering_dp(
         [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,
         not e.minimizes_g_sum, budget)
     if not completed:
         raise BudgetExceededError(
-            f"branch and bound evaluated {budget} cell assignments without "
-            "certifying an optimum"
+            f"the search evaluated {budget} transitions without certifying "
+            "an optimum"
         )
     pairs = tuple(
         (atom, idx) for (_, atoms, _), idx in zip(cells, choice) for atom in atoms

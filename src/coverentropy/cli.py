@@ -276,15 +276,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _at_least(least: int):
-    """argparse type: an integer no smaller than ``least``."""
-    def parse(text: str) -> int:
+def _at_least(least, kind=int):
+    """argparse type: a finite ``kind`` no smaller than ``least``."""
+    def parse(text: str):
         try:
-            if int(text) >= least:
-                return int(text)
+            if least <= kind(text) < math.inf:
+                return kind(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a finite {kind.__name__} >= {least}, got {text!r}")
 
     return parse
 
@@ -292,11 +293,11 @@ def _at_least(least: int):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
-                        help="search budget: complete cell assignments the search may "
-                             "evaluate (default 10^6)")
+                        help="search budget: DP transitions the search may evaluate, "
+                             "witness walk included (default 10^6)")
     common.add_argument("--seed", type=_at_least(0), default=0,
                         help="base seed for seeded sampling (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_at_least(0.0, float), default=1e-9,
                         help="numeric tolerance for report checks (default 1e-9)")
 
     parser = _Parser(

@@ -48,11 +48,11 @@ SHARP_TOL = 1e-12
 #: Per-property workload by scale.
 SCALES = {
     "quick": dict(agree=40, sandwich=(10, 100), disjoint=500, refine=500,
-                  mixtures=20, hlp=1000, bb=100),
+                  mixtures=20, hlp=1000, search=100),
     "default": dict(agree=150, sandwich=(30, 300), disjoint=2000, refine=2000,
-                    mixtures=60, hlp=3000, bb=300),
+                    mixtures=60, hlp=3000, search=300),
     "full": dict(agree=500, sandwich=(100, 1000), disjoint=10000, refine=10000,
-                 mixtures=200, hlp=10000, bb=1000),
+                 mixtures=200, hlp=10000, search=1000),
 }
 
 
@@ -413,6 +413,6 @@ def run_selftest(scale: str = "default", seed: int = 0, budget: int = 10 ** 6):
         prop_sharpness_extremes(budget),
         prop_structure_checks(),
         prop_hlp_comparison(rngs[5], sizes["hlp"]),
-        prop_search_agreement(rngs[6], sizes["bb"], budget),
+        prop_search_agreement(rngs[6], sizes["search"], budget),
     ]
     return outcomes, all(o.passed for o in outcomes)

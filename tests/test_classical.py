@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from coverentropy import (
     shannon,
     tsallis,
 )
-from coverentropy.classical import minimizing_assignment
+from coverentropy.classical import DEFAULT_BUDGET, minimizing_assignment
 from coverentropy.selftest import random_acceptable_partition, random_instance
 
 OVERLAP_UNIFORM3 = 0.9182958340544896  # shannon entropy of (2/3, 1/3), mpmath-frozen
@@ -36,6 +38,16 @@ def family(n, *blocks):
 
 def uniform(n):
     return Measure(DiscreteSpace(n), [1.0 / n] * n, probability=True)
+
+
+def _dense_instance(rng, n, k, density=0.6):
+    """Dirichlet masses on n atoms under k random sets of the given density."""
+    space = DiscreteSpace(n)
+    mu = Measure(space, rng.dirichlet(np.ones(n)), probability=True)
+    member = rng.random((k, n)) < density
+    for atom in np.flatnonzero(~member.any(axis=0)):
+        member[rng.integers(k), atom] = True
+    return mu, SetFamily.of(space, [np.flatnonzero(row).tolist() for row in member])
 
 
 class TestPartitionEntropy:
@@ -119,7 +131,9 @@ class TestCoverEntropy:
     def test_overlap_instance(self):
         r = cover_entropy(shannon(), uniform(3), family(3, [0, 1], [1, 2]))
         assert r.value == pytest.approx(OVERLAP_UNIFORM3, abs=1e-12)
-        assert r.explored == 2
+        # DP: 2 transitions from the root and 1 from each residual; the two
+        # optima tie, so the witness walk evaluates the same 4 again
+        assert r.explored == 8
 
     def test_agrees_with_partition_entropy_when_cover_is_partition(self):
         rng = np.random.default_rng(11)
@@ -247,6 +261,13 @@ class TestBudgetAndBranchBound:
         with pytest.raises(BudgetExceededError):
             cover_entropy(shannon(), mu, q, budget=0)
 
+    def test_budget_counts_every_transition(self):
+        # the budget is exact: the reported count fits, one less does not
+        mu, q = uniform(3), family(3, [0, 1], [1, 2])
+        assert cover_entropy(shannon(), mu, q, budget=8).explored == 8
+        with pytest.raises(BudgetExceededError):
+            cover_entropy(shannon(), mu, q, budget=7)
+
     def test_branch_and_bound_matches_scan_on_thousand_instances(self):
         # exactness of the cell search: the enumeration minimum everywhere,
         # attained by the witness
@@ -264,39 +285,99 @@ class TestBudgetAndBranchBound:
         r = cover_entropy(shannon(), mu, q, budget=full)
         assert r.explored < full
         assert r.value == pytest.approx(0.0, abs=1e-12)
-        # every atom its own cell (the whole space plus singletons): 2^6
-        # cell assignments, and pruning leaves almost all of them unvisited
-        mu, q = uniform(6), family(6, list(range(6)), *([a] for a in range(6)))
-        r = cover_entropy(shannon(), mu, q, budget=search_space_size(mu, q))
-        assert r.explored < search_space_size(mu, q) // 8
-        assert r.value == pytest.approx(0.0, abs=1e-12)
 
-    def test_greedy_incumbent_certifies_within_a_small_budget(self):
-        # 200 atoms over 5 sets of density 0.6 (31 Venn cells): with the
-        # greedy seed, forced cells placed first and the reachable-set bound,
-        # 32 leaves certify the optimum (a search without them needed 68)
-        rng = np.random.default_rng(0)
-        space = DiscreteSpace(200)
-        mu = Measure(space, rng.dirichlet(np.ones(200)), probability=True)
-        member = rng.random((5, 200)) < 0.6
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_transitions_do_not_grow_with_atoms(self, k):
+        # the DP makes at most k * 2**(k-1) transitions and, with a single
+        # optimal choice vector, the witness walk at most as many again
+        rng = np.random.default_rng(k)
+        for n in (20, 200, 2000):
+            mu, q = _dense_instance(rng, n, k)
+            for e in (shannon(), tsallis(2)):
+                assert cover_entropy(e, mu, q).explored <= k * 2 ** k
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDisjointAndDeepCovers:
+    """Covers with many sets that the DP must not branch or recurse on."""
+
+    @pytest.mark.parametrize("n, blocks", [
+        pytest.param(200, [list(range(10 * j, 10 * j + 10)) for j in range(20)],
+                     id="20-blocks"),
+        pytest.param(2000, [[a] for a in range(2000)], id="2000-singletons"),
+    ])
+    def test_partition_cover_is_placed_in_one_move(self, n, blocks):
+        # every set's cells are its own, so the DP places all of them in one
+        # move: k transitions, and k more in the witness walk
+        rng = np.random.default_rng(n)
+        mu = Measure(DiscreteSpace(n), rng.dirichlet(np.ones(n)), probability=True)
+        q = family(n, *blocks)
+        for e in builtin_functionals():
+            r = cover_entropy(e, mu, q, budget=DEFAULT_BUDGET)
+            assert r.value == pytest.approx(partition_entropy(e, mu, q), abs=1e-12)
+            assert r.explored == 2 * len(blocks)
+
+    def test_transitions_count_only_sets_that_share_cells(self):
+        # c = 4 dense sets sharing cells plus 30 disjoint blocks: the DP
+        # evaluates at most (k - c) + c * 2**(c-1) transitions and, with a
+        # single optimal choice vector, the walk at most as many again
+        rng = np.random.default_rng(5)
+        n_dense, k_dense, n_blocks = 100, 4, 30
+        member = rng.random((k_dense, n_dense)) < 0.6
         for atom in np.flatnonzero(~member.any(axis=0)):
-            member[rng.integers(5), atom] = True
-        q = SetFamily.of(space, [np.flatnonzero(row).tolist() for row in member])
-        r = cover_entropy(shannon(), mu, q, budget=32)
-        assert r.explored <= 32
-        assert is_mu_partition(r.witness, mu) and finer_than(r.witness, q)
+            member[0, atom] = True
+        dense = [np.flatnonzero(row).tolist() for row in member]
+        blocks = [[n_dense + 2 * j, n_dense + 2 * j + 1] for j in range(n_blocks)]
+        n = n_dense + 2 * n_blocks
+        mu = Measure(DiscreteSpace(n), rng.dirichlet(np.ones(n)), probability=True)
+        q = family(n, *dense, *blocks)
+        bound = n_blocks + k_dense * 2 ** (k_dense - 1)
+        for e in (shannon(), tsallis(2)):
+            r = cover_entropy(e, mu, q)
+            assert r.explored <= 2 * bound
+            assert r.value == pytest.approx(
+                cover_entropy(e, mu, family(n, *dense, *blocks[::-1])).value, abs=1e-12)
+
+    def test_search_does_not_recurse(self):
+        # 200 nested sets: the chain of moves is 200 deep, deeper than the
+        # recursion limit allowed here; all mass goes to the largest set
+        n = 200
+        q = family(n, *[list(range(j + 1)) for j in range(n)])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            r = cover_entropy(shannon(), uniform(n), q)
+        finally:
+            sys.setrecursionlimit(old)
+        assert r.value == pytest.approx(0.0, abs=1e-12)
+        assert r.witness.as_lists() == [list(range(n))]
+
+    def test_long_chain_exhausts_the_budget(self):
+        # 2000 sets {j, j+1}: each state branches on about 2000 sets, so the
+        # budget, not the stack, ends the search
+        n = 2001
+        q = family(n, *[[j, j + 1] for j in range(n - 1)])
+        with pytest.raises(BudgetExceededError):
+            cover_entropy(shannon(), uniform(n), q, budget=100_000)
 
 
 class TestLargeInstances:
-    """Many atoms over 3 sets collapse to at most 7 Venn cells."""
+    """Many atoms over k sets collapse to at most 2**k - 1 Venn cells."""
 
     @staticmethod
-    def _instance(n, seed):
+    def _instance(n, seed, k=3):
         rng = np.random.default_rng(seed)
-        sets = [[a for a in range(n) if rng.random() < 0.6] for _ in range(3)]
+        sets = [[a for a in range(n) if rng.random() < 0.6] for _ in range(k)]
+        covered = set().union(*sets)
         for a in range(n):
-            if not any(a in s for s in sets):
-                sets[int(rng.integers(3))].append(a)
+            if a not in covered:
+                sets[int(rng.integers(k))].append(a)
         mu = Measure(DiscreteSpace(n), rng.dirichlet(np.ones(n)), probability=True)
         return mu, family(n, *sets)
 
@@ -305,7 +386,7 @@ class TestLargeInstances:
         # one atom per Venn cell, carrying the cell's mass
         cells = {}
         for a in range(mu.space.n):
-            key = tuple(j for j, s in enumerate(q) if a in s)
+            key = tuple(np.flatnonzero(q.incidence[:, a]).tolist())
             cells[key] = cells.get(key, 0.0) + float(mu.mass[a])
         keys = sorted(cells)
         space = DiscreteSpace(len(keys))
@@ -313,13 +394,31 @@ class TestLargeInstances:
         mu = Measure(space, [cells[key] for key in keys], probability=True)
         return mu, SetFamily.of(space, blocks)
 
-    @pytest.mark.parametrize("n", [40, 2000])
-    def test_value_is_the_collapsed_enumeration_minimum(self, n):
-        mu, q = self._instance(n, seed=n)
+    @pytest.mark.parametrize("n, k", [
+        pytest.param(40, 3, id="40"),
+        pytest.param(2000, 3, id="2000"),
+        pytest.param(10_000, 4, id="10000-k4"),
+    ])
+    def test_value_is_the_collapsed_enumeration_minimum(self, n, k):
+        mu, q = self._instance(n, seed=n, k=k)
         small_mu, small_q = self._collapsed(mu, q)
-        assert small_mu.space.n <= 7
+        assert small_mu.space.n <= 2 ** k - 1
+        partitions = list(enumerate_acceptable_partitions(small_mu, small_q))
         for e in builtin_functionals():
             r = cover_entropy(e, mu, q)
             assert is_mu_partition(r.witness, mu) and finer_than(r.witness, q)
             assert r.value == pytest.approx(
-                _enumeration_minimum(e, small_mu, small_q), abs=1e-12)
+                min(partition_entropy(e, small_mu, p) for p in partitions), abs=1e-12)
+
+    def test_ten_thousand_atoms_over_eight_sets(self):
+        # beyond any enumeration: the witness is checked, and no random
+        # acceptable partition does better
+        rng = np.random.default_rng(0)
+        mu, q = _dense_instance(rng, 10_000, 8)
+        r = cover_entropy(shannon(), mu, q, budget=DEFAULT_BUDGET)
+        assert is_mu_partition(r.witness, mu) and finer_than(r.witness, q)
+        assert partition_entropy(shannon(), mu, r.witness) == r.value
+        assert r.explored == 1060  # 8 * 2**7 DP transitions, 8 + 7 + ... + 1 walked
+        for _ in range(50):
+            p = random_acceptable_partition(rng, mu, q)
+            assert r.value <= partition_entropy(shannon(), mu, p)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,11 +84,25 @@ class TestCoverCommand:
         assert report["results"]["classical"]["value"] == "infinity"
 
     def test_budget_exceeded_status(self, capsys, instance_file):
-        # the smallest valid budget; this instance needs two leaves
+        # the smallest valid budget; this instance needs eight transitions
         code, report = run_cli(capsys, "cover", instance_file,
                                "--functional", "shannon", "--budget", "1")
         assert code == 2
         assert report["status"] == "budget-exceeded"
+
+    def test_two_thousand_singleton_sets(self, capsys, tmp_path):
+        # a partition cover is placed without branching or recursion
+        n = 2000
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps(
+            {"n": n, "mu": [1.0 / n] * n, "cover": [[a] for a in range(n)]}))
+        code, report = run_cli(capsys, "cover", str(path), "--functional", "shannon",
+                               "--mode", "classical")
+        assert code == 0
+        assert report["status"] == "ok"
+        classical = report["results"]["classical"]
+        assert classical["value"] == pytest.approx(math.log2(n), abs=1e-9)
+        assert classical["explored"] == 2 * n
 
     def test_missing_file_is_invalid_input(self, capsys):
         code, report = run_cli(capsys, "cover", "/nonexistent.json",
@@ -134,6 +149,10 @@ MALFORMED = {
     "samples-negative": ("cover", None, ["--functional", "shannon", "--mode", "weighted",
                                          "--samples", "-3"]),
     "seed-negative": ("cover", None, ["--functional", "shannon", "--seed", "-1"]),
+    "tol-nan": ("cover", None, ["--functional", "shannon", "--samples", "0", "--tol", "nan"]),
+    "tol-negative": ("cover", None, ["--functional", "shannon", "--samples", "0",
+                                     "--tol", "-1"]),
+    "tol-inf": ("cover", None, ["--functional", "shannon", "--samples", "0", "--tol", "inf"]),
     "unknown-flag": ("cover", None, ["--functional", "shannon", "--frobnicate"]),
 }
 
