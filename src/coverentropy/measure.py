@@ -155,7 +155,8 @@ class SetFamily:
     def incidence(self) -> np.ndarray:
         """Read-only boolean ``(len, n)`` matrix, true where set ``i`` holds atom ``x``.
 
-        Built on first use and kept; every membership check reads it.
+        Built on first use and kept; the cover, containment and division
+        checks and the division sampler read it.
         """
         m = np.zeros((len(self.sets), self.space.n), dtype=bool)
         rows = np.repeat(np.arange(len(self.sets)), [len(s) for s in self.sets])
@@ -252,11 +253,15 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
 
 def parse_numbers(raw: list, what: str) -> list[float]:
     """``float`` of every entry; an entry that is no JSON number (a string,
-    ``null`` or a boolean) is a ValidationError."""
+    ``null`` or a boolean) or an integer too large for a float is a
+    ValidationError."""
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValidationError(f"{what} entries must be numbers, got {v!r}")
-    return [float(v) for v in raw]
+    try:
+        return [float(v) for v in raw]
+    except OverflowError as exc:
+        raise ValidationError(f"{what} entries must fit a float: {exc}") from exc
 
 
 def parse_blocks(raw, what: str) -> list[list[int]]:
@@ -272,13 +277,15 @@ def parse_blocks(raw, what: str) -> list[list[int]]:
 def load_json(source: str | Path | bytes, what: str):
     """Parse one JSON document from a file path, or from ``bytes`` holding it.
 
-    An unreadable file, undecodable bytes, malformed JSON and nesting too
-    deep to parse all raise :class:`ValidationError` naming ``what``.
+    An unreadable file, undecodable bytes, malformed JSON, an integer with
+    too many digits to read and nesting too deep to parse all raise
+    :class:`ValidationError` naming ``what``.
     """
     try:
         text = source if isinstance(source, bytes) else Path(source).read_bytes()
         return json.loads(text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers undecodable bytes, malformed JSON and over-long integers
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot parse {what}: {exc}") from exc
 
 

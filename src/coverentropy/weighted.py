@@ -32,7 +32,6 @@ from .classical import (
     DEFAULT_BUDGET,
     Assignment,
     CoverEntropyResult,
-    _searched_atoms,
     minimizing_assignment,
 )
 from .errors import SpaceMismatchError, ValidationError
@@ -48,10 +47,6 @@ from .measure import (
     is_mu_partition,
     parse_numbers,
 )
-
-#: Rows whose total mass does not exceed this are treated as unused when a
-#: division is reduced to its positive-mass cover sets.
-ROW_MASS_TOL = MASS_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +94,6 @@ class WeightedDivision:
     def row_masses(self) -> np.ndarray:
         return self.rows.sum(axis=1)
 
-    def positive_rows(self) -> list[int]:
-        """Cover indices whose submeasure mass exceeds ``ROW_MASS_TOL``."""
-        masses = self.row_masses
-        return [i for i in range(len(self.cover)) if masses[i] > ROW_MASS_TOL]
-
 
 def weighted_entropy(e: EntropyFunctional, d: WeightedDivision) -> float:
     """Apply the functional to the submeasure totals (zero rows drop out)."""
@@ -138,16 +128,14 @@ def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDi
     return WeightedDivision(mu, q, rows)
 
 
-def _sorted_positive_rows(d: WeightedDivision) -> list[int]:
-    """Positive-mass cover indices, sorted by mass descending, index ascending."""
-    masses = d.row_masses
-    kept = d.positive_rows()
-    return sorted(kept, key=lambda i: (-float(masses[i]), i))
-
-
 def _difference_chain(d: WeightedDivision) -> tuple[list[int], list[AtomSet]]:
-    """Sorted positive rows plus their greedy set-difference blocks."""
-    order = _sorted_positive_rows(d)
+    """Rows of positive mass plus their greedy set-difference blocks.
+
+    The rows come heaviest first, the cover index breaking ties.
+    """
+    masses = d.row_masses.tolist()
+    order = sorted((i for i, m in enumerate(masses) if m > 0.0),
+                   key=lambda i: (-masses[i], i))
     taken: set[int] = set()
     blocks: list[AtomSet] = []
     for i in order:
@@ -158,10 +146,10 @@ def _difference_chain(d: WeightedDivision) -> tuple[list[int], list[AtomSet]]:
 
 
 def disjointify(d: WeightedDivision) -> SetFamily:
-    """Greedy disjointification of the positive-mass cover sets.
+    """Greedy disjointification of the cover sets whose rows have positive mass.
 
-    Sort the positive rows by submeasure mass (descending, cover index breaks
-    ties), peel each set by everything taken before it, and drop mu-null
+    Sort the rows of positive mass by submeasure mass (descending, cover index
+    breaks ties), peel each set by everything taken before it, and drop mu-null
     blocks.  The result is a mu-partition finer than the cover whose entropy
     never exceeds the division's weighted entropy.
     """
@@ -169,7 +157,7 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     kept = SetFamily(d.mu.space, tuple(d.cover[i] for i in order))
     if not is_mu_cover(kept, d.mu):
         raise ValidationError(
-            "positive-mass rows do not cover the measure's support"
+            "rows of positive mass do not cover the measure's support"
         )
     pruned = tuple(b for b in blocks if b.members and d.mu.mass_of(b) > 0.0)
     return SetFamily(d.mu.space, pruned)
@@ -178,9 +166,9 @@ def disjointify(d: WeightedDivision) -> SetFamily:
 def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
     """Prefix-dominance certificate behind :func:`disjointify`.
 
-    ``x`` holds the sorted positive row masses and ``y`` the corresponding
-    block masses; ``x`` is prefix-dominated by ``y`` with equal totals, which
-    is exactly what the concave/convex comparison needs.
+    ``x`` holds the sorted masses of the rows of positive mass and ``y`` the
+    corresponding block masses; ``x`` is prefix-dominated by ``y`` with equal
+    totals, which is exactly what the concave/convex comparison needs.
     """
     order, blocks = _difference_chain(d)
     masses = d.row_masses
@@ -304,25 +292,25 @@ def cover_entropy_weighted(
 def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     """Seeded uniform sample from the division polytope.
 
-    Each positive-mass atom spreads its mass over the cover sets containing
-    it with flat-Dirichlet weights drawn from ``numpy.random.default_rng(seed)``
-    in ascending atom order, so the result depends only on ``(seed,
-    instance)``.  Atoms contained in a single set keep their whole mass there
-    regardless of the seed.
+    One call to ``numpy.random.default_rng(seed).standard_exponential`` draws
+    a unit exponential for every (set, atom) membership of ``q.incidence``,
+    set by set in row-major order, so the result depends only on ``(seed,
+    instance)``.  Each atom's draws are divided by their sum, which gives
+    flat-Dirichlet weights over the sets containing it, and scaled by the
+    atom's mass.  Atoms contained in a single set keep their exact mass there
+    (``x / x == 1.0``) regardless of the seed; atoms in no set get no mass.
     """
     if mu.space != q.space:
         raise SpaceMismatchError("measure and cover live on different spaces")
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
     rng = np.random.default_rng(seed)
-    rows = np.zeros((len(q), mu.space.n), dtype=np.float64)
-    for atom, options in zip(*_searched_atoms(mu, q)):
-        m = mu.mass[atom]
-        if len(options) == 1:
-            rows[options[0], atom] = m
-        else:
-            weights = rng.dirichlet(np.ones(len(options)))
-            rows[options, atom] = m * weights
+    inc = q.incidence
+    rows = np.zeros(inc.shape, dtype=np.float64)
+    rows[inc] = rng.standard_exponential(int(inc.sum()))
+    total = rows.sum(axis=0)
+    np.divide(rows, total, out=rows, where=total > 0.0)
+    rows *= mu.mass
     return WeightedDivision(mu, q, rows)
 
 

@@ -256,7 +256,7 @@ def _enumeration_minimum(e, mu, q):
 
 
 class TestBudgetAndBranchBound:
-    def test_branch_and_bound_budget_error(self):
+    def test_budget_error(self):
         mu, q = uniform(4), family(4, [0, 1, 2, 3], [0, 1, 2, 3])
         with pytest.raises(BudgetExceededError):
             cover_entropy(shannon(), mu, q, budget=0)
@@ -268,7 +268,7 @@ class TestBudgetAndBranchBound:
         with pytest.raises(BudgetExceededError):
             cover_entropy(shannon(), mu, q, budget=7)
 
-    def test_branch_and_bound_matches_scan_on_thousand_instances(self):
+    def test_search_matches_enumeration_on_thousand_instances(self):
         # exactness of the cell search: the enumeration minimum everywhere,
         # attained by the witness
         rng = np.random.default_rng(404)
@@ -279,7 +279,7 @@ class TestBudgetAndBranchBound:
             value = partition_entropy(e, mu, assignment_to_partition(a))
             assert value == pytest.approx(_enumeration_minimum(e, mu, q), abs=1e-12)
 
-    def test_branch_and_bound_explores_fewer_candidates(self):
+    def test_search_explores_fewer_transitions_than_assignments(self):
         mu, q = uniform(8), family(8, *( [list(range(8))] * 4 ))
         full = search_space_size(mu, q)
         r = cover_entropy(shannon(), mu, q, budget=full)

@@ -1,12 +1,20 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import coverentropy
 from coverentropy.cli import dumps_canonical, main
@@ -143,6 +151,9 @@ MALFORMED = {
     "coefficient-bool": ("mixture", {**MIXTURE, "coefficients": [True, 0.0]}, []),
     "blocks-bool": ("partition", None, ["--functional", "shannon", "--blocks", "[[0, true], [2]]"]),
     "hlp-bool": ("hlp", {"x": [True], "y": [1.0], "functional": "shannon"}, []),
+    "mass-int-overflow": ("cover", {"n": 2, "mu": [10 ** 400, 0.5], "cover": [[0, 1]]},
+                          ["--functional", "shannon"]),
+    "int-too-many-digits": ("hlp", b'{"x": [' + b"9" * 5000 + b'], "y": [1.0]}', []),
     "budget-negative": ("cover", None, ["--functional", "shannon", "--budget", "-5"]),
     "budget-zero": ("cover", None, ["--functional", "shannon", "--budget", "0"]),
     "budget-not-int": ("cover", None, ["--functional", "shannon", "--budget", "abc"]),
@@ -189,6 +200,107 @@ def test_failure_reports_carry_the_input_digest(capsys, tmp_path, content, flags
                         "--mode", "classical", *flags)
     assert report["status"] == status
     assert report["instance_digest"] == hashlib.sha256(content).hexdigest()
+
+
+# valid inputs of the file-reading subcommands, mutated by the fuzz test below
+DIVISION = {"cover_index_rows": [[0.3333333333333333, 0.3333333333333333, 0.0],
+                                 [0.0, 0.0, 0.3333333333333334]]}
+HLP = {"x": [0.5, 0.5], "y": [0.7, 0.3], "functional": "shannon"}
+BLOCKS = [[0, 1], [2]]
+# subcommand: its inputs in argv order ("blocks" is passed inline) and its flags
+FUZZ_COMMANDS = {
+    "partition": (("instance", "blocks"), ["--functional", "shannon"]),
+    "cover": (("instance",), ["--functional", "shannon", "--samples", "3"]),
+    "mixture": (("mixture",), []),
+    "hlp": (("hlp",), []),
+    "disjointify": (("instance", "division"), ["--functional", "shannon"]),
+}
+FUZZ_DOCS = {"instance": INSTANCE, "division": DIVISION, "mixture": MIXTURE,
+             "hlp": HLP, "blocks": BLOCKS}
+
+# numbers and tokens at the edges of what the parsers accept
+EDGE_VALUES = [10 ** 400, -0.0, 5e-324, 1e308, -1, 0, 3, True, None, "", [], {}]
+EDGE_TOKENS = [b"9" * 5000, b"1" + b"0" * 400, b"1e999", b"NaN", b"-Infinity", b"-0",
+               b"null", b"[" * 3000]
+json_values = st.sampled_from(EDGE_VALUES) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=2),
+    max_leaves=6,
+)
+# argv cannot carry NUL or lone surrogates
+argv_text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
+                    max_size=3)
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, (list, dict)):
+        for key in (range(len(doc)) if isinstance(doc, list) else sorted(doc)):
+            yield from _paths(doc[key], path + (key,))
+
+
+def _mutate_doc(draw, doc):
+    """``doc`` with one node replaced, dropped or duplicated."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(json_values)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+    if action == "replace":
+        parent[key] = draw(json_values)
+    elif action == "drop":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[draw(st.text(max_size=3))] = parent[key]
+    return doc
+
+
+def _mutated_text(draw, doc, chunks):
+    """JSON text of ``doc``, mutated as a tree or as text."""
+    if draw(st.booleans()):
+        return json.dumps(_mutate_doc(draw, doc)).encode()
+    text = json.dumps(doc).encode()
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(len(text), start + 4)))
+    insert = draw(chunks | st.sampled_from(EDGE_TOKENS))
+    return text[:start] + (insert.encode() if isinstance(insert, str) else insert) + text[stop:]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_give_one_report_line(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    inputs, flags = FUZZ_COMMANDS[command]
+    mutated = data.draw(st.sets(st.sampled_from(inputs), min_size=1))
+    argv = [command, *flags]
+    for name in inputs:
+        inline = name == "blocks"
+        content = json.dumps(FUZZ_DOCS[name]).encode()
+        if name in mutated:
+            chunks = argv_text if inline else st.binary(max_size=3)
+            content = _mutated_text(data.draw, FUZZ_DOCS[name], chunks)
+        if inline:
+            argv += ["--blocks", content.decode()]
+        else:
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(content)
+            argv.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    stdout = out.getvalue()
+    assert stdout.endswith("\n") and stdout.count("\n") == 1
+    # the package writes the float -0.0 as "-0", which json reads as int 0
+    report = json.loads(stdout, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+    assert dumps_canonical(report) + "\n" == stdout
 
 
 class TestPartitionCommand:
@@ -284,6 +396,19 @@ class TestDisjointifyCommand:
         res = report["results"]
         assert res["partition"] == [[0, 1], [2]]
         assert res["partition_entropy"] <= res["division_entropy"] + 1e-9
+
+    def test_small_rows_past_mass_tol(self, capsys, tmp_path):
+        # each small row is under MASS_TOL, but the two together are not
+        mu = [1 - 1.8e-12, 9e-13, 9e-13]
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({"n": 3, "mu": mu, "cover": [[0], [1], [2]]}))
+        division = tmp_path / "division.json"
+        division.write_text(json.dumps({"cover_index_rows": np.diag(mu).tolist()}))
+        code, report = run_cli(capsys, "disjointify", str(instance), str(division),
+                               "--functional", "shannon")
+        assert code == 0
+        assert report["status"] == "ok"
+        assert report["results"]["partition"] == [[0], [1], [2]]
 
     def test_misaligned_division(self, capsys, instance_file, tmp_path):
         division = tmp_path / "division.json"

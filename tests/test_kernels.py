@@ -145,7 +145,7 @@ class TestTieBreak:
                                                    10 ** 6)
             assert choice == [0, 0]
 
-    def test_optimal_greedy_seed_yields_to_first_optimum(self):
+    def test_relabelled_optimum_yields_to_first_optimum(self):
         # putting the middle unit with the forced one (choice [1, 1, 0]) is
         # optimal, but [1, 0, 0] has the same blocks under other labels and
         # comes first, so both searches return it

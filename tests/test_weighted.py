@@ -192,6 +192,14 @@ class TestDisjointify:
         assert disjointify(bad).as_lists() == [[0]]
         assert disjointify(d).as_lists() == [[0], [1]]
 
+    def test_small_rows_past_mass_tol_are_kept(self):
+        # each small row is under MASS_TOL, but the two together are not
+        mu = measure(1 - 1.8e-12, 9e-13, 9e-13)
+        d = WeightedDivision(mu, family(3, [0], [1], [2]), np.diag(mu.mass))
+        assert disjointify(d).as_lists() == [[0], [1], [2]]
+        cert = disjointify_certificate(d)
+        assert len(cert.x_seq) == len(cert.y_seq) == 3
+
     def test_never_beats_division(self):
         rng = np.random.default_rng(47)
         for i in range(120):
@@ -340,6 +348,27 @@ class TestRandomDivision:
             mu, q = random_instance(rng)
             d = random_division(mu, q, seed=i)  # validator runs in constructor
             assert d.row_masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_flat_dirichlet_law(self):
+        mu = measure(0.5, 0.3, 0.2)
+        q = family(3, [0, 1, 2], [0, 1], [0])
+        rows = np.array([random_division(mu, q, seed=s).rows for s in range(4000)])
+        w0 = rows[:, :, 0] / 0.5
+        assert np.abs(w0.mean(axis=0) - 1 / 3).max() < 0.025
+        assert np.abs((w0 ** 2).mean(axis=0) - 1 / 6).max() < 0.025
+        assert np.abs(rows[:, :2, 1].mean(axis=0) / 0.3 - 1 / 2).max() < 0.025
+        assert (rows[:, 0, 2] == 0.2).all()
+
+    def test_ten_thousand_atoms(self):
+        rng = np.random.default_rng(8)
+        n = 10_000
+        mu = Measure(DiscreteSpace(n), rng.dirichlet(np.ones(n)), probability=True)
+        inc = rng.random((8, n)) < 0.6
+        inc[0] |= ~inc.any(axis=0)
+        q = family(n, *(np.flatnonzero(row).tolist() for row in inc))
+        d = random_division(mu, q, seed=0)  # validator runs in constructor
+        floor = cover_entropy(shannon(), mu, q).value
+        assert weighted_entropy(shannon(), d) >= floor - 1e-9
 
 
 class TestDivisionSchema:
