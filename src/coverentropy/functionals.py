@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measure import MASS_TOL
+from .measure import MASS_TOL, check_tolerance
 
 class CompositionCase(enum.Enum):
     """Which of the two admissible (f, g) shapes a functional declares."""
@@ -221,6 +221,7 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
     """
     if grid_size < 3:
         raise ValidationError("grid_size must be at least 3")
+    check_tolerance(tol)
     ts = np.linspace(0.0, 1.0, grid_size)
     gv = np.array([e.g(float(t)) for t in ts])
 

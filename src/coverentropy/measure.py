@@ -17,6 +17,7 @@ This module also owns the instance JSON schema consumed by the CLI::
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -249,6 +250,23 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     mu = Measure(space, parse_numbers(mu_raw, '"mu"'), probability=True)
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
     return mu, cover
+
+
+def is_finite_number(v) -> bool:
+    """True for a finite Python or numpy real; booleans, strings and ``None``
+    are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def check_tolerance(tol) -> None:
+    """ValidationError unless ``tol`` is a finite number >= 0 (so not NaN)."""
+    if not is_finite_number(tol) or tol < 0:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def parse_numbers(raw: list, what: str) -> list[float]:

@@ -29,12 +29,13 @@ import numpy as np
 
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import SpaceMismatchError, ValidationError
-from .functionals import EntropyFunctional, parse_functional
+from .functionals import EntropyFunctional, _check_alpha, parse_functional
 from .measure import (
     MASS_TOL,
     DiscreteSpace,
     Measure,
     SetFamily,
+    is_finite_number,
     parse_blocks,
     parse_numbers,
 )
@@ -44,6 +45,12 @@ from .weighted import WeightedDivision
 BOUND_TOL = 1e-9
 
 
+def _coefficient(v) -> float:
+    if not is_finite_number(v):
+        raise ValidationError(f"coefficients must be finite numbers, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Coefficients and probability measures of a mixture, on one space."""
@@ -51,7 +58,7 @@ class MixtureSpec:
     components: tuple[tuple[float, Measure], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((float(a), m) for a, m in self.components)
+        comps = tuple((_coefficient(a), m) for a, m in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValidationError("a mixture needs at least one component")
@@ -126,10 +133,16 @@ def mix_division(
 # ---------------------------------------------------------------------------
 
 def _clean_inputs(component_entropies, a):
+    """(coefficient, entropy) pairs with a positive coefficient; coefficients
+    must be finite numbers, entropies finite numbers or ``None`` (infinite)."""
     entropies = list(component_entropies)
-    coeffs = [float(v) for v in a]
+    coeffs = [_coefficient(v) for v in a]
     if len(entropies) != len(coeffs):
         raise ValidationError("entropies and coefficients must align")
+    for h in entropies:
+        if h is not None and not is_finite_number(h):
+            raise ValidationError(
+                f"component entropies must be finite numbers or None, got {h!r}")
     if any(c < 0.0 or c > 1.0 for c in coeffs):
         raise ValidationError("coefficients must lie in [0, 1]")
     if abs(sum(coeffs) - 1.0) > MASS_TOL:
@@ -149,9 +162,7 @@ def tsallis_mixture_bounds(
     coefficient they force both bounds to the tagged infinity ``(None,
     None)``.  Zero-coefficient components are dropped first.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0 or alpha == 1.0:
-        raise ValidationError(f"alpha must lie in (0, inf) minus 1, got {alpha}")
+    alpha = _check_alpha(alpha)
     kept = _clean_inputs(component_entropies, a)
     if any(h is None for _, h in kept):
         return None, None
@@ -239,6 +250,8 @@ def verify_mixture_bounds(
         raise ValidationError(
             f"mixture bounds are defined for shannon/tsallis, not {e.name!r}"
         )
+    if base == "tsallis":
+        _check_alpha(e.alpha)
     spec = spec.drop_zero_coefficients()
     if q.space != spec.space:
         raise SpaceMismatchError("cover and mixture live on different spaces")
@@ -292,11 +305,14 @@ def limit_bridge(
     Shannon bound, and the table reports the raw gaps so callers can see
     exactly that.
     """
-    entropies = [float(h) for h in component_entropies]
+    entropies = list(component_entropies)
+    if not all(map(is_finite_number, entropies)):
+        raise ValidationError(
+            f"component entropies must be finite numbers, got {entropies}")
     shannon_lower, shannon_upper = shannon_mixture_bounds(entropies, a)
     rows = []
     for alpha in alphas:
-        lower, upper = tsallis_mixture_bounds(entropies, a, float(alpha))
+        lower, upper = tsallis_mixture_bounds(entropies, a, alpha)
         rows.append(
             LimitBridgeRow(
                 alpha=float(alpha),

@@ -1,14 +1,18 @@
 """Seeded randomized property suite, runnable from the CLI (`selftest`).
 
-Each property draws its own deterministic generator from the base seed, so a
-run is fully reproducible from ``(seed, scale)``.  The same instance
-generators back the heavier acceptance tests in ``tests/``.
+Each property is a generator that yields once per check: ``None`` when the
+check holds, or a counterexample dict when it fails.  ``_run`` counts the
+checks and failures and keeps the first counterexample.  Each property draws
+its own deterministic generator from the base seed, so a run is fully
+reproducible from ``(seed, scale)``.  The same instance generators back the
+heavier acceptance tests in ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -59,10 +63,13 @@ SCALES = {
 @dataclass
 class PropertyOutcome:
     name: str
-    passed: bool
     checks: int
     failures: int
-    counterexample: dict | None = field(default=None)
+    counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     def as_dict(self) -> dict:
         out = {
@@ -119,10 +126,12 @@ def random_instance(
 def random_acceptable_partition(
     rng: np.random.Generator, mu: Measure, q: SetFamily, split_chance: float = 0.5
 ) -> SetFamily:
-    """A random partition finer than ``q``: assign atoms, then maybe split blocks."""
+    """A random partition finer than ``q``: one draw assigns atoms, then blocks may split."""
+    searched, cands = _searched_atoms(mu, q)
+    picks = rng.integers(0, [len(options) for options in cands]).tolist()
     blocks: dict[int, list[int]] = {}
-    for atom, options in zip(*_searched_atoms(mu, q)):
-        blocks.setdefault(int(rng.choice(options)), []).append(atom)
+    for atom, options, pick in zip(searched, cands, picks):
+        blocks.setdefault(options[pick], []).append(atom)
     out: list[tuple[int, ...]] = []
     for idx in sorted(blocks):
         atoms = blocks[idx]
@@ -136,115 +145,85 @@ def random_acceptable_partition(
     return SetFamily(mu.space, tuple(AtomSet(mu.space, b) for b in out))
 
 
-def _functional_cycle() -> tuple[EntropyFunctional, ...]:
-    return builtin_functionals()
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
-def _outcome(name, checks, failures, counterexample=None) -> PropertyOutcome:
-    return PropertyOutcome(
-        name=name,
-        passed=failures == 0,
-        checks=checks,
-        failures=failures,
-        counterexample=counterexample if failures else None,
-    )
-
-
-def prop_classical_weighted_agreement(rng, count, budget) -> PropertyOutcome:
-    """Classical and weighted cover entropies agree within TOL."""
-    functionals = _functional_cycle()
-    checks = failures = 0
+def _run(name: str, checks: Iterator[dict | None]) -> PropertyOutcome:
+    """Count a property's checks and failures, keeping the first counterexample."""
+    count = failures = 0
     first = None
+    for counterexample in checks:
+        count += 1
+        if counterexample is not None:
+            failures += 1
+            if first is None:
+                first = counterexample
+    return PropertyOutcome(name, count, failures, first)
+
+
+def prop_classical_weighted_agreement(rng, count, budget) -> Iterator[dict | None]:
+    """Classical and weighted cover entropies agree within TOL."""
+    functionals = builtin_functionals()
     for _ in range(count):
         mu, q = random_instance(rng)
         for e in functionals:
             a = cover_entropy(e, mu, q, budget=budget)
             b = cover_entropy_weighted(e, mu, q, budget=budget)
-            checks += 1
-            ok = (
-                a.is_infinite == b.is_infinite
-                and (a.is_infinite or abs(a.value - b.value) <= TOL)
-            )
-            if not ok:
-                failures += 1
-                if first is None:
-                    first = dict(instance=instance_dict(mu, q), functional=e.name,
-                                 classical=a.value, weighted=b.value)
-    return _outcome("classical-weighted-agreement", checks, failures, first)
+            ok = a.is_infinite == b.is_infinite and (
+                a.is_infinite or abs(a.value - b.value) <= TOL)
+            yield None if ok else dict(
+                instance=instance_dict(mu, q), functional=e.name,
+                classical=a.value, weighted=b.value)
 
 
-def prop_random_division_lower_bound(rng, shape, budget) -> PropertyOutcome:
+def prop_random_division_lower_bound(rng, shape, budget) -> Iterator[dict | None]:
     """Every sampled division's entropy dominates the classical minimum."""
     n_instances, n_samples = shape
-    functionals = _functional_cycle()
-    checks = failures = 0
-    first = None
+    functionals = builtin_functionals()
     for i in range(n_instances):
         mu, q = random_instance(rng)
         e = functionals[i % len(functionals)]
         floor = cover_entropy(e, mu, q, budget=budget).value
         for s in range(n_samples):
             d = random_division(mu, q, seed=int(rng.integers(2 ** 31)))
-            checks += 1
-            if weighted_entropy(e, d) < floor - TOL:
-                failures += 1
-                if first is None:
-                    first = dict(instance=instance_dict(mu, q), functional=e.name,
-                                 sample=s, value=weighted_entropy(e, d), floor=floor)
-    return _outcome("random-division-lower-bound", checks, failures, first)
+            value = weighted_entropy(e, d)
+            yield None if not value < floor - TOL else dict(
+                instance=instance_dict(mu, q), functional=e.name,
+                sample=s, value=value, floor=floor)
 
 
-def prop_disjointify_dominates(rng, count, budget) -> PropertyOutcome:
+def prop_disjointify_dominates(rng, count, budget) -> Iterator[dict | None]:
     """disjointify never increases entropy, and its certificate is valid."""
-    functionals = _functional_cycle()
-    checks = failures = 0
-    first = None
+    functionals = builtin_functionals()
     for i in range(count):
         mu, q = random_instance(rng)
         e = functionals[i % len(functionals)]
         d = random_division(mu, q, seed=int(rng.integers(2 ** 31)))
         p = disjointify(d)
-        checks += 1
         ok = partition_entropy(e, mu, p) <= weighted_entropy(e, d) + TOL
         try:
             disjointify_certificate(d)
         except Exception:
             ok = False
-        if not ok:
-            failures += 1
-            if first is None:
-                first = dict(instance=instance_dict(mu, q), functional=e.name)
-    return _outcome("disjointify-dominates", checks, failures, first)
+        yield None if ok else dict(instance=instance_dict(mu, q), functional=e.name)
 
 
-def prop_partition_to_division_dominates(rng, count, budget) -> PropertyOutcome:
+def prop_partition_to_division_dominates(rng, count, budget) -> Iterator[dict | None]:
     """The induced division's entropy never exceeds the partition's."""
-    functionals = _functional_cycle()
-    checks = failures = 0
-    first = None
+    functionals = builtin_functionals()
     for i in range(count):
         mu, q = random_instance(rng)
         p = random_acceptable_partition(rng, mu, q)
         e = functionals[i % len(functionals)]
-        d = partition_to_division(mu, p, q)
-        checks += 1
-        if weighted_entropy(e, d) > partition_entropy(e, mu, p) + TOL:
-            failures += 1
-            if first is None:
-                first = dict(instance=instance_dict(mu, q), functional=e.name,
-                             partition=p.as_lists())
-    return _outcome("partition-to-division-dominates", checks, failures, first)
+        value = weighted_entropy(e, partition_to_division(mu, p, q))
+        yield None if not value > partition_entropy(e, mu, p) + TOL else dict(
+            instance=instance_dict(mu, q), functional=e.name, partition=p.as_lists())
 
 
-def prop_mixture_containment(rng, count, budget) -> PropertyOutcome:
+def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
     """Random Tsallis mixtures stay inside their bounds."""
     alphas = (0.5, 2.0, 3.0)
-    checks = failures = 0
-    first = None
     for i in range(count):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(2, 5))
@@ -259,29 +238,25 @@ def prop_mixture_containment(rng, count, budget) -> PropertyOutcome:
         coeffs = rng.dirichlet(np.ones(parts))
         spec = MixtureSpec(tuple((float(a), m) for a, m in zip(coeffs, mus)))
         e = tsallis(alphas[i % len(alphas)])
-        checks += 1
         try:
             verify_mixture_bounds(e, spec, q, budget=budget)
         except Exception as exc:
-            failures += 1
-            if first is None:
-                first = dict(
-                    mixture=dict(
-                        n=n,
-                        coefficients=[float(a) for a in coeffs],
-                        measures=[[float(v) for v in m.mass] for m in mus],
-                        cover=q.as_lists(),
-                        functional=e.name,
-                    ),
-                    error=str(exc),
-                )
-    return _outcome("mixture-bound-containment", checks, failures, first)
+            yield dict(
+                mixture=dict(
+                    n=n,
+                    coefficients=[float(a) for a in coeffs],
+                    measures=[[float(v) for v in m.mass] for m in mus],
+                    cover=q.as_lists(),
+                    functional=e.name,
+                ),
+                error=str(exc),
+            )
+        else:
+            yield None
 
 
-def prop_sharpness_extremes(budget) -> PropertyOutcome:
+def prop_sharpness_extremes(budget) -> Iterator[dict | None]:
     """Point masses on split atoms hit the upper bound; equal components the lower."""
-    checks = failures = 0
-    first = None
     space2 = DiscreteSpace(2)
     delta0 = Measure(space2, [1.0, 0.0], probability=True)
     delta1 = Measure(space2, [0.0, 1.0], probability=True)
@@ -294,37 +269,25 @@ def prop_sharpness_extremes(budget) -> PropertyOutcome:
             e = tsallis(alpha)
             spec = MixtureSpec(((a1, delta0), (1.0 - a1, delta1)))
             report = verify_mixture_bounds(e, spec, singletons, budget=budget)
-            checks += 1
-            if abs(report.achieved - report.upper) > SHARP_TOL:
-                failures += 1
-                if first is None:
-                    first = dict(case="upper", a1=a1, alpha=alpha,
-                                 achieved=report.achieved, upper=report.upper)
+            yield None if not abs(report.achieved - report.upper) > SHARP_TOL else dict(
+                case="upper", a1=a1, alpha=alpha,
+                achieved=report.achieved, upper=report.upper)
             spec_same = MixtureSpec(((a1, shared), (1.0 - a1, shared)))
             report = verify_mixture_bounds(e, spec_same, overlap, budget=budget)
-            checks += 1
-            if abs(report.achieved - report.lower) > SHARP_TOL:
-                failures += 1
-                if first is None:
-                    first = dict(case="lower", a1=a1, alpha=alpha,
-                                 achieved=report.achieved, lower=report.lower)
-    return _outcome("sharpness-extremes", checks, failures, first)
+            yield None if not abs(report.achieved - report.lower) > SHARP_TOL else dict(
+                case="lower", a1=a1, alpha=alpha,
+                achieved=report.achieved, lower=report.lower)
 
 
-def prop_structure_checks() -> PropertyOutcome:
+def prop_structure_checks() -> Iterator[dict | None]:
     """Built-ins satisfy their declared case; a planted counterexample fails."""
-    checks = failures = 0
-    first = None
     probes = [shannon()]
     for alpha in (0.25, 0.5, 2.0, 4.0):
         probes.append(renyi(alpha))
         probes.append(tsallis(alpha))
     for e in probes:
-        checks += 1
-        if not check_structure(e, grid_size=201, tol=TOL).passed:
-            failures += 1
-            if first is None:
-                first = dict(functional=e.name)
+        passed = check_structure(e, grid_size=201, tol=TOL).passed
+        yield None if passed else dict(functional=e.name)
     planted = EntropyFunctional(
         name="planted-square",
         alpha=None,
@@ -332,12 +295,8 @@ def prop_structure_checks() -> PropertyOutcome:
         g=lambda t: t * t,
         case=CompositionCase.INCREASING_SUBADDITIVE_CONCAVE,
     )
-    checks += 1
-    if check_structure(planted, grid_size=201, tol=TOL).passed:
-        failures += 1
-        if first is None:
-            first = dict(functional=planted.name, note="should have failed")
-    return _outcome("structure-checks", checks, failures, first)
+    passed = check_structure(planted, grid_size=201, tol=TOL).passed
+    yield None if not passed else dict(functional=planted.name, note="should have failed")
 
 
 def random_hlp_input(rng: np.random.Generator, length: int, transfers: int) -> HlpInput:
@@ -353,33 +312,25 @@ def random_hlp_input(rng: np.random.Generator, length: int, transfers: int) -> H
     return HlpInput(x_seq=tuple(x), y_seq=tuple(y))
 
 
-def prop_hlp_comparison(rng, count) -> PropertyOutcome:
+def prop_hlp_comparison(rng, count) -> Iterator[dict | None]:
     """The predicted inequality direction holds for concave and convex maps."""
     phis = (
         ("neg-t-log2-t", lambda t: -t * math.log2(t) if t > 0 else 0.0, "concave"),
         ("sqrt", lambda t: math.sqrt(t), "concave"),
         ("square", lambda t: t * t, "convex"),
     )
-    checks = failures = 0
-    first = None
     for i in range(count):
         length = int(rng.integers(2, 9))
         inp = random_hlp_input(rng, length, transfers=int(rng.integers(1, 6)))
         for name, phi, shape in phis:
-            checks += 1
             report = hlp_compare(inp, phi, shape, tol=TOL)
-            if not report.confirmed:
-                failures += 1
-                if first is None:
-                    first = dict(phi=name, x=list(inp.x_seq), y=list(inp.y_seq))
-    return _outcome("hlp-comparison", checks, failures, first)
+            yield None if report.confirmed else dict(
+                phi=name, x=list(inp.x_seq), y=list(inp.y_seq))
 
 
-def prop_search_agreement(rng, count, budget) -> PropertyOutcome:
+def prop_search_agreement(rng, count, budget) -> Iterator[dict | None]:
     """The search's witness attains the enumeration minimum."""
-    functionals = _functional_cycle()
-    checks = failures = 0
-    first = None
+    functionals = builtin_functionals()
     for i in range(count):
         mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 4))
         e = functionals[i % len(functionals)]
@@ -387,14 +338,10 @@ def prop_search_agreement(rng, count, budget) -> PropertyOutcome:
                        for p in enumerate_acceptable_partitions(mu, q))
         assignment, _ = minimizing_assignment(e, mu, q, budget=budget)
         got = partition_entropy(e, mu, assignment_to_partition(assignment))
-        checks += 1
-        if abs(got - expected) > SHARP_TOL:
-            failures += 1
-            if first is None:
-                first = dict(instance=instance_dict(mu, q), functional=e.name,
-                             search=got, enumeration=expected,
-                             choice=list(map(list, assignment.choice)))
-    return _outcome("search-agreement", checks, failures, first)
+        yield None if not abs(got - expected) > SHARP_TOL else dict(
+            instance=instance_dict(mu, q), functional=e.name,
+            search=got, enumeration=expected,
+            choice=list(map(list, assignment.choice)))
 
 
 def run_selftest(scale: str = "default", seed: int = 0, budget: int = 10 ** 6):
@@ -405,14 +352,19 @@ def run_selftest(scale: str = "default", seed: int = 0, budget: int = 10 ** 6):
     seq = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in seq.spawn(8)]
     outcomes = [
-        prop_classical_weighted_agreement(rngs[0], sizes["agree"], budget),
-        prop_random_division_lower_bound(rngs[1], sizes["sandwich"], budget),
-        prop_disjointify_dominates(rngs[2], sizes["disjoint"], budget),
-        prop_partition_to_division_dominates(rngs[3], sizes["refine"], budget),
-        prop_mixture_containment(rngs[4], sizes["mixtures"], budget),
-        prop_sharpness_extremes(budget),
-        prop_structure_checks(),
-        prop_hlp_comparison(rngs[5], sizes["hlp"]),
-        prop_search_agreement(rngs[6], sizes["search"], budget),
+        _run("classical-weighted-agreement",
+             prop_classical_weighted_agreement(rngs[0], sizes["agree"], budget)),
+        _run("random-division-lower-bound",
+             prop_random_division_lower_bound(rngs[1], sizes["sandwich"], budget)),
+        _run("disjointify-dominates",
+             prop_disjointify_dominates(rngs[2], sizes["disjoint"], budget)),
+        _run("partition-to-division-dominates",
+             prop_partition_to_division_dominates(rngs[3], sizes["refine"], budget)),
+        _run("mixture-bound-containment",
+             prop_mixture_containment(rngs[4], sizes["mixtures"], budget)),
+        _run("sharpness-extremes", prop_sharpness_extremes(budget)),
+        _run("structure-checks", prop_structure_checks()),
+        _run("hlp-comparison", prop_hlp_comparison(rngs[5], sizes["hlp"])),
+        _run("search-agreement", prop_search_agreement(rngs[6], sizes["search"], budget)),
     ]
     return outcomes, all(o.passed for o in outcomes)

@@ -42,6 +42,7 @@ from .measure import (
     Measure,
     SetFamily,
     _first_container,
+    check_tolerance,
     finer_than,
     is_mu_cover,
     is_mu_partition,
@@ -241,6 +242,7 @@ def hlp_compare(
     """
     if shape not in ("concave", "convex"):
         raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
+    check_tolerance(tol)
     sum_x = float(sum(phi(v) for v in inp.x_seq))
     sum_y = float(sum(phi(v) for v in inp.y_seq))
     if shape == "concave":
@@ -300,6 +302,8 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     atom's mass.  Atoms contained in a single set keep their exact mass there
     (``x / x == 1.0``) regardless of the seed; atoms in no set get no mass.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     if mu.space != q.space:
         raise SpaceMismatchError("measure and cover live on different spaces")
     if not is_mu_cover(q, mu):

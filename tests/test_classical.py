@@ -251,6 +251,22 @@ class TestOracleAgreement:
                 assert best <= partition_entropy(e, mu, refined) + 1e-12
 
 
+class TestRandomAcceptablePartition:
+    def test_uniform_set_choice_law(self):
+        # each atom picks one of three identical sets: they share one w.p. 1/3
+        mu, q = uniform(2), family(2, [0, 1], [0, 1], [0, 1])
+        rng = np.random.default_rng(3)
+        draws = [random_acceptable_partition(rng, mu, q, split_chance=0.0)
+                 for _ in range(4000)]
+        shared = np.mean([len(p) == 1 for p in draws])
+        assert abs(shared - 1 / 3) < 0.03
+
+    def test_no_searched_atoms(self):
+        mu = Measure(DiscreteSpace(2), [0.0, 0.0])
+        p = random_acceptable_partition(np.random.default_rng(0), mu, family(2, [0, 1]))
+        assert len(p) == 0
+
+
 def _enumeration_minimum(e, mu, q):
     return min(partition_entropy(e, mu, p) for p in enumerate_acceptable_partitions(mu, q))
 

@@ -436,6 +436,20 @@ class TestSelftestCommand:
 
 
 class TestSelftestDiagnostics:
+    def test_runner_counts_checks_and_keeps_first_counterexample(self):
+        from coverentropy.selftest import _run
+
+        def checks():
+            yield from [None, {"a": 1}, None, {"b": 2}]
+
+        outcome = _run("hand-written", checks())
+        assert (outcome.checks, outcome.failures) == (4, 2)
+        assert outcome.passed is False
+        assert outcome.counterexample == {"a": 1}
+        empty = _run("empty", (c for c in ()))
+        assert (empty.checks, empty.failures, empty.passed) == (0, 0, True)
+        assert empty.counterexample is None
+
     def test_tampered_functional_fails_with_counterexample(self, monkeypatch):
         # flip the sign of shannon's inner map: the merge inequalities reverse
         import math

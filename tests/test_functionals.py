@@ -209,6 +209,11 @@ class TestStructureCheck:
         with pytest.raises(ValidationError):
             check_structure(shannon(), grid_size=2)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            check_structure(shannon(), grid_size=11, tol=tol)
+
     def test_violation_magnitudes_reported(self):
         planted = EntropyFunctional(
             name="planted-square", alpha=None, f=lambda x: x, g=lambda t: t * t,

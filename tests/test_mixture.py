@@ -5,6 +5,7 @@ import pytest
 
 from coverentropy import (
     DiscreteSpace,
+    EntropyFunctional,
     Measure,
     MixtureSpec,
     SetFamily,
@@ -63,6 +64,11 @@ class TestMixtureSpec:
     def test_zero_coefficients_dropped(self):
         spec = MixtureSpec(((1.0, measure(1.0, 0.0)), (0.0, measure(0.0, 1.0))))
         assert len(spec.drop_zero_coefficients().components) == 1
+
+    @pytest.mark.parametrize("coefficient", ["half", "0.5", None, True])
+    def test_non_numeric_coefficient_rejected(self, coefficient):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            MixtureSpec(((coefficient, measure(1.0)), (0.5, measure(1.0))))
 
 
 class TestMix:
@@ -168,6 +174,43 @@ class TestShannonBounds:
             shannon_mixture_bounds([0.0, 0.0], [0.7, 0.7])
 
 
+NAN = float("nan")
+BOUND_FUNCTIONS = {
+    "tsallis": lambda h, a: tsallis_mixture_bounds(h, a, 2.0),
+    "shannon": shannon_mixture_bounds,
+    "limit_bridge": lambda h, a: limit_bridge(a, h, [2.0]),
+}
+
+
+class TestBoundInputValidation:
+    @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
+    def test_nan_coefficient_rejected(self, bounds):
+        # NaN passes both range checks, so it must be caught before them
+        with pytest.raises(ValidationError, match="finite numbers"):
+            bounds([1.0, 1.0], [NAN, 1.0])
+
+    @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
+    def test_nan_entropy_rejected(self, bounds):
+        with pytest.raises(ValidationError, match="entropies"):
+            bounds([NAN, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("entropy", ["1.0", True])
+    @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
+    def test_non_numeric_entropy_rejected(self, bounds, entropy):
+        with pytest.raises(ValidationError, match="entropies"):
+            bounds([entropy, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("coeffs", [["half", 0.5], ["0.5", 0.5], [False, 1.0]])
+    @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
+    def test_non_numeric_coefficient_rejected(self, bounds, coeffs):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            bounds([1.0, 1.0], coeffs)
+
+    def test_missing_alpha_rejected(self):
+        with pytest.raises(ValidationError, match="alpha"):
+            tsallis_mixture_bounds([1.0], [1.0], None)
+
+
 class TestVerifyMixtureBounds:
     def test_disjoint_point_masses_hit_upper_bound(self):
         d0, d1, singles = delta_pair()
@@ -198,6 +241,14 @@ class TestVerifyMixtureBounds:
         spec = MixtureSpec(((0.5, d0), (0.5, d1)))
         with pytest.raises(ValidationError, match="shannon/tsallis"):
             verify_mixture_bounds(renyi(2), spec, singles)
+
+    def test_tsallis_without_alpha_rejected(self):
+        d0, d1, singles = delta_pair()
+        spec = MixtureSpec(((0.5, d0), (0.5, d1)))
+        t = tsallis(2)
+        custom = EntropyFunctional(name=t.name, alpha=None, f=t.f, g=t.g, case=t.case)
+        with pytest.raises(ValidationError, match="alpha"):
+            verify_mixture_bounds(custom, spec, singles)
 
     def test_infinite_component_propagates(self):
         d0, d1, _ = delta_pair()

@@ -254,6 +254,11 @@ class TestHlpCompare:
         with pytest.raises(ValidationError):
             hlp_compare(HlpInput((0.5,), (0.5,)), lambda t: t, "linear")
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            hlp_compare(HlpInput((0.5, 0.5), (0.7, 0.3)), lambda t: t * t, "convex", tol=tol)
+
     def test_input_not_nonincreasing(self):
         with pytest.raises(ValidationError, match="nonincreasing"):
             HlpInput((0.3, 0.7), (0.5, 0.5))
@@ -341,6 +346,16 @@ class TestRandomDivision:
     def test_requires_cover(self):
         with pytest.raises(ValidationError):
             random_division(measure(0.5, 0.5), family(2, [0]), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        mu, q = uniform(2), family(2, [0, 1], [0, 1])
+        a = random_division(mu, q, seed=np.uint32(7))
+        assert np.array_equal(a.rows, random_division(mu, q, seed=7).rows)
 
     def test_sampled_division_validates(self):
         rng = np.random.default_rng(13)
