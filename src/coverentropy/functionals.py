@@ -63,20 +63,22 @@ def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
     """Apply ``f`` to the g-sum over the strictly positive entries.
 
     Entries must lie in ``[0, 1]`` and sum to at most 1, both within
-    ``MASS_TOL``; zero entries contribute nothing (the ``g(0) = 0``
-    convention built into every ``g`` here).
+    ``MASS_TOL``, so a NaN entry is rejected; zero entries contribute nothing
+    (the ``g(0) = 0`` convention built into every ``g`` here).
     """
     arr = np.asarray(masses, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"masses must be one-dimensional, got shape {arr.shape}")
-    if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0 + MASS_TOL):
+    values = arr.tolist()
+    # a NaN fails both comparisons
+    if not all(0.0 <= m <= 1.0 + MASS_TOL for m in values):
         raise ValidationError("masses must lie in [0, 1]")
     if float(arr.sum()) > 1.0 + MASS_TOL:
         raise ValidationError(f"masses sum to {float(arr.sum())}, beyond 1")
     s = 0.0
-    for m in arr:
+    for m in values:
         if m > 0.0:
-            s += e.g(float(m))
+            s += e.g(m)
     return float(e.f(s))
 
 

@@ -207,8 +207,12 @@ def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
 def is_mu_cover(fam: SetFamily, mu: Measure) -> bool:
     """True iff at most mu-null mass lies outside the union (overlaps allowed)."""
     _require_shared_space(fam, mu)
-    uncovered = float(mu.mass[~fam.incidence.any(axis=0)].sum())
-    return uncovered <= MASS_TOL
+    return _covers_mass(fam.incidence, mu)
+
+
+def _covers_mass(incidence: np.ndarray, mu: Measure) -> bool:
+    """True iff the rows of ``incidence`` miss at most ``MASS_TOL`` of ``mu``."""
+    return float(mu.mass[~incidence.any(axis=0)].sum()) <= MASS_TOL
 
 
 def finer_than(p: SetFamily, q: SetFamily) -> bool:
@@ -267,6 +271,13 @@ def check_tolerance(tol) -> None:
     """ValidationError unless ``tol`` is a finite number >= 0 (so not NaN)."""
     if not is_finite_number(tol) or tol < 0:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def check_seed(seed) -> None:
+    """ValidationError unless ``seed`` is a Python or numpy integer >= 0;
+    booleans are not seeds."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def parse_numbers(raw: list, what: str) -> list[float]:

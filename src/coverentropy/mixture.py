@@ -62,11 +62,12 @@ class MixtureSpec:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValidationError("a mixture needs at least one component")
-        space = comps[0][1].space
         for a, m in comps:
+            if not isinstance(m, Measure):
+                raise ValidationError(f"components must be Measure instances, got {m!r}")
             if not 0.0 <= a <= 1.0:
                 raise ValidationError(f"coefficient {a} outside [0, 1]")
-            if m.space != space:
+            if m.space != comps[0][1].space:
                 raise SpaceMismatchError("all components must share one space")
             if abs(m.total - 1.0) > MASS_TOL:
                 raise ValidationError("every component must be a probability measure")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -41,7 +42,9 @@ from .measure import (
     AtomSet,
     Measure,
     SetFamily,
+    _covers_mass,
     _first_container,
+    check_seed,
     check_tolerance,
     finer_than,
     is_mu_cover,
@@ -57,6 +60,12 @@ class WeightedDivision:
     Invariants (validated on construction): entries are nonnegative, a row is
     exactly zero outside its cover set, and the rows sum atomwise to the
     measure within ``MASS_TOL``.
+
+    Quantities derived from the rows are computed on first use and kept on
+    the division, so every reader shares one copy: ``row_masses`` (a
+    read-only array) and the sorted difference chain behind
+    :func:`disjointify` and :func:`disjointify_certificate` (tuples).  The
+    rows themselves are read-only, so neither can go stale.
     """
 
     mu: Measure
@@ -91,9 +100,31 @@ class WeightedDivision:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
-    @property
+    @cached_property
     def row_masses(self) -> np.ndarray:
-        return self.rows.sum(axis=1)
+        """Read-only vector of row totals, one per cover set."""
+        masses = self.rows.sum(axis=1)
+        masses.setflags(write=False)
+        return masses
+
+    @cached_property
+    def _chain(self) -> tuple[tuple[int, ...], tuple[AtomSet, ...], tuple[float, ...]]:
+        """``(order, blocks, block_masses)`` of the greedy difference chain.
+
+        ``order`` lists the rows of positive mass, heaviest first, the cover
+        index breaking ties; ``blocks[j]`` is cover set ``order[j]`` minus
+        every set before it, and ``block_masses[j]`` its mass under ``mu``.
+        """
+        masses = self.row_masses.tolist()
+        order = sorted((i for i, m in enumerate(masses) if m > 0.0),
+                       key=lambda i: (-masses[i], i))
+        taken: set[int] = set()
+        blocks = []
+        for i in order:
+            fresh = tuple(a for a in self.cover[i].members if a not in taken)
+            taken.update(fresh)
+            blocks.append(AtomSet(self.mu.space, fresh))
+        return tuple(order), tuple(blocks), tuple(self.mu.mass_of(b) for b in blocks)
 
 
 def weighted_entropy(e: EntropyFunctional, d: WeightedDivision) -> float:
@@ -129,23 +160,6 @@ def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDi
     return WeightedDivision(mu, q, rows)
 
 
-def _difference_chain(d: WeightedDivision) -> tuple[list[int], list[AtomSet]]:
-    """Rows of positive mass plus their greedy set-difference blocks.
-
-    The rows come heaviest first, the cover index breaking ties.
-    """
-    masses = d.row_masses.tolist()
-    order = sorted((i for i, m in enumerate(masses) if m > 0.0),
-                   key=lambda i: (-masses[i], i))
-    taken: set[int] = set()
-    blocks: list[AtomSet] = []
-    for i in order:
-        fresh = tuple(a for a in d.cover[i].members if a not in taken)
-        taken.update(fresh)
-        blocks.append(AtomSet(d.mu.space, fresh))
-    return order, blocks
-
-
 def disjointify(d: WeightedDivision) -> SetFamily:
     """Greedy disjointification of the cover sets whose rows have positive mass.
 
@@ -154,13 +168,12 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     blocks.  The result is a mu-partition finer than the cover whose entropy
     never exceeds the division's weighted entropy.
     """
-    order, blocks = _difference_chain(d)
-    kept = SetFamily(d.mu.space, tuple(d.cover[i] for i in order))
-    if not is_mu_cover(kept, d.mu):
+    order, blocks, block_masses = d._chain
+    if not _covers_mass(d.cover.incidence[list(order)], d.mu):
         raise ValidationError(
             "rows of positive mass do not cover the measure's support"
         )
-    pruned = tuple(b for b in blocks if b.members and d.mu.mass_of(b) > 0.0)
+    pruned = tuple(b for b, m in zip(blocks, block_masses) if m > 0.0)
     return SetFamily(d.mu.space, pruned)
 
 
@@ -171,11 +184,9 @@ def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
     corresponding block masses; ``x`` is prefix-dominated by ``y`` with equal
     totals, which is exactly what the concave/convex comparison needs.
     """
-    order, blocks = _difference_chain(d)
+    order, _, block_masses = d._chain
     masses = d.row_masses
-    x = tuple(float(masses[i]) for i in order)
-    y = tuple(d.mu.mass_of(b) for b in blocks)
-    return HlpInput(x_seq=x, y_seq=y)
+    return HlpInput(x_seq=tuple(float(masses[i]) for i in order), y_seq=block_masses)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +313,7 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     atom's mass.  Atoms contained in a single set keep their exact mass there
     (``x / x == 1.0``) regardless of the seed; atoms in no set get no mass.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    check_seed(seed)
     if mu.space != q.space:
         raise SpaceMismatchError("measure and cover live on different spaces")
     if not is_mu_cover(q, mu):

@@ -450,6 +450,14 @@ class TestSelftestDiagnostics:
         assert (empty.checks, empty.failures, empty.passed) == (0, 0, True)
         assert empty.counterexample is None
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_bad_seed_rejected(self, seed):
+        from coverentropy import ValidationError
+        from coverentropy.selftest import run_selftest
+
+        with pytest.raises(ValidationError, match="seed"):
+            run_selftest("quick", seed)
+
     def test_tampered_functional_fails_with_counterexample(self, monkeypatch):
         # flip the sign of shannon's inner map: the merge inequalities reverse
         import math

@@ -95,6 +95,11 @@ class TestEvaluateContract:
         with pytest.raises(ValidationError):
             evaluate(shannon(), [0.8, 0.8])
 
+    @pytest.mark.parametrize("masses", [[math.nan, 0.5], [0.5, math.nan], [math.nan]])
+    def test_rejects_nan_mass(self, masses):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            evaluate(shannon(), masses)
+
     def test_rejects_matrix_input(self):
         with pytest.raises(ValidationError):
             evaluate(shannon(), [[0.5], [0.5]])

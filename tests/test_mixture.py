@@ -70,6 +70,13 @@ class TestMixtureSpec:
         with pytest.raises(ValidationError, match="finite numbers"):
             MixtureSpec(((coefficient, measure(1.0)), (0.5, measure(1.0))))
 
+    @pytest.mark.parametrize("component", [[1.0], np.array([1.0]), None, "mu"])
+    def test_non_measure_component_rejected(self, component):
+        with pytest.raises(ValidationError, match="Measure"):
+            MixtureSpec(((1.0, component),))
+        with pytest.raises(ValidationError, match="Measure"):
+            MixtureSpec(((0.5, measure(1.0)), (0.5, component)))
+
 
 class TestMix:
     def test_single_component_identity(self):

@@ -82,6 +82,32 @@ class TestWeightedDivisionValidation:
             d.rows[0, 0] = 1.0
 
 
+class TestSharedDerivations:
+    def test_row_masses_cached_and_read_only(self):
+        d = random_division(uniform(3), family(3, [0, 1], [1, 2]), seed=5)
+        masses = d.row_masses
+        assert d.row_masses is masses
+        with pytest.raises(ValueError):
+            masses[0] = 0.0
+        assert masses.tolist() == d.rows.sum(axis=1).tolist()
+
+    def test_call_order_does_not_change_results(self):
+        rng = np.random.default_rng(59)
+        for i in range(40):
+            mu, q = random_instance(rng)
+            rows = random_division(mu, q, seed=i).rows
+            first = WeightedDivision(mu, q, rows)
+            p_first = disjointify(first)
+            cert_first = disjointify_certificate(first)
+            second = WeightedDivision(mu, q, rows)
+            cert_second = disjointify_certificate(second)
+            p_second = disjointify(second)
+            fresh_p = disjointify(WeightedDivision(mu, q, rows))
+            fresh_cert = disjointify_certificate(WeightedDivision(mu, q, rows))
+            assert p_first.as_lists() == p_second.as_lists() == fresh_p.as_lists()
+            assert cert_first == cert_second == fresh_cert
+
+
 class TestWeightedEntropy:
     def test_partition_induced_division_matches_partition_entropy(self):
         mu = measure(0.2, 0.3, 0.5)
@@ -191,6 +217,18 @@ class TestDisjointify:
         bad = WeightedDivision(bad_mu, family(2, [0], [1]), [[1.0, 0.0], [0.0, 0.0]])
         assert disjointify(bad).as_lists() == [[0]]
         assert disjointify(d).as_lists() == [[0], [1]]
+
+    def test_zero_rows_missing_mass_past_tol_rejected(self):
+        # 20 atoms of mass 1e-13 sit only in set 1, whose row is all zero:
+        # each passes the sum-back check, together they exceed MASS_TOL
+        mu = Measure(DiscreteSpace(21), [1 - 2e-12] + [1e-13] * 20)
+        q = family(21, [0], range(1, 21))
+        rows = np.zeros((2, 21))
+        rows[0, 0] = mu.mass[0]
+        with pytest.raises(ValidationError, match="do not cover"):
+            disjointify(WeightedDivision(mu, q, rows))
+        rows[1, 1:] = mu.mass[1:]
+        assert disjointify(WeightedDivision(mu, q, rows)).as_lists() == [[0], list(range(1, 21))]
 
     def test_small_rows_past_mass_tol_are_kept(self):
         # each small row is under MASS_TOL, but the two together are not
