@@ -18,14 +18,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from . import _kernels
-from .errors import BudgetExceededError, SpaceMismatchError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .functionals import EntropyFunctional, evaluate
 from .measure import (
     AtomSet,
     DiscreteSpace,
     Measure,
     SetFamily,
+    _require_shared_space,
+    check_integer,
     is_mu_cover,
     is_mu_partition,
 )
@@ -51,8 +55,7 @@ class Assignment:
     choice: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.cover.space != self.space:
-            raise SpaceMismatchError("assignment cover lives on a different space")
+        _require_shared_space(self, self.cover)
         pairs = tuple(sorted((int(a), int(c)) for a, c in self.choice))
         atoms = [a for a, _ in pairs]
         sets = [c for _, c in pairs]
@@ -228,9 +231,15 @@ def minimizing_assignment(
     ``budget`` caps the DP transitions evaluated, witness walk included
     (README, "Search", bounds them), and the returned count is the
     transitions evaluated.  Raises :class:`BudgetExceededError` when no
-    certified optimum fits the budget.
+    certified optimum fits the budget, and :class:`ValidationError` when
+    ``q`` is not a mu-cover or ``budget`` is not an integer of at least 1.
     """
+    budget = check_integer(budget, 1, "budget")
+    _require_shared_space(mu, q)
     cells = _venn_cells(mu, q)
+    # only a positive atom in no cover set, dropped from the cells, leaves mass uncovered
+    if sum(len(c[1]) for c in cells) < np.count_nonzero(mu.mass) and not is_mu_cover(q, mu):
+        raise ValidationError("family is not a mu-cover of the measure")
     _, choice, explored, completed = _kernels.ordering_dp(
         [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,
         not e.minimizes_g_sum, budget)
@@ -257,8 +266,7 @@ def cover_entropy(
     minimum over an empty set).  The witness is an optimal mu-partition finer
     than ``q`` and attains the reported value exactly.
     """
-    if mu.space != q.space:
-        raise SpaceMismatchError("measure and cover live on different spaces")
+    check_integer(budget, 1, "budget")
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)

@@ -19,7 +19,14 @@ from pathlib import Path
 from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
 from .errors import BudgetExceededError, ValidationError
 from .functionals import parse_functional
-from .measure import SetFamily, load_instance, load_json, parse_blocks, parse_numbers
+from .measure import (
+    SetFamily,
+    check_integer,
+    check_tolerance,
+    load_instance,
+    load_json,
+    parse_blocks,
+)
 from .mixture import parse_mixture, verify_mixture_bounds
 from .selftest import run_selftest
 from .weighted import (
@@ -222,8 +229,7 @@ def cmd_hlp(args) -> int:
     if not isinstance(data["x"], list) or not isinstance(data["y"], list):
         raise ValidationError('hlp "x" and "y" must be lists of numbers')
     e = parse_functional(str(data["functional"]))
-    inp = HlpInput(x_seq=tuple(parse_numbers(data["x"], '"x"')),
-                   y_seq=tuple(parse_numbers(data["y"], '"y"')))
+    inp = HlpInput(x_seq=data["x"], y_seq=data["y"])
     shape = "concave" if e.minimizes_g_sum else "convex"
     report = hlp_compare(inp, e.g, shape, tol=args.tol)
     return _emit(args, "ok", {
@@ -276,30 +282,32 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _at_least(least, kind=int):
-    """argparse type: a finite ``kind`` no smaller than ``least``."""
+def _checked(convert, check, **bounds):
+    """argparse type: ``convert`` the text, then apply the library's ``check``,
+    so a flag accepts exactly what the library accepts."""
     def parse(text: str):
         try:
-            if least <= kind(text) < math.inf:
-                return kind(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(
-            f"must be a finite {kind.__name__} >= {least}, got {text!r}")
+            return check(convert(text), **bounds)
+        except ValueError as exc:  # ValidationError included
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
-                        help="search budget: DP transitions the search may evaluate, "
-                             "witness walk included (default 10^6)")
-    common.add_argument("--seed", type=_at_least(0), default=0,
-                        help="base seed for seeded sampling (default 0)")
-    common.add_argument("--tol", type=_at_least(0.0, float), default=1e-9,
-                        help="numeric tolerance for report checks (default 1e-9)")
+#: The flags that tune a computation; each subcommand takes the ones it reads.
+_TUNING = {
+    "--budget": dict(type=_checked(int, check_integer, least=1, what="budget"),
+                     default=DEFAULT_BUDGET,
+                     help="search budget: DP transitions the search may evaluate, "
+                          "witness walk included (default 10^6)"),
+    "--seed": dict(type=_checked(int, check_integer, least=0, what="seed"), default=0,
+                   help="base seed for seeded sampling (default 0)"),
+    "--tol": dict(type=_checked(float, check_tolerance), default=1e-9,
+                  help="numeric tolerance for report checks (default 1e-9)"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="coverentropy",
         description="Entropies of measurable covers: classical, weighted, and "
@@ -307,47 +315,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("partition", parents=[common],
-                       help="entropy of an explicit partition")
+    def command(name, func, summary, *tuning):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in tuning:
+            p.add_argument(flag, **_TUNING[flag])
+        return p
+
+    p = command("partition", cmd_partition, "entropy of an explicit partition")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--functional", required=True,
                    help="shannon | renyi:ALPHA | tsallis:ALPHA")
     p.add_argument("--blocks", required=True,
                    help="partition blocks as inline JSON or a JSON file path")
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("cover", parents=[common],
-                       help="cover entropy (classical, weighted, or both)")
+    p = command("cover", cmd_cover, "cover entropy (classical, weighted, or both)",
+                "--budget", "--seed", "--tol")
     p.add_argument("instance")
     p.add_argument("--functional", required=True)
     p.add_argument("--mode", choices=["classical", "weighted", "both"],
                    default="both")
-    p.add_argument("--samples", type=_at_least(0), default=100,
-                   help="random divisions for the weighted sandwich check")
-    p.set_defaults(func=cmd_cover)
+    p.add_argument("--samples", type=_checked(int, check_integer, least=0, what="samples"),
+                   default=100, help="random divisions for the weighted sandwich check")
 
-    p = sub.add_parser("mixture", parents=[common],
-                       help="verify mixture-entropy bounds from a mixture JSON")
+    p = command("mixture", cmd_mixture,
+                "verify mixture-entropy bounds from a mixture JSON", "--budget")
     p.add_argument("mixture")
-    p.set_defaults(func=cmd_mixture)
 
-    p = sub.add_parser("hlp", parents=[common],
-                       help="Hardy-Littlewood-Polya comparison for a named phi")
+    p = command("hlp", cmd_hlp, "Hardy-Littlewood-Polya comparison for a named phi",
+                "--tol")
     p.add_argument("input", help='JSON with "x", "y" and "functional"')
-    p.set_defaults(func=cmd_hlp)
 
-    p = sub.add_parser("disjointify", parents=[common],
-                       help="disjointify a division and report both entropies")
+    p = command("disjointify", cmd_disjointify,
+                "disjointify a division and report both entropies")
     p.add_argument("instance")
     p.add_argument("division")
     p.add_argument("--functional", required=True)
-    p.set_defaults(func=cmd_disjointify)
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the seeded property suite")
+    p = command("selftest", cmd_selftest, "run the seeded property suite",
+                "--budget", "--seed")
     p.add_argument("--scale", choices=["quick", "default", "full"],
                    default="default")
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 

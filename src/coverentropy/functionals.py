@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measure import MASS_TOL, check_tolerance
+from .measure import MASS_TOL, check_integer, check_tolerance, is_finite_number, real_array
 
 class CompositionCase(enum.Enum):
     """Which of the two admissible (f, g) shapes a functional declares."""
@@ -62,11 +62,11 @@ class EntropyFunctional:
 def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
     """Apply ``f`` to the g-sum over the strictly positive entries.
 
-    Entries must lie in ``[0, 1]`` and sum to at most 1, both within
-    ``MASS_TOL``, so a NaN entry is rejected; zero entries contribute nothing
-    (the ``g(0) = 0`` convention built into every ``g`` here).
+    Entries must be numbers in ``[0, 1]`` that sum to at most 1, both within
+    ``MASS_TOL``, so a NaN or a string is rejected; zero entries contribute
+    nothing (the ``g(0) = 0`` convention built into every ``g`` here).
     """
-    arr = np.asarray(masses, dtype=np.float64)
+    arr = real_array(masses, "masses")
     if arr.ndim != 1:
         raise ValidationError(f"masses must be one-dimensional, got shape {arr.shape}")
     values = arr.tolist()
@@ -102,64 +102,39 @@ def shannon() -> EntropyFunctional:
     )
 
 
-def _check_alpha(alpha: float) -> float:
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"alpha must be a number, got {alpha!r}") from exc
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise ValidationError(f"alpha must lie in (0, inf), got {alpha}")
-    if alpha == 1.0:
+def _check_alpha(alpha) -> float:
+    if not is_finite_number(alpha) or alpha <= 0:
+        raise ValidationError(f"alpha must be a finite number in (0, inf), got {alpha!r}")
+    if alpha == 1:
         raise ValidationError("alpha=1 is excluded; use shannon() for that limit")
-    return alpha
+    return float(alpha)
 
 
-def _power_case(alpha: float) -> CompositionCase:
+def _power_functional(family: str, alpha, f) -> EntropyFunctional:
+    """The ``family:alpha`` functional with ``g(t) = t**alpha`` and outer map
+    ``f(s, alpha)``; the one place the power families check ``alpha``."""
+    alpha = _check_alpha(alpha)
     # t**alpha is concave and subadditive for alpha < 1, convex and
     # superadditive for alpha > 1; the outer map's direction flips with the
     # sign of 1/(1-alpha) so both regimes stay admissible.
-    if alpha < 1.0:
-        return CompositionCase.INCREASING_SUBADDITIVE_CONCAVE
-    return CompositionCase.DECREASING_SUPERADDITIVE_CONVEX
-
-
-def _g_power(alpha: float) -> Callable[[float], float]:
-    def g(t: float) -> float:
-        return t ** alpha if t > 0.0 else 0.0
-
-    return g
+    return EntropyFunctional(
+        name=f"{family}:{alpha:g}",
+        alpha=alpha,
+        f=lambda s: f(s, alpha),
+        g=lambda t: t ** alpha if t > 0.0 else 0.0,
+        case=(CompositionCase.INCREASING_SUBADDITIVE_CONCAVE if alpha < 1.0
+              else CompositionCase.DECREASING_SUPERADDITIVE_CONVEX),
+    )
 
 
 def renyi(alpha: float) -> EntropyFunctional:
     """Renyi entropy of order alpha: ``f(s) = log2(s)/(1-alpha)``, ``g(t) = t**alpha``."""
-    alpha = _check_alpha(alpha)
-
-    def f(s: float) -> float:
-        return math.log2(s) / (1.0 - alpha)
-
-    return EntropyFunctional(
-        name=f"renyi:{alpha:g}",
-        alpha=alpha,
-        f=f,
-        g=_g_power(alpha),
-        case=_power_case(alpha),
-    )
+    return _power_functional("renyi", alpha, lambda s, a: math.log2(s) / (1.0 - a))
 
 
 def tsallis(alpha: float) -> EntropyFunctional:
     """Tsallis entropy of order alpha: ``f(s) = (s-1)/(1-alpha)``, ``g(t) = t**alpha``."""
-    alpha = _check_alpha(alpha)
-
-    def f(s: float) -> float:
-        return (s - 1.0) / (1.0 - alpha)
-
-    return EntropyFunctional(
-        name=f"tsallis:{alpha:g}",
-        alpha=alpha,
-        f=f,
-        g=_g_power(alpha),
-        case=_power_case(alpha),
-    )
+    return _power_functional("tsallis", alpha, lambda s, a: (s - 1.0) / (1.0 - a))
 
 
 def builtin_functionals() -> tuple[EntropyFunctional, ...]:
@@ -221,8 +196,7 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
     most ``grid_size`` blocks (between ``g(1)`` and ``grid_size*g(1/grid_size)``);
     ``f`` is never evaluated outside that span.
     """
-    if grid_size < 3:
-        raise ValidationError("grid_size must be at least 3")
+    check_integer(grid_size, 3, "grid_size")
     check_tolerance(tol)
     ts = np.linspace(0.0, 1.0, grid_size)
     gv = np.array([e.g(float(t)) for t in ts])

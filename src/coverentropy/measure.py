@@ -43,19 +43,23 @@ class DiscreteSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"space needs a positive integer atom count, got {self.n!r}")
+        object.__setattr__(self, "n", check_integer(self.n, 1, "atom count"))
 
     def atoms(self) -> range:
         return range(self.n)
 
 
-def _readonly_vector(values, n: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.shape != (n,):
-        raise ValidationError(f"{what} must be a length-{n} vector, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array (``values`` itself if it is one), each an
+    integer or a float as in :func:`is_finite_number`, else a ValidationError;
+    finiteness is not checked."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{what} must be an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must hold numbers, got {arr.dtype} entries")
+    return arr.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +76,10 @@ class Measure:
     probability: bool = False
 
     def __post_init__(self) -> None:
-        arr = _readonly_vector(self.mass, self.space.n, "mass")
+        arr = real_array(self.mass, "mass").copy()
+        if arr.shape != (self.space.n,):
+            raise ValidationError(f"mass must be a length-{self.space.n} vector, got {arr.shape}")
+        arr.setflags(write=False)
         object.__setattr__(self, "mass", arr)
         if not np.isfinite(arr).all():
             raise ValidationError("mass vector has a non-finite entry")
@@ -91,8 +98,7 @@ class Measure:
 
     def mass_of(self, a: "AtomSet") -> float:
         """Total mass carried by the atoms of ``a``."""
-        if a.space != self.space:
-            raise SpaceMismatchError("atom set lives on a different space")
+        _require_shared_space(self, a)
         if not a.members:
             return 0.0
         return float(self.mass[list(a.members)].sum())
@@ -110,10 +116,9 @@ class AtomSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted({int(m) for m in self.members}))
-        for m in canon:
-            if m < 0 or m >= self.space.n:
-                raise ValidationError(f"atom {m} outside space of size {self.space.n}")
+        canon = tuple(sorted({check_integer(m, 0, "atom") for m in self.members}))
+        if canon and canon[-1] >= self.space.n:
+            raise ValidationError(f"atom {canon[-1]} outside space of size {self.space.n}")
         object.__setattr__(self, "members", canon)
 
     def __contains__(self, atom: int) -> bool:
@@ -136,8 +141,7 @@ class SetFamily:
         for s in self.sets:
             if not isinstance(s, AtomSet):
                 raise ValidationError("family entries must be AtomSet instances")
-            if s.space != self.space:
-                raise SpaceMismatchError("all sets of a family must share one space")
+            _require_shared_space(self, s)
 
     @classmethod
     def of(cls, space: DiscreteSpace, blocks: Iterable[Iterable[int]]) -> "SetFamily":
@@ -244,13 +248,10 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     missing = {"n", "mu", "cover"} - set(data)
     if missing:
         raise ValidationError(f"instance is missing keys: {sorted(missing)}")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f'"n" must be a positive integer, got {n!r}')
-    space = DiscreteSpace(n)
+    space = DiscreteSpace(data["n"])
     mu_raw = data["mu"]
-    if not isinstance(mu_raw, list) or len(mu_raw) != n:
-        raise ValidationError(f'"mu" must be a list of {n} numbers')
+    if not isinstance(mu_raw, list) or len(mu_raw) != space.n:
+        raise ValidationError(f'"mu" must be a list of {space.n} numbers')
     mu = Measure(space, parse_numbers(mu_raw, '"mu"'), probability=True)
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
     return mu, cover
@@ -267,38 +268,37 @@ def is_finite_number(v) -> bool:
         return False
 
 
-def check_tolerance(tol) -> None:
-    """ValidationError unless ``tol`` is a finite number >= 0 (so not NaN)."""
+def check_tolerance(tol) -> float:
+    """``tol`` as a float if it is a finite number >= 0 (so not NaN), else a
+    ValidationError."""
     if not is_finite_number(tol) or tol < 0:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
+    return float(tol)
 
 
-def check_seed(seed) -> None:
-    """ValidationError unless ``seed`` is a Python or numpy integer >= 0;
-    booleans are not seeds."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+def check_integer(value, least: int, what: str) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer >= ``least``,
+    else a ValidationError naming ``what``; booleans are not integers here
+    (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``)."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def parse_numbers(raw: list, what: str) -> list[float]:
     """``float`` of every entry; an entry that is no JSON number (a string,
     ``null`` or a boolean) or an integer too large for a float is a
-    ValidationError."""
+    ValidationError.  NaN and infinite floats pass, for the caller to report."""
     for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{what} entries must be numbers, got {v!r}")
-    try:
-        return [float(v) for v in raw]
-    except OverflowError as exc:
-        raise ValidationError(f"{what} entries must fit a float: {exc}") from exc
+        if not (isinstance(v, float) or is_finite_number(v)):
+            raise ValidationError(f"{what} entries must be numbers that fit a float, got {v!r}")
+    return [float(v) for v in raw]
 
 
 def parse_blocks(raw, what: str) -> list[list[int]]:
-    """``raw`` unchanged if it is a list of atom-index lists, else a
-    ValidationError; booleans are not atom indices."""
-    if not isinstance(raw, list) or not all(
-        isinstance(b, list) and all(type(x) is int for x in b) for b in raw
-    ):
+    """``raw`` unchanged if it is a list of lists, else a ValidationError;
+    :class:`AtomSet` applies the integer rule to each atom index."""
+    if not isinstance(raw, list) or not all(isinstance(b, list) for b in raw):
         raise ValidationError(f"{what} must be a list of atom-index lists")
     return raw
 

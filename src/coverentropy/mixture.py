@@ -28,13 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .classical import DEFAULT_BUDGET, cover_entropy
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 from .functionals import EntropyFunctional, _check_alpha, parse_functional
 from .measure import (
     MASS_TOL,
     DiscreteSpace,
     Measure,
     SetFamily,
+    _require_shared_space,
+    check_integer,
     is_finite_number,
     parse_blocks,
     parse_numbers,
@@ -67,8 +69,7 @@ class MixtureSpec:
                 raise ValidationError(f"components must be Measure instances, got {m!r}")
             if not 0.0 <= a <= 1.0:
                 raise ValidationError(f"coefficient {a} outside [0, 1]")
-            if m.space != comps[0][1].space:
-                raise SpaceMismatchError("all components must share one space")
+            _require_shared_space(m, comps[0][1])
             if abs(m.total - 1.0) > MASS_TOL:
                 raise ValidationError("every component must be a probability measure")
         total = sum(a for a, _ in comps)
@@ -246,6 +247,7 @@ def verify_mixture_bounds(
     for those two).  All cover entropies come from the exact classical
     search; budget errors propagate to the caller.
     """
+    check_integer(budget, 1, "budget")
     base = e.name.split(":")[0]
     if base not in ("shannon", "tsallis"):
         raise ValidationError(
@@ -254,8 +256,7 @@ def verify_mixture_bounds(
     if base == "tsallis":
         _check_alpha(e.alpha)
     spec = spec.drop_zero_coefficients()
-    if q.space != spec.space:
-        raise SpaceMismatchError("cover and mixture live on different spaces")
+    _require_shared_space(q, spec)
     entropies = [
         cover_entropy(e, m, q, budget=budget).value for m in spec.measures
     ]
@@ -337,21 +338,17 @@ def parse_mixture(data: dict) -> tuple[MixtureSpec, SetFamily, EntropyFunctional
     missing = {"n", "coefficients", "measures", "cover", "functional"} - set(data)
     if missing:
         raise ValidationError(f"mixture is missing keys: {sorted(missing)}")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f'"n" must be a positive integer, got {n!r}')
-    space = DiscreteSpace(n)
+    space = DiscreteSpace(data["n"])
     coeffs = data["coefficients"]
     measures = data["measures"]
     if not isinstance(coeffs, list) or not isinstance(measures, list):
         raise ValidationError('"coefficients" and "measures" must be lists')
     if len(coeffs) != len(measures):
         raise ValidationError("one coefficient per measure is required")
-    weights = parse_numbers(coeffs, '"coefficients"')
-    comps = []
-    for i, (weight, mass) in enumerate(zip(weights, measures)):
-        if not isinstance(mass, list) or len(mass) != n:
-            raise ValidationError(f"measure {i} must list {n} masses")
+    comps = []  # MixtureSpec applies the number rule to each coefficient
+    for i, (weight, mass) in enumerate(zip(coeffs, measures)):
+        if not isinstance(mass, list) or len(mass) != space.n:
+            raise ValidationError(f"measure {i} must list {space.n} masses")
         masses = parse_numbers(mass, f"measure {i}")
         comps.append((weight, Measure(space, masses, probability=True)))
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))

@@ -33,7 +33,7 @@ from .functionals import (
     shannon,
     tsallis,
 )
-from .measure import AtomSet, DiscreteSpace, Measure, SetFamily, check_seed, instance_dict
+from .measure import AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, instance_dict
 from .mixture import MixtureSpec, verify_mixture_bounds
 from .weighted import (
     HlpInput,
@@ -348,7 +348,8 @@ def run_selftest(scale: str = "default", seed: int = 0, budget: int = 10 ** 6):
     """Run every property; returns (outcomes, all_passed)."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}, got {scale!r}")
-    check_seed(seed)
+    check_integer(seed, 0, "seed")
+    check_integer(budget, 1, "budget")
     sizes = SCALES[scale]
     seq = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in seq.spawn(8)]

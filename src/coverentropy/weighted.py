@@ -22,7 +22,6 @@ random sampler depends only on ``(seed, instance)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal
@@ -35,7 +34,7 @@ from .classical import (
     CoverEntropyResult,
     minimizing_assignment,
 )
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 from .functionals import EntropyFunctional, evaluate
 from .measure import (
     MASS_TOL,
@@ -44,12 +43,15 @@ from .measure import (
     SetFamily,
     _covers_mass,
     _first_container,
-    check_seed,
+    _require_shared_space,
+    check_integer,
     check_tolerance,
     finer_than,
+    is_finite_number,
     is_mu_cover,
     is_mu_partition,
     parse_numbers,
+    real_array,
 )
 
 
@@ -73,9 +75,10 @@ class WeightedDivision:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mu.space != self.cover.space:
-            raise SpaceMismatchError("measure and cover live on different spaces")
-        rows = np.array(self.rows, dtype=np.float64, copy=True)
+        if not isinstance(self.mu, Measure) or not isinstance(self.cover, SetFamily):
+            raise ValidationError("a division needs a Measure and a SetFamily")
+        _require_shared_space(self.mu, self.cover)
+        rows = real_array(self.rows, "division rows").copy()
         expected = (len(self.cover), self.mu.space.n)
         if rows.shape != expected:
             raise ValidationError(
@@ -202,16 +205,18 @@ class HlpInput:
 
     def __post_init__(self) -> None:
         try:
-            x = tuple(float(v) for v in self.x_seq)
-            y = tuple(float(v) for v in self.y_seq)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"sequence entries must be numbers: {exc}") from exc
+            x, y = tuple(self.x_seq), tuple(self.y_seq)
+        except TypeError as exc:
+            raise ValidationError(f"x and y must be sequences of numbers: {exc}") from exc
+        for v in x + y:
+            if not is_finite_number(v) or v < 0:
+                raise ValidationError(
+                    f"sequence entries must be finite and nonnegative numbers, got {v!r}")
+        x, y = tuple(map(float, x)), tuple(map(float, y))
         object.__setattr__(self, "x_seq", x)
         object.__setattr__(self, "y_seq", y)
         if len(x) != len(y):
             raise ValidationError("x and y must have the same length")
-        if not all(0.0 <= v < math.inf for v in x + y):
-            raise ValidationError("sequence entries must be finite and nonnegative")
         if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
             raise ValidationError("x must be nonincreasing")
         if abs(sum(x) - sum(y)) > MASS_TOL:
@@ -289,8 +294,7 @@ def cover_entropy_weighted(
     from its optimal assignment; the reported value is recomputed from the
     witness's row masses.
     """
-    if mu.space != q.space:
-        raise SpaceMismatchError("measure and cover live on different spaces")
+    check_integer(budget, 1, "budget")
     if not is_mu_cover(q, mu):
         return WeightedCoverEntropyResult(value=None, witness=None, explored=0)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
@@ -313,9 +317,7 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     atom's mass.  Atoms contained in a single set keep their exact mass there
     (``x / x == 1.0``) regardless of the seed; atoms in no set get no mass.
     """
-    check_seed(seed)
-    if mu.space != q.space:
-        raise SpaceMismatchError("measure and cover live on different spaces")
+    check_integer(seed, 0, "seed")
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
     rng = np.random.default_rng(seed)
@@ -350,7 +352,7 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
         if not isinstance(row, list) or len(row) != mu.space.n:
             raise ValidationError(f"row {i} must list {mu.space.n} atom masses")
         rows.append(parse_numbers(row, f"row {i}"))
-    return WeightedDivision(mu, cover, np.array(rows, dtype=np.float64))
+    return WeightedDivision(mu, cover, rows)
 
 
 def division_dict(d: WeightedDivision) -> dict:

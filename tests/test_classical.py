@@ -8,11 +8,14 @@ from coverentropy import (
     BudgetExceededError,
     DiscreteSpace,
     Measure,
+    MixtureSpec,
     SetFamily,
+    SpaceMismatchError,
     ValidationError,
     assignment_to_partition,
     builtin_functionals,
     cover_entropy,
+    cover_entropy_weighted,
     enumerate_acceptable_partitions,
     finer_than,
     is_mu_partition,
@@ -21,9 +24,12 @@ from coverentropy import (
     search_space_size,
     shannon,
     tsallis,
+    verify_mixture_bounds,
 )
 from coverentropy.classical import DEFAULT_BUDGET, minimizing_assignment
-from coverentropy.selftest import random_acceptable_partition, random_instance
+from coverentropy.selftest import random_acceptable_partition, random_instance, run_selftest
+
+from bad_values import BAD_BUDGETS
 
 OVERLAP_UNIFORM3 = 0.9182958340544896  # shannon entropy of (2/3, 1/3), mpmath-frozen
 
@@ -127,6 +133,20 @@ class TestCoverEntropy:
             assert r.is_infinite
             assert r.witness is None
             assert r.value_or_inf() == float("inf")
+
+    def test_minimizing_assignment_rejects_non_cover(self):
+        # the search alone would drop atom 2 and its 0.5 of the mass
+        with pytest.raises(ValidationError, match="mu-cover"):
+            minimizing_assignment(shannon(), measure(0.2, 0.3, 0.5), family(3, [0, 1]))
+
+    def test_minimizing_assignment_allows_null_uncovered_mass(self):
+        mu = Measure(DiscreteSpace(3), [0.5, 0.5, 1e-13], probability=True)
+        a, _ = minimizing_assignment(shannon(), mu, family(3, [0, 1]))
+        assert a.as_dict() == {0: 0, 1: 0}
+
+    def test_minimizing_assignment_checks_space(self):
+        with pytest.raises(SpaceMismatchError):
+            minimizing_assignment(shannon(), uniform(2), family(3, [0, 1, 2]))
 
     def test_overlap_instance(self):
         r = cover_entropy(shannon(), uniform(3), family(3, [0, 1], [1, 2]))
@@ -271,11 +291,37 @@ def _enumeration_minimum(e, mu, q):
     return min(partition_entropy(e, mu, p) for p in enumerate_acceptable_partitions(mu, q))
 
 
+# every public function that takes a budget, called on a non-cover, so a
+# budget checked only after the cover check would go unchecked
+BUDGET_ENTRY_POINTS = {
+    "cover_entropy": lambda mu, q, budget: cover_entropy(shannon(), mu, q, budget=budget),
+    "cover_entropy_weighted":
+        lambda mu, q, budget: cover_entropy_weighted(shannon(), mu, q, budget=budget),
+    "minimizing_assignment":
+        lambda mu, q, budget: minimizing_assignment(shannon(), mu, q, budget=budget),
+    "verify_mixture_bounds": lambda mu, q, budget: verify_mixture_bounds(
+        shannon(), MixtureSpec(((1.0, mu),)), q, budget=budget),
+    "run_selftest": lambda mu, q, budget: run_selftest("quick", 0, budget=budget),
+}
+
+
 class TestBudgetAndBranchBound:
     def test_budget_error(self):
+        # the smallest valid budget; this instance needs four transitions
         mu, q = uniform(4), family(4, [0, 1, 2, 3], [0, 1, 2, 3])
         with pytest.raises(BudgetExceededError):
-            cover_entropy(shannon(), mu, q, budget=0)
+            cover_entropy(shannon(), mu, q, budget=1)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
+    def test_bad_budget_rejected_before_any_work(self, entry, budget):
+        mu, q = uniform(2), family(2, [0])
+        with pytest.raises(ValidationError, match="budget"):
+            BUDGET_ENTRY_POINTS[entry](mu, q, budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        mu, q = uniform(3), family(3, [0, 1], [1, 2])
+        assert cover_entropy(shannon(), mu, q, budget=np.int64(8)).explored == 8
 
     def test_budget_counts_every_transition(self):
         # the budget is exact: the reported count fits, one less does not

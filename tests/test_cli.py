@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import coverentropy
 from coverentropy.cli import dumps_canonical, main
 
+from bad_values import BAD_SEEDS
+
 INSTANCE = {
     "n": 3,
     "mu": [0.3333333333333333, 0.3333333333333333, 0.3333333333333334],
@@ -419,6 +421,54 @@ class TestDisjointifyCommand:
         assert report["status"] == "invalid-input"
 
 
+# the tuning flags each subcommand does not read
+UNREAD_FLAGS = {
+    "partition": ["--budget", "--seed", "--tol"],
+    "mixture": ["--seed", "--tol"],
+    "hlp": ["--budget", "--seed"],
+    "disjointify": ["--budget", "--seed", "--tol"],
+    "selftest": ["--tol"],
+}
+
+
+def _valid_argv(tmp_path, command):
+    if command == "selftest":
+        return ["selftest", "--scale", "quick"]
+    inputs, flags = FUZZ_COMMANDS[command]
+    argv = [command, *flags]
+    for name in inputs:
+        if name == "blocks":
+            argv += ["--blocks", json.dumps(BLOCKS)]
+        else:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(FUZZ_DOCS[name]))
+            argv.append(str(path))
+    return argv
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags])
+def test_unread_flag_is_one_invalid_input_line(capsys, tmp_path, command, flag):
+    code = main([*_valid_argv(tmp_path, command), flag, "5"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1
+    assert captured.err == ""
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert lines[0] == dumps_canonical(report)
+    assert report["status"] == "invalid-input"
+    assert f"unrecognized arguments: {flag} 5" in report["results"]["error"]
+
+
+def test_cover_reads_every_tuning_flag(capsys, tmp_path):
+    argv = [*_valid_argv(tmp_path, "cover"), "--budget", "100", "--seed", "4", "--tol", "0.5"]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["results"]["weighted"]["sandwich"]["seed"] == 4
+    assert report["results"]["equality"]["within_tol"] is True
+
+
 class TestSelftestCommand:
     def test_quick_scale_passes(self, capsys):
         code, report = run_cli(capsys, "selftest", "--scale", "quick")
@@ -450,7 +500,7 @@ class TestSelftestDiagnostics:
         assert (empty.checks, empty.failures, empty.passed) == (0, 0, True)
         assert empty.counterexample is None
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_bad_seed_rejected(self, seed):
         from coverentropy import ValidationError
         from coverentropy.selftest import run_selftest

@@ -17,6 +17,8 @@ from coverentropy import (
     tsallis,
 )
 
+from bad_values import BAD_ALPHAS, BAD_GRID_SIZES, BAD_TOLS
+
 # frozen against an independent 50-digit evaluation (mpmath)
 RENYI3_HALF_QUARTERS = 1.3390359525563188
 TSALLIS_HALF_QUARTER_THREEQ = 0.7320508075688773
@@ -68,7 +70,7 @@ class TestBuiltinValues:
 
 class TestAlphaValidation:
     @pytest.mark.parametrize("ctor", [renyi, tsallis])
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_rejects_bad_alpha(self, ctor, alpha):
         with pytest.raises(ValidationError):
             ctor(alpha)
@@ -103,6 +105,11 @@ class TestEvaluateContract:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValidationError):
             evaluate(shannon(), [[0.5], [0.5]])
+
+    @pytest.mark.parametrize("masses", [["a"], [0.5, "0.5"], [None], [True], "ab"])
+    def test_rejects_non_numbers(self, masses):
+        with pytest.raises(ValidationError, match="numbers"):
+            evaluate(shannon(), masses)
 
     @given(sub_probability_vectors())
     @settings(max_examples=150)
@@ -214,10 +221,15 @@ class TestStructureCheck:
         with pytest.raises(ValidationError):
             check_structure(shannon(), grid_size=2)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol"):
             check_structure(shannon(), grid_size=11, tol=tol)
+
+    @pytest.mark.parametrize("grid_size", BAD_GRID_SIZES)
+    def test_bad_grid_size_rejected(self, grid_size):
+        with pytest.raises(ValidationError, match="grid_size"):
+            check_structure(shannon(), grid_size=grid_size)
 
     def test_violation_magnitudes_reported(self):
         planted = EntropyFunctional(

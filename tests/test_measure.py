@@ -100,6 +100,31 @@ class TestTypes:
         with pytest.raises(ValidationError):
             AtomSet(DiscreteSpace(2), (2,))
 
+    @pytest.mark.parametrize("member", [0.5, 1.0, True, "a", None, -1, np.float64(0.0)])
+    def test_atomset_admits_only_integers(self, member):
+        with pytest.raises(ValidationError, match="atom"):
+            AtomSet(DiscreteSpace(2), (member,))
+
+    def test_atomset_accepts_numpy_integers(self):
+        s = AtomSet(DiscreteSpace(3), (np.int64(2), np.uint8(0)))
+        assert s.members == (0, 2)
+        assert all(type(m) is int for m in s.members)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None])
+    def test_space_admits_only_positive_integers(self, n):
+        with pytest.raises(ValidationError, match="atom count"):
+            DiscreteSpace(n)
+
+    def test_space_stores_a_python_int(self):
+        space = DiscreteSpace(np.int64(3))
+        assert type(space.n) is int
+        assert space == DiscreteSpace(3) and hash(space) == hash(DiscreteSpace(3))
+
+    @pytest.mark.parametrize("mass", [["a", 0.5], [None, 0.5], [True, False], "ab"])
+    def test_measure_admits_only_numbers(self, mass):
+        with pytest.raises(ValidationError, match="mass"):
+            Measure(DiscreteSpace(2), mass)
+
     def test_family_requires_shared_space(self):
         a = AtomSet(DiscreteSpace(2), (0,))
         b = AtomSet(DiscreteSpace(3), (0,))

@@ -27,6 +27,8 @@ from coverentropy import (
 )
 from coverentropy.selftest import random_acceptable_partition, random_instance
 
+from bad_values import BAD_SEEDS, BAD_TOLS
+
 # mpmath-frozen comparison sums for x=(0.5,0.5) vs y=(0.7,0.3)
 NEG_TLOG_SUM_Y = 0.8812908992306926
 OVERLAP_UNIFORM3 = 0.9182958340544896
@@ -75,6 +77,19 @@ class TestWeightedDivisionValidation:
         with pytest.raises(ValidationError, match="finite"):
             WeightedDivision(measure(0.5, 0.5), family(2, [0, 1], [0, 1]),
                              [[float("nan"), 0.5], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("rows", ["ab", [["a", 0.5], [0.5, 0.0]], [[True, False]] * 2,
+                                      [[0.5], [0.5, 0.0]]])
+    def test_non_number_rows(self, rows):
+        with pytest.raises(ValidationError, match="rows"):
+            WeightedDivision(measure(0.5, 0.5), family(2, [0, 1], [0, 1]), rows)
+
+    def test_measure_and_cover_types(self):
+        q = family(2, [0, 1])
+        with pytest.raises(ValidationError, match="Measure"):
+            WeightedDivision([0.5, 0.5], q, [[0.5, 0.5]])
+        with pytest.raises(ValidationError, match="SetFamily"):
+            WeightedDivision(measure(0.5, 0.5), [[0, 1]], [[0.5, 0.5]])
 
     def test_rows_readonly(self):
         d = random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=0)
@@ -292,7 +307,7 @@ class TestHlpCompare:
         with pytest.raises(ValidationError):
             hlp_compare(HlpInput((0.5,), (0.5,)), lambda t: t, "linear")
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol"):
             hlp_compare(HlpInput((0.5, 0.5), (0.7, 0.3)), lambda t: t * t, "convex", tol=tol)
@@ -316,6 +331,11 @@ class TestHlpCompare:
     def test_negative_entries(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             HlpInput((0.5, -0.1), (0.2, 0.2))
+
+    @pytest.mark.parametrize("entry", ["0.5", True, None, b"1"])
+    def test_non_number_entries(self, entry):
+        with pytest.raises(ValidationError, match="numbers"):
+            HlpInput((entry,), (1.0,))
 
 
 class TestCoverEntropyWeighted:
@@ -385,7 +405,7 @@ class TestRandomDivision:
         with pytest.raises(ValidationError):
             random_division(measure(0.5, 0.5), family(2, [0]), seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=seed)
