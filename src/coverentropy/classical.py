@@ -18,8 +18,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
 from .functionals import EntropyFunctional, evaluate
@@ -30,6 +28,7 @@ from .measure import (
     SetFamily,
     _require_shared_space,
     check_integer,
+    is_integer,
     is_mu_cover,
     is_mu_partition,
 )
@@ -56,7 +55,10 @@ class Assignment:
 
     def __post_init__(self) -> None:
         _require_shared_space(self, self.cover)
-        pairs = tuple(sorted((int(a), int(c)) for a, c in self.choice))
+        # a pair of Python ints, as the search builds them, skips the call
+        pairs = tuple(sorted(
+            (a, c) if type(a) is int is type(c) else _index_pair(a, c)
+            for a, c in self.choice))
         atoms = [a for a, _ in pairs]
         sets = [c for _, c in pairs]
         if len(set(atoms)) != len(atoms):
@@ -77,6 +79,14 @@ class Assignment:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.choice)
+
+
+def _index_pair(atom, idx) -> tuple[int, int]:
+    """``(atom, idx)`` as Python ints if both are integers, else a ValidationError."""
+    if not (is_integer(atom) and is_integer(idx)):
+        raise ValidationError(
+            f"atoms and cover indices must be integers, got ({atom!r}, {idx!r})")
+    return int(atom), int(idx)
 
 
 def assignment_to_partition(a: Assignment) -> SetFamily:
@@ -125,23 +135,17 @@ def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int
 
     Positive atoms contained in no cover set are dropped; ``is_mu_cover``
     guarantees their joint mass is mu-null, so leaving them out keeps every
-    induced family a valid mu-partition.
+    induced family a valid mu-partition.  Read from ``q.atom_signatures``.
     """
-    membership: dict[int, list[int]] = {}
-    for idx, s in enumerate(q.sets):
-        for atom in s.members:
-            membership.setdefault(atom, []).append(idx)
+    _require_shared_space(mu, q)
     mass = mu.mass.tolist()
-    atoms: list[int] = []
-    cands: list[list[int]] = []
-    for atom in range(mu.space.n):
-        if mass[atom] <= 0.0:
-            continue
-        options = membership.get(atom)
-        if options:
-            atoms.append(atom)
-            cands.append(options)
-    return atoms, cands
+    searched = sorted(
+        (atom, options)
+        for options, atoms in q.atom_signatures
+        for atom in atoms
+        if mass[atom] > 0.0
+    )
+    return [atom for atom, _ in searched], [list(options) for _, options in searched]
 
 
 def search_space_size(mu: Measure, q: SetFamily) -> int:
@@ -185,18 +189,18 @@ def _venn_cells(
     Returns ``(mass, atoms, candidate sets)`` per cell: first the cells that
     only one cover set holds (forced cells), then the others, each part
     heaviest first with the smallest atom breaking ties.  A cell's mass adds
-    its atoms in ascending order.
+    its atoms in ascending order.  Each cell is the positive-mass part of a
+    group of ``q.atom_signatures``.
     """
-    by_sets: dict[tuple[int, ...], list[int]] = {}
-    for atom, options in zip(*_searched_atoms(mu, q)):
-        by_sets.setdefault(tuple(options), []).append(atom)
     mass = mu.mass.tolist()
     cells = []
-    for options, atoms in by_sets.items():
-        m = 0.0
-        for atom in atoms:
-            m += mass[atom]
-        cells.append((m, atoms, options))
+    for options, group in q.atom_signatures:
+        atoms = [atom for atom in group if mass[atom] > 0.0]
+        if atoms:
+            m = 0.0
+            for atom in atoms:
+                m += mass[atom]
+            cells.append((m, atoms, options))
     cells.sort(key=lambda cell: (len(cell[2]) > 1, -cell[0], cell[1][0]))
     return cells
 
@@ -237,8 +241,8 @@ def minimizing_assignment(
     budget = check_integer(budget, 1, "budget")
     _require_shared_space(mu, q)
     cells = _venn_cells(mu, q)
-    # only a positive atom in no cover set, dropped from the cells, leaves mass uncovered
-    if sum(len(c[1]) for c in cells) < np.count_nonzero(mu.mass) and not is_mu_cover(q, mu):
+    # the cells hold every positive atom unless some atom lies in no cover set
+    if q.uncovered_atoms.size and not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
     _, choice, explored, completed = _kernels.ordering_dp(
         [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,
@@ -248,6 +252,8 @@ def minimizing_assignment(
             f"the search evaluated {budget} transitions without certifying "
             "an optimum"
         )
+    if len(choice) != len(cells):
+        raise ValidationError("the search left a Venn cell without a cover set")
     pairs = tuple(
         (atom, idx) for (_, atoms, _), idx in zip(cells, choice) for atom in atoms
     )
@@ -264,7 +270,11 @@ def cover_entropy(
 
     Returns the tagged infinite result when ``q`` is not a mu-cover (the
     minimum over an empty set).  The witness is an optimal mu-partition finer
-    than ``q`` and attains the reported value exactly.
+    than ``q`` and attains the reported value exactly: the value is
+    :func:`partition_entropy` of the witness, the same arithmetic without
+    its partition check, which the search has already made (``Assignment``
+    places each atom once, inside its set, and
+    :func:`minimizing_assignment` checks coverage).
     """
     check_integer(budget, 1, "budget")
     if not is_mu_cover(q, mu):
@@ -272,7 +282,7 @@ def cover_entropy(
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = assignment_to_partition(assignment)
     return CoverEntropyResult(
-        value=partition_entropy(e, mu, witness),
+        value=evaluate(e, [mu.mass_of(block) for block in witness]),
         witness=witness,
         explored=explored,
     )

@@ -6,8 +6,16 @@ vector.  Families of atom sets play two roles: *partitions* (pairwise
 disjoint, covering all mass) and *covers* (overlaps allowed, covering all
 mass).  All types are immutable after construction and all operations are
 pure functions, so everything here is safe to share across threads.  A
-family's ``incidence`` matrix is built on first use and is read-only; two
-threads that race to build it build the same matrix.
+family's derived structure is built on first use and is read-only; two
+threads that race to build it build the same values:
+
+* ``incidence``, the sets-by-atoms membership matrix, read by block
+  containment, the assignment and division checks and the division
+  sampler;
+* ``atom_signatures``, the atoms grouped by the sets that hold them, read
+  by the search's Venn cells and candidate lists;
+* ``uncovered_atoms``, the atoms that no set holds, derived with the
+  signatures and read by :func:`is_mu_cover`.
 
 This module also owns the instance JSON schema consumed by the CLI::
 
@@ -59,7 +67,22 @@ def real_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be an array of numbers: {exc}") from exc
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must hold numbers, got {arr.dtype} entries")
+    # numpy casts a boolean mixed with numbers to a number; an array's dtype
+    # has already said whether it holds booleans
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ValidationError(f"{what} must hold numbers, got a boolean entry")
     return arr.astype(np.float64, copy=False)
+
+
+def _holds_bool(values) -> bool:
+    """True if the list or tuple ``values``, or one nested in it, holds a
+    Python or numpy boolean."""
+    kinds = set(map(type, values))
+    if bool in kinds or np.bool_ in kinds:
+        return True
+    if list in kinds or tuple in kinds:
+        return any(_holds_bool(v) for v in values if type(v) in (list, tuple))
+    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +183,7 @@ class SetFamily:
     def incidence(self) -> np.ndarray:
         """Read-only boolean ``(len, n)`` matrix, true where set ``i`` holds atom ``x``.
 
-        Built on first use and kept; the cover, containment and division
+        Built on first use and kept; the containment, assignment and division
         checks and the division sampler read it.
         """
         m = np.zeros((len(self.sets), self.space.n), dtype=bool)
@@ -168,6 +191,39 @@ class SetFamily:
         m[rows, [a for s in self.sets for a in s.members]] = True
         m.setflags(write=False)
         return m
+
+    @property
+    def atom_signatures(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The atoms that some set holds, grouped by the sets that hold them.
+
+        One ``(sets, atoms)`` pair per group: ``sets`` lists, ascending, the
+        indices of the sets that hold every atom of ``atoms`` (ascending) and
+        no other; groups come in the order of their first atom.  Built on
+        first use and kept, with :attr:`uncovered_atoms`; the search's Venn
+        cells and candidate lists read it.
+        """
+        return self._signature_map[0]
+
+    @property
+    def uncovered_atoms(self) -> np.ndarray:
+        """Read-only ascending index array of the atoms that no set holds.
+
+        Derived with :attr:`atom_signatures` and kept; the cover check reads it.
+        """
+        return self._signature_map[1]
+
+    @cached_property
+    def _signature_map(self):
+        held: list[list[int]] = [[] for _ in range(self.space.n)]
+        for idx, s in enumerate(self.sets):
+            for atom in s.members:
+                held[atom].append(idx)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for atom, sets in enumerate(held):
+            groups.setdefault(tuple(sets), []).append(atom)
+        uncovered = np.array(groups.pop((), []), dtype=np.intp)
+        uncovered.setflags(write=False)
+        return tuple((sets, tuple(atoms)) for sets, atoms in groups.items()), uncovered
 
     def as_lists(self) -> list[list[int]]:
         return [list(s.members) for s in self.sets]
@@ -211,12 +267,9 @@ def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
 def is_mu_cover(fam: SetFamily, mu: Measure) -> bool:
     """True iff at most mu-null mass lies outside the union (overlaps allowed)."""
     _require_shared_space(fam, mu)
-    return _covers_mass(fam.incidence, mu)
-
-
-def _covers_mass(incidence: np.ndarray, mu: Measure) -> bool:
-    """True iff the rows of ``incidence`` miss at most ``MASS_TOL`` of ``mu``."""
-    return float(mu.mass[~incidence.any(axis=0)].sum()) <= MASS_TOL
+    missed = fam.uncovered_atoms
+    # the same atoms, in the same order, as the mask of uncovered columns
+    return not missed.size or float(mu.mass[missed].sum()) <= MASS_TOL
 
 
 def finer_than(p: SetFamily, q: SetFamily) -> bool:
@@ -277,12 +330,19 @@ def check_tolerance(tol) -> float:
 
 
 def check_integer(value, least: int, what: str) -> int:
-    """``value`` as an ``int`` if it is a Python or numpy integer >= ``least``,
-    else a ValidationError naming ``what``; booleans are not integers here
-    (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``)."""
-    if not (type(value) is int or isinstance(value, np.integer)) or value < least:
+    """``value`` as an ``int`` if it is an integer (:func:`is_integer`) >=
+    ``least``, else a ValidationError naming ``what``."""
+    if type(value) is int and value >= least:  # the common case, without a call
+        return value
+    if not is_integer(value) or value < least:
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; booleans are not integers here
+    (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``)."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 def parse_numbers(raw: list, what: str) -> list[float]:

@@ -24,6 +24,7 @@ from .classical import (
     minimizing_assignment,
     partition_entropy,
 )
+from .errors import ValidationError
 from .functionals import (
     CompositionCase,
     EntropyFunctional,
@@ -346,8 +347,8 @@ def prop_search_agreement(rng, count, budget) -> Iterator[dict | None]:
 
 def run_selftest(scale: str = "default", seed: int = 0, budget: int = 10 ** 6):
     """Run every property; returns (outcomes, all_passed)."""
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {sorted(SCALES)}, got {scale!r}")
+    if not isinstance(scale, str) or scale not in SCALES:
+        raise ValidationError(f"scale must be one of {sorted(SCALES)}, got {scale!r}")
     check_integer(seed, 0, "seed")
     check_integer(budget, 1, "budget")
     sizes = SCALES[scale]

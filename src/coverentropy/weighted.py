@@ -41,7 +41,6 @@ from .measure import (
     AtomSet,
     Measure,
     SetFamily,
-    _covers_mass,
     _first_container,
     _require_shared_space,
     check_integer,
@@ -172,7 +171,8 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     never exceeds the division's weighted entropy.
     """
     order, blocks, block_masses = d._chain
-    if not _covers_mass(d.cover.incidence[list(order)], d.mu):
+    missed = ~d.cover.incidence[list(order)].any(axis=0)
+    if float(d.mu.mass[missed].sum()) > MASS_TOL:
         raise ValidationError(
             "rows of positive mass do not cover the measure's support"
         )
@@ -198,16 +198,19 @@ def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
 
 @dataclass(frozen=True)
 class HlpInput:
-    """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``."""
+    """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``.
+
+    Each is given as a list or tuple of finite nonnegative numbers and kept
+    as a tuple of floats.
+    """
 
     x_seq: tuple[float, ...]
     y_seq: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            x, y = tuple(self.x_seq), tuple(self.y_seq)
-        except TypeError as exc:
-            raise ValidationError(f"x and y must be sequences of numbers: {exc}") from exc
+        if not (isinstance(self.x_seq, (list, tuple)) and isinstance(self.y_seq, (list, tuple))):
+            raise ValidationError("x and y must be lists or tuples of numbers")
+        x, y = tuple(self.x_seq), tuple(self.y_seq)
         for v in x + y:
             if not is_finite_number(v) or v < 0:
                 raise ValidationError(

@@ -2,7 +2,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coverentropy import _kernels
 from coverentropy import (
     Assignment,
     BudgetExceededError,
@@ -18,6 +21,7 @@ from coverentropy import (
     cover_entropy_weighted,
     enumerate_acceptable_partitions,
     finer_than,
+    is_mu_cover,
     is_mu_partition,
     partition_entropy,
     renyi,
@@ -26,7 +30,13 @@ from coverentropy import (
     tsallis,
     verify_mixture_bounds,
 )
-from coverentropy.classical import DEFAULT_BUDGET, minimizing_assignment
+from coverentropy.classical import (
+    DEFAULT_BUDGET,
+    _searched_atoms,
+    _venn_cells,
+    minimizing_assignment,
+)
+from coverentropy.measure import MASS_TOL
 from coverentropy.selftest import random_acceptable_partition, random_instance, run_selftest
 
 from bad_values import BAD_BUDGETS
@@ -54,6 +64,19 @@ def _dense_instance(rng, n, k, density=0.6):
     for atom in np.flatnonzero(~member.any(axis=0)):
         member[rng.integers(k), atom] = True
     return mu, SetFamily.of(space, [np.flatnonzero(row).tolist() for row in member])
+
+
+@st.composite
+def instances_with_gaps(draw):
+    """A measure with some zero-mass atoms under up to five sets, which may
+    leave atoms (of either mass) in no set."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n))
+    raw[0] = raw[0] or 1.0
+    total = sum(raw)
+    space = DiscreteSpace(n)
+    sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5))
+    return Measure(space, [v / total for v in raw]), SetFamily.of(space, sets)
 
 
 class TestPartitionEntropy:
@@ -113,6 +136,20 @@ class TestAssignment:
         cover = family(2, [0], [1])
         with pytest.raises(ValidationError):
             Assignment.from_mapping(cover, {0: 5})
+
+    @pytest.mark.parametrize("pair", [(0.5, 0), (0, 0.9), (True, 0), (0, False), ("0", 0),
+                                      (0, "0"), (np.float64(1.0), 0), (None, 0)])
+    def test_admits_only_integers(self, pair):
+        # a float or boolean must not be truncated onto an atom or a set
+        cover = family(2, [0, 1])
+        with pytest.raises(ValidationError, match="integers"):
+            Assignment(cover.space, cover, (pair,))
+
+    def test_accepts_numpy_integers(self):
+        cover = family(2, [0, 1], [1])
+        a = Assignment(cover.space, cover, ((np.int64(1), np.uint8(1)), (np.int32(0), 0)))
+        assert a.choice == ((0, 0), (1, 1))
+        assert all(type(v) is int for pair in a.choice for v in pair)
 
 
 class TestCoverEntropy:
@@ -209,6 +246,65 @@ class TestCoverEntropy:
         for e in builtin_functionals():
             a, _ = minimizing_assignment(e, mu, q)
             assert a.choice == ((0, 0), (1, 0))
+
+
+class TestSearchStructure:
+    """The search reads the cover's cached signature map; these pin it to
+    the incidence matrix and the witness to the partition entropy."""
+
+    @given(instances_with_gaps())
+    @settings(max_examples=200, deadline=None)
+    def test_cells_and_cover_check_agree_with_incidence(self, instance):
+        mu, q = instance
+        inc = q.incidence
+        mass = mu.mass.tolist()
+        searched = [a for a in range(mu.space.n) if mass[a] > 0.0 and inc[:, a].any()]
+        cands = [np.flatnonzero(inc[:, a]).tolist() for a in searched]
+        assert _searched_atoms(mu, q) == (searched, cands)
+        groups = {}
+        for atom, sets in zip(searched, cands):
+            groups.setdefault(tuple(sets), []).append(atom)
+        cells = [(sum(mass[a] for a in atoms), atoms, sets) for sets, atoms in groups.items()]
+        cells.sort(key=lambda c: (len(c[2]) > 1, -c[0], c[1][0]))
+        assert _venn_cells(mu, q) == cells
+        uncovered = float(mu.mass[~inc.any(axis=0)].sum())
+        assert is_mu_cover(q, mu) is (uncovered <= MASS_TOL)
+
+    @given(instances_with_gaps())
+    @settings(max_examples=100, deadline=None)
+    def test_value_is_the_witness_partition_entropy(self, instance):
+        mu, q = instance
+        for e in builtin_functionals():
+            r = cover_entropy(e, mu, q)
+            if not is_mu_cover(q, mu):
+                assert r.is_infinite
+                continue
+            assert r.value == partition_entropy(e, mu, r.witness)
+
+    @pytest.mark.parametrize("search", [cover_entropy, cover_entropy_weighted])
+    def test_cell_sent_outside_its_sets_is_rejected(self, monkeypatch, search):
+        search_dp = _kernels.ordering_dp
+
+        def misplacing_dp(masses, cands, n_sets, *rest):
+            best, choice, explored, done = search_dp(masses, cands, n_sets, *rest)
+            outside = next(i for i in range(n_sets) if i not in cands[0])
+            return best, [outside, *choice[1:]], explored, done
+
+        monkeypatch.setattr(_kernels, "ordering_dp", misplacing_dp)
+        with pytest.raises(ValidationError, match="not a member"):
+            search(shannon(), measure(0.5, 0.25, 0.25), family(3, [0, 1], [1, 2]))
+
+    @pytest.mark.parametrize("search", [cover_entropy, cover_entropy_weighted])
+    def test_cell_left_without_a_set_is_rejected(self, monkeypatch, search):
+        search_dp = _kernels.ordering_dp
+
+        def short_dp(*args):
+            best, choice, explored, done = search_dp(*args)
+            return best, choice[:-1], explored, done
+
+        monkeypatch.setattr(_kernels, "ordering_dp", short_dp)
+        with pytest.raises(ValidationError, match="without a cover set"):
+            search(shannon(), measure(0.5, 0.25, 0.25), family(3, [0, 1], [1, 2]))
 
 
 class TestEnumeration:

@@ -508,6 +508,14 @@ class TestSelftestDiagnostics:
         with pytest.raises(ValidationError, match="seed"):
             run_selftest("quick", seed)
 
+    @pytest.mark.parametrize("scale", ["bogus", "", None, ["quick"]])
+    def test_bad_scale_rejected(self, scale):
+        from coverentropy import ValidationError
+        from coverentropy.selftest import run_selftest
+
+        with pytest.raises(ValidationError, match="scale"):
+            run_selftest(scale)
+
     def test_tampered_functional_fails_with_counterexample(self, monkeypatch):
         # flip the sign of shannon's inner map: the merge inequalities reverse
         import math

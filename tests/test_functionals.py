@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,7 +107,9 @@ class TestEvaluateContract:
         with pytest.raises(ValidationError):
             evaluate(shannon(), [[0.5], [0.5]])
 
-    @pytest.mark.parametrize("masses", [["a"], [0.5, "0.5"], [None], [True], "ab"])
+    # numpy would cast a boolean mixed with numbers to 1.0 or 0.0
+    @pytest.mark.parametrize("masses", [["a"], [0.5, "0.5"], [None], [True], "ab",
+                                        [True, 0.0], [0.5, np.True_], (0.5, False)])
     def test_rejects_non_numbers(self, masses):
         with pytest.raises(ValidationError, match="numbers"):
             evaluate(shannon(), masses)

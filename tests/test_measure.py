@@ -120,7 +120,9 @@ class TestTypes:
         assert type(space.n) is int
         assert space == DiscreteSpace(3) and hash(space) == hash(DiscreteSpace(3))
 
-    @pytest.mark.parametrize("mass", [["a", 0.5], [None, 0.5], [True, False], "ab"])
+    # numpy would cast a boolean mixed with numbers to 1.0 or 0.0
+    @pytest.mark.parametrize("mass", [["a", 0.5], [None, 0.5], [True, False], "ab",
+                                      [0.0, True], [np.True_, 0.0], (1.0, False)])
     def test_measure_admits_only_numbers(self, mass):
         with pytest.raises(ValidationError, match="mass"):
             Measure(DiscreteSpace(2), mass)
@@ -198,6 +200,62 @@ class TestPredicates:
 
     def test_empty_family_not_a_cover(self):
         assert not is_mu_cover(SetFamily(DiscreteSpace(1), ()), measure(1.0))
+
+
+@st.composite
+def families(draw, max_n=7, max_k=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    atoms = st.sets(st.integers(min_value=0, max_value=n - 1))
+    return family(n, *draw(st.lists(atoms, max_size=max_k)))
+
+
+def signatures_from_incidence(fam):
+    """``(atom_signatures, uncovered atoms)`` read off the incidence columns."""
+    groups = {}
+    for atom in fam.space.atoms():
+        sets = tuple(np.flatnonzero(fam.incidence[:, atom]).tolist())
+        groups.setdefault(sets, []).append(atom)
+    uncovered = groups.pop((), [])
+    return tuple((sets, tuple(atoms)) for sets, atoms in groups.items()), uncovered
+
+
+class TestSignatureMap:
+    def test_groups_atoms_by_their_sets(self):
+        fam = family(6, [2, 0, 5], [], [0, 2, 4], [4])
+        assert fam.atom_signatures == (((0, 2), (0, 2)), ((2, 3), (4,)), ((0,), (5,)))
+        assert fam.uncovered_atoms.tolist() == [1, 3]
+
+    def test_cached_and_readonly(self):
+        fam = family(4, [0, 1], [1])
+        sigs, missed = fam.atom_signatures, fam.uncovered_atoms
+        assert fam.atom_signatures is sigs and fam.uncovered_atoms is missed
+        assert isinstance(sigs, tuple)
+        assert all(type(sets) is tuple and type(atoms) is tuple for sets, atoms in sigs)
+        assert missed.dtype == np.intp
+        with pytest.raises(ValueError):
+            missed[0] = 0
+
+    @given(families())
+    @settings(max_examples=200)
+    def test_agrees_with_incidence(self, fam):
+        sigs, uncovered = signatures_from_incidence(fam)
+        assert fam.atom_signatures == sigs
+        assert fam.uncovered_atoms.tolist() == uncovered
+
+    def test_two_thousand_singletons(self):
+        n = 2000
+        fam = family(n, *([a] for a in range(n)))
+        assert fam.atom_signatures == tuple(((a,), (a,)) for a in range(n))
+        assert fam.uncovered_atoms.size == 0
+        assert (fam.atom_signatures, []) == signatures_from_incidence(fam)
+        gap = family(n, *([a] for a in range(1, n)))
+        assert gap.uncovered_atoms.tolist() == [0]
+        mass = np.full(n, 1.0 / n)
+        assert is_mu_cover(fam, Measure(fam.space, mass))
+        assert not is_mu_cover(gap, Measure(fam.space, mass))
+        mass[1] += mass[0]
+        mass[0] = 0.0
+        assert is_mu_cover(gap, Measure(fam.space, mass))
 
 
 class TestFinerThan:

@@ -79,7 +79,9 @@ class TestWeightedDivisionValidation:
                              [[float("nan"), 0.5], [0.5, 0.0]])
 
     @pytest.mark.parametrize("rows", ["ab", [["a", 0.5], [0.5, 0.0]], [[True, False]] * 2,
-                                      [[0.5], [0.5, 0.0]]])
+                                      [[0.5], [0.5, 0.0]], [[0.5, True], [0.0, 0.0]],
+                                      [[0.5, 0.5], [np.False_, 0.0]],
+                                      ([0.5, 0.5], (False, 0.0))])
     def test_non_number_rows(self, rows):
         with pytest.raises(ValidationError, match="rows"):
             WeightedDivision(measure(0.5, 0.5), family(2, [0, 1], [0, 1]), rows)
@@ -331,6 +333,14 @@ class TestHlpCompare:
     def test_negative_entries(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             HlpInput((0.5, -0.1), (0.2, 0.2))
+
+    @pytest.mark.parametrize("seq", [{}, set(), "0.5", b"1", 0.5, None, range(1)],
+                             ids=["dict", "set", "str", "bytes", "float", "None", "range"])
+    def test_sequences_must_be_lists_or_tuples(self, seq):
+        with pytest.raises(ValidationError, match="lists or tuples"):
+            HlpInput(seq, [])
+        with pytest.raises(ValidationError, match="lists or tuples"):
+            HlpInput([], seq)
 
     @pytest.mark.parametrize("entry", ["0.5", True, None, b"1"])
     def test_non_number_entries(self, entry):
