@@ -69,7 +69,6 @@ from .mixture import (
 from .weighted import (
     ComparisonReport,
     HlpInput,
-    WeightedCoverEntropyResult,
     WeightedDivision,
     cover_entropy_weighted,
     disjointify,
@@ -106,7 +105,6 @@ __all__ = [
     "SpaceMismatchError",
     "StructureReport",
     "ValidationError",
-    "WeightedCoverEntropyResult",
     "WeightedDivision",
     "assignment_to_partition",
     "builtin_functionals",

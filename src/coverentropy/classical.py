@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
@@ -32,6 +32,9 @@ from .measure import (
     is_mu_cover,
     is_mu_partition,
 )
+
+if TYPE_CHECKING:
+    from .weighted import WeightedDivision
 
 #: Default cap on the DP transitions (witness walk included) of one search.
 DEFAULT_BUDGET = 10 ** 6
@@ -100,7 +103,7 @@ def assignment_to_partition(a: Assignment) -> SetFamily:
 
 @dataclass(frozen=True)
 class CoverEntropyResult:
-    """Outcome of a cover-entropy search.
+    """Outcome of a cover-entropy search, classical or weighted.
 
     ``value is None`` tags the infinite case (no acceptable partition), which
     always comes without a witness.  ``explored`` counts the DP transitions
@@ -108,7 +111,7 @@ class CoverEntropyResult:
     """
 
     value: float | None
-    witness: SetFamily | None
+    witness: SetFamily | WeightedDivision | None
     explored: int
 
     def __post_init__(self) -> None:
@@ -135,17 +138,12 @@ def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int
 
     Positive atoms contained in no cover set are dropped; ``is_mu_cover``
     guarantees their joint mass is mu-null, so leaving them out keeps every
-    induced family a valid mu-partition.  Read from ``q.atom_signatures``.
+    induced family a valid mu-partition.  Read from :func:`_venn_cells`.
     """
     _require_shared_space(mu, q)
-    mass = mu.mass.tolist()
     searched = sorted(
-        (atom, options)
-        for options, atoms in q.atom_signatures
-        for atom in atoms
-        if mass[atom] > 0.0
-    )
-    return [atom for atom, _ in searched], [list(options) for _, options in searched]
+        (atom, list(options)) for _, atoms, options in _venn_cells(mu, q) for atom in atoms)
+    return [atom for atom, _ in searched], [options for _, options in searched]
 
 
 def search_space_size(mu: Measure, q: SetFamily) -> int:

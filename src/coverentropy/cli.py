@@ -226,8 +226,6 @@ def cmd_hlp(args) -> int:
     data = load_json(hlp, "hlp file")
     if not isinstance(data, dict) or not {"x", "y", "functional"} <= set(data):
         raise ValidationError('hlp JSON needs keys "x", "y" and "functional"')
-    if not isinstance(data["x"], list) or not isinstance(data["y"], list):
-        raise ValidationError('hlp "x" and "y" must be lists of numbers')
     e = parse_functional(str(data["functional"]))
     inp = HlpInput(x_seq=data["x"], y_seq=data["y"])
     shape = "concave" if e.minimizes_g_sum else "convex"

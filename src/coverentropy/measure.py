@@ -278,16 +278,16 @@ def finer_than(p: SetFamily, q: SetFamily) -> bool:
     Containment is non-strict, so a family is finer than itself.  Empty sets
     of ``p`` are ignored.
     """
+    return all(target is not None for _, target in _block_routes(p, q))
+
+
+def _block_routes(p: SetFamily, q: SetFamily) -> Iterator[tuple[AtomSet, int | None]]:
+    """Each nonempty set of ``p`` with the lowest index of a ``q`` set holding it, or None."""
     _require_shared_space(p, q)
-    return all(
-        _first_container(q, block) is not None for block in p.sets if block.members
-    )
-
-
-def _first_container(q: SetFamily, block: AtomSet) -> int | None:
-    """Lowest index of a set of ``q`` holding every atom of ``block``, if any."""
-    fits = q.incidence[:, list(block.members)].all(axis=1)
-    return int(fits.argmax()) if fits.any() else None
+    for block in p.sets:
+        if block.members:
+            fits = q.incidence[:, list(block.members)].all(axis=1)
+            yield block, int(fits.argmax()) if fits.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,10 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     if missing:
         raise ValidationError(f"instance is missing keys: {sorted(missing)}")
     space = DiscreteSpace(data["n"])
-    mu_raw = data["mu"]
-    if not isinstance(mu_raw, list) or len(mu_raw) != space.n:
+    mass = real_array(data["mu"], '"mu"')
+    if mass.shape != (space.n,):
         raise ValidationError(f'"mu" must be a list of {space.n} numbers')
-    mu = Measure(space, parse_numbers(mu_raw, '"mu"'), probability=True)
+    mu = Measure(space, mass, probability=True)
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
     return mu, cover
 
@@ -343,16 +343,6 @@ def is_integer(value) -> bool:
     """True for a Python or numpy integer; booleans are not integers here
     (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``)."""
     return type(value) is int or isinstance(value, np.integer)
-
-
-def parse_numbers(raw: list, what: str) -> list[float]:
-    """``float`` of every entry; an entry that is no JSON number (a string,
-    ``null`` or a boolean) or an integer too large for a float is a
-    ValidationError.  NaN and infinite floats pass, for the caller to report."""
-    for v in raw:
-        if not (isinstance(v, float) or is_finite_number(v)):
-            raise ValidationError(f"{what} entries must be numbers that fit a float, got {v!r}")
-    return [float(v) for v in raw]
 
 
 def parse_blocks(raw, what: str) -> list[list[int]]:

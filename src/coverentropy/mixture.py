@@ -39,7 +39,7 @@ from .measure import (
     check_integer,
     is_finite_number,
     parse_blocks,
-    parse_numbers,
+    real_array,
 )
 from .weighted import WeightedDivision
 
@@ -47,10 +47,16 @@ from .weighted import WeightedDivision
 BOUND_TOL = 1e-9
 
 
-def _coefficient(v) -> float:
-    if not is_finite_number(v):
-        raise ValidationError(f"coefficients must be finite numbers, got {v!r}")
-    return float(v)
+def _coefficients(values) -> tuple[float, ...]:
+    """``values`` as floats if they are finite numbers in [0, 1] that sum to 1
+    within ``MASS_TOL``, else a ValidationError."""
+    for v in values:
+        if not is_finite_number(v) or not 0.0 <= v <= 1.0:
+            raise ValidationError(f"coefficients must be finite numbers in [0, 1], got {v!r}")
+    coeffs = tuple(map(float, values))
+    if abs(sum(coeffs) - 1.0) > MASS_TOL:
+        raise ValidationError(f"coefficients sum to {sum(coeffs)}, not 1")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -60,21 +66,17 @@ class MixtureSpec:
     components: tuple[tuple[float, Measure], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((_coefficient(a), m) for a, m in self.components)
-        object.__setattr__(self, "components", comps)
+        comps = tuple(self.components)
         if not comps:
             raise ValidationError("a mixture needs at least one component")
-        for a, m in comps:
+        coeffs = _coefficients([a for a, _ in comps])
+        for _, m in comps:
             if not isinstance(m, Measure):
                 raise ValidationError(f"components must be Measure instances, got {m!r}")
-            if not 0.0 <= a <= 1.0:
-                raise ValidationError(f"coefficient {a} outside [0, 1]")
             _require_shared_space(m, comps[0][1])
             if abs(m.total - 1.0) > MASS_TOL:
                 raise ValidationError("every component must be a probability measure")
-        total = sum(a for a, _ in comps)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"coefficients sum to {total}, not 1")
+        object.__setattr__(self, "components", tuple(zip(coeffs, [m for _, m in comps])))
 
     @property
     def space(self):
@@ -138,19 +140,14 @@ def _clean_inputs(component_entropies, a):
     """(coefficient, entropy) pairs with a positive coefficient; coefficients
     must be finite numbers, entropies finite numbers or ``None`` (infinite)."""
     entropies = list(component_entropies)
-    coeffs = [_coefficient(v) for v in a]
+    coeffs = _coefficients(a)
     if len(entropies) != len(coeffs):
         raise ValidationError("entropies and coefficients must align")
     for h in entropies:
         if h is not None and not is_finite_number(h):
             raise ValidationError(
                 f"component entropies must be finite numbers or None, got {h!r}")
-    if any(c < 0.0 or c > 1.0 for c in coeffs):
-        raise ValidationError("coefficients must lie in [0, 1]")
-    if abs(sum(coeffs) - 1.0) > MASS_TOL:
-        raise ValidationError(f"coefficients sum to {sum(coeffs)}, not 1")
-    kept = [(c, h) for c, h in zip(coeffs, entropies) if c > 0.0]
-    return kept
+    return [(c, h) for c, h in zip(coeffs, entropies) if c > 0.0]
 
 
 def tsallis_mixture_bounds(
@@ -345,12 +342,12 @@ def parse_mixture(data: dict) -> tuple[MixtureSpec, SetFamily, EntropyFunctional
         raise ValidationError('"coefficients" and "measures" must be lists')
     if len(coeffs) != len(measures):
         raise ValidationError("one coefficient per measure is required")
-    comps = []  # MixtureSpec applies the number rule to each coefficient
-    for i, (weight, mass) in enumerate(zip(coeffs, measures)):
-        if not isinstance(mass, list) or len(mass) != space.n:
+    comps = []  # MixtureSpec applies the coefficient rule
+    for i, (weight, raw) in enumerate(zip(coeffs, measures)):
+        mass = real_array(raw, f"measure {i}")
+        if mass.shape != (space.n,):
             raise ValidationError(f"measure {i} must list {space.n} masses")
-        masses = parse_numbers(mass, f"measure {i}")
-        comps.append((weight, Measure(space, masses, probability=True)))
+        comps.append((weight, Measure(space, mass, probability=True)))
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
     functional = parse_functional(str(data["functional"]))
     return MixtureSpec(tuple(comps)), cover, functional

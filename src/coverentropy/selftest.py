@@ -17,6 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .classical import (
+    DEFAULT_BUDGET,
     _searched_atoms,
     assignment_to_partition,
     cover_entropy,
@@ -345,7 +346,7 @@ def prop_search_agreement(rng, count, budget) -> Iterator[dict | None]:
             choice=list(map(list, assignment.choice)))
 
 
-def run_selftest(scale: str = "default", seed: int = 0, budget: int = 10 ** 6):
+def run_selftest(scale: str = "default", seed: int = 0, budget: int = DEFAULT_BUDGET):
     """Run every property; returns (outcomes, all_passed)."""
     if not isinstance(scale, str) or scale not in SCALES:
         raise ValidationError(f"scale must be one of {sorted(SCALES)}, got {scale!r}")

@@ -41,15 +41,13 @@ from .measure import (
     AtomSet,
     Measure,
     SetFamily,
-    _first_container,
+    _block_routes,
     _require_shared_space,
     check_integer,
     check_tolerance,
-    finer_than,
     is_finite_number,
     is_mu_cover,
     is_mu_partition,
-    parse_numbers,
     real_array,
 )
 
@@ -145,21 +143,18 @@ def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
 def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDivision:
     """Division induced by a partition finer than the cover.
 
-    Every block is routed to the lowest-index cover set containing it; row
-    ``i`` carries ``mu`` on the blocks routed to set ``i`` and is zero
-    elsewhere.  The weighted entropy of the result never exceeds the
-    partition entropy of ``p`` (merging within one cover set only helps).
+    Every block is routed to the lowest-index cover set containing it, and
+    the vertex division of the assignment that routing makes is returned.
+    The weighted entropy of the result never exceeds the partition entropy
+    of ``p`` (merging within one cover set only helps).
     """
     if not is_mu_partition(p, mu):
         raise ValidationError("p is not a mu-partition")
-    if not finer_than(p, q):
+    routes = list(_block_routes(p, q))
+    if any(target is None for _, target in routes):
         raise ValidationError("p is not finer than q")
-    rows = np.zeros((len(q), mu.space.n), dtype=np.float64)
-    for block in p.sets:
-        if block.members:
-            atoms = list(block.members)
-            rows[_first_container(q, block), atoms] = mu.mass[atoms]
-    return WeightedDivision(mu, q, rows)
+    choice = tuple((atom, target) for block, target in routes for atom in block.members)
+    return division_from_assignment(Assignment(mu.space, q, choice), mu)
 
 
 def disjointify(d: WeightedDivision) -> SetFamily:
@@ -275,34 +270,27 @@ def hlp_compare(
 # Weighted cover entropy and random divisions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightedCoverEntropyResult(CoverEntropyResult):
-    """Like the classical result, but the witness is an optimal division."""
-
-    witness: WeightedDivision | None
-
-
 def cover_entropy_weighted(
     e: EntropyFunctional,
     mu: Measure,
     q: SetFamily,
     budget: int = DEFAULT_BUDGET,
-) -> WeightedCoverEntropyResult:
+) -> CoverEntropyResult:
     """Minimum weighted entropy over all divisions of ``mu`` with respect to ``q``.
 
     The division polytope is empty exactly when ``q`` is not a mu-cover, in
     which case the tagged infinite result is returned.  Otherwise the minimum
     sits at a vertex division induced by an assignment, so the same certified
     search as the classical side runs and the witness division is rebuilt
-    from its optimal assignment; the reported value is recomputed from the
-    witness's row masses.
+    from its optimal assignment into the :class:`WeightedDivision` witness;
+    the reported value is recomputed from the witness's row masses.
     """
     check_integer(budget, 1, "budget")
     if not is_mu_cover(q, mu):
-        return WeightedCoverEntropyResult(value=None, witness=None, explored=0)
+        return CoverEntropyResult(value=None, witness=None, explored=0)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = division_from_assignment(assignment, mu)
-    return WeightedCoverEntropyResult(
+    return CoverEntropyResult(
         value=weighted_entropy(e, witness),
         witness=witness,
         explored=explored,
@@ -350,11 +338,10 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
         raise ValidationError(
             f'"cover_index_rows" must hold {len(cover)} rows (one per cover set)'
         )
-    rows = []
-    for i, row in enumerate(rows_raw):
-        if not isinstance(row, list) or len(row) != mu.space.n:
+    rows = [real_array(row, f"row {i}") for i, row in enumerate(rows_raw)]
+    for i, row in enumerate(rows):
+        if row.shape != (mu.space.n,):
             raise ValidationError(f"row {i} must list {mu.space.n} atom masses")
-        rows.append(parse_numbers(row, f"row {i}"))
     return WeightedDivision(mu, cover, rows)
 
 
