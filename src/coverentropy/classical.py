@@ -58,10 +58,16 @@ class Assignment:
 
     def __post_init__(self) -> None:
         _require_shared_space(self, self.cover)
-        # a pair of Python ints, as the search builds them, skips the call
-        pairs = tuple(sorted(
-            (a, c) if type(a) is int is type(c) else _index_pair(a, c)
-            for a, c in self.choice))
+        try:
+            # a pair of Python ints, as the search builds them, skips the call
+            pairs = tuple(sorted(
+                (a, c) if type(a) is int is type(c) else _index_pair(a, c)
+                for a, c in self.choice))
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # not iterable, or an entry not a pair
+            raise ValidationError(
+                "choice must be a sequence of (atom, cover index) pairs") from exc
         atoms = [a for a, _ in pairs]
         sets = [c for _, c in pairs]
         if len(set(atoms)) != len(atoms):

@@ -144,6 +144,8 @@ def builtin_functionals() -> tuple[EntropyFunctional, ...]:
 
 def parse_functional(spec: str) -> EntropyFunctional:
     """Parse a selection string: ``shannon``, ``renyi:ALPHA`` or ``tsallis:ALPHA``."""
+    if not isinstance(spec, str):
+        raise ValidationError(f"functional must be a string, got {spec!r}")
     text = spec.strip().lower()
     if text == "shannon":
         return shannon()

@@ -47,13 +47,22 @@ from .weighted import WeightedDivision
 BOUND_TOL = 1e-9
 
 
+def _listed(values, what: str) -> list:
+    """``values`` as a list if it is iterable, else a ValidationError."""
+    try:
+        return list(values)
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be a sequence, got {values!r}") from exc
+
+
 def _coefficients(values) -> tuple[float, ...]:
     """``values`` as floats if they are finite numbers in [0, 1] that sum to 1
     within ``MASS_TOL``, else a ValidationError."""
-    for v in values:
+    listed = _listed(values, "coefficients")
+    for v in listed:
         if not is_finite_number(v) or not 0.0 <= v <= 1.0:
             raise ValidationError(f"coefficients must be finite numbers in [0, 1], got {v!r}")
-    coeffs = tuple(map(float, values))
+    coeffs = tuple(map(float, listed))
     if abs(sum(coeffs) - 1.0) > MASS_TOL:
         raise ValidationError(f"coefficients sum to {sum(coeffs)}, not 1")
     return coeffs
@@ -66,9 +75,11 @@ class MixtureSpec:
     components: tuple[tuple[float, Measure], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
+        comps = _listed(self.components, "components")
         if not comps:
             raise ValidationError("a mixture needs at least one component")
+        if not all(isinstance(c, (tuple, list)) and len(c) == 2 for c in comps):
+            raise ValidationError("components must be (coefficient, Measure) pairs")
         coeffs = _coefficients([a for a, _ in comps])
         for _, m in comps:
             if not isinstance(m, Measure):
@@ -115,17 +126,19 @@ def mix_division(
     measures; the rows combine linearly with the mixture coefficients and the
     result is validated against the mixed measure.
     """
+    divisions = _listed(divisions, "divisions")
     if len(divisions) != len(spec.components):
         raise ValidationError(
             f"expected {len(spec.components)} divisions, got {len(divisions)}"
         )
-    cover = divisions[0].cover
-    for d in divisions:
-        if d.cover.space != cover.space or d.cover.as_lists() != cover.as_lists():
-            raise ValidationError("all divisions must share one cover")
     for (_, m), d in zip(spec.components, divisions):
+        if not isinstance(d, WeightedDivision):
+            raise ValidationError(f"divisions must be WeightedDivision instances, got {d!r}")
+        if d.cover != divisions[0].cover:
+            raise ValidationError("all divisions must share one cover")
         if not np.array_equal(d.mu.mass, m.mass):
             raise ValidationError("division does not divide its component measure")
+    cover = divisions[0].cover
     rows = np.zeros((len(cover), spec.space.n), dtype=np.float64)
     for (a, _), d in zip(spec.components, divisions):
         rows += a * d.rows
@@ -139,7 +152,7 @@ def mix_division(
 def _clean_inputs(component_entropies, a):
     """(coefficient, entropy) pairs with a positive coefficient; coefficients
     must be finite numbers, entropies finite numbers or ``None`` (infinite)."""
-    entropies = list(component_entropies)
+    entropies = _listed(component_entropies, "component entropies")
     coeffs = _coefficients(a)
     if len(entropies) != len(coeffs):
         raise ValidationError("entropies and coefficients must align")
@@ -304,13 +317,13 @@ def limit_bridge(
     Shannon bound, and the table reports the raw gaps so callers can see
     exactly that.
     """
-    entropies = list(component_entropies)
+    entropies = _listed(component_entropies, "component entropies")
     if not all(map(is_finite_number, entropies)):
         raise ValidationError(
             f"component entropies must be finite numbers, got {entropies}")
     shannon_lower, shannon_upper = shannon_mixture_bounds(entropies, a)
     rows = []
-    for alpha in alphas:
+    for alpha in _listed(alphas, "alphas"):
         lower, upper = tsallis_mixture_bounds(entropies, a, alpha)
         rows.append(
             LimitBridgeRow(

@@ -145,6 +145,12 @@ class TestAssignment:
         with pytest.raises(ValidationError, match="integers"):
             Assignment(cover.space, cover, (pair,))
 
+    @pytest.mark.parametrize("choice", [((0,),), ((0, 0, 0),), (0,), 5, None])
+    def test_rejects_choice_that_is_no_pairs(self, choice):
+        cover = family(2, [0, 1])
+        with pytest.raises(ValidationError, match="pairs"):
+            Assignment(cover.space, cover, choice)
+
     def test_accepts_numpy_integers(self):
         cover = family(2, [0, 1], [1])
         a = Assignment(cover.space, cover, ((np.int64(1), np.uint8(1)), (np.int32(0), 0)))

@@ -267,3 +267,8 @@ class TestParseFunctional:
     def test_alpha_one_rejected(self):
         with pytest.raises(ValidationError):
             parse_functional("renyi:1")
+
+    @pytest.mark.parametrize("spec", [5, None, b"shannon", ["shannon"]])
+    def test_non_string_rejected(self, spec):
+        with pytest.raises(ValidationError, match="string"):
+            parse_functional(spec)

@@ -15,7 +15,9 @@ from coverentropy import (
     instance_dict,
     is_mu_cover,
     is_mu_partition,
+    parse_division,
     parse_instance,
+    parse_mixture,
     restrict,
 )
 
@@ -336,3 +338,32 @@ class TestInstanceSchema:
     def test_not_json_object(self):
         with pytest.raises(ValidationError):
             parse_instance([1, 2, 3])
+
+
+# each JSON parser with one bad entry in its first mass list, and the name
+# that list must carry in the error
+JSON_MASS_LISTS = {
+    "instance": (lambda m: parse_instance({"n": 2, "mu": m, "cover": [[0, 1]]}), '"mu"'),
+    "mixture": (lambda m: parse_mixture({"n": 2, "coefficients": [1.0], "measures": [m],
+                                         "cover": [[0, 1]], "functional": "shannon"}),
+                "measure 0"),
+    "division": (lambda m: parse_division({"cover_index_rows": [m]},
+                                          measure(0.5, 0.5, probability=True),
+                                          family(2, [0, 1])),
+                 "row 0"),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, True, 10 ** 400, [0.5]],
+                         ids=["string", "null", "boolean", "huge-int", "nested"])
+@pytest.mark.parametrize("parse, what", JSON_MASS_LISTS.values(), ids=JSON_MASS_LISTS)
+def test_json_mass_list_rejects_non_number(parse, what, bad):
+    with pytest.raises(ValidationError, match=what):
+        parse([bad, 0.5])
+
+
+@pytest.mark.parametrize("parse, what", JSON_MASS_LISTS.values(), ids=JSON_MASS_LISTS)
+def test_json_mass_list_rejects_uniform_nesting(parse, what):
+    # every entry a list gives a well-formed 2-D array, not a ragged one
+    with pytest.raises(ValidationError, match=what):
+        parse([[0.5], [0.5]])

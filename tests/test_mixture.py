@@ -72,6 +72,11 @@ class TestMixtureSpec:
         with pytest.raises(ValidationError, match="finite numbers"):
             MixtureSpec(((coefficient, measure(1.0)), (0.5, measure(1.0))))
 
+    @pytest.mark.parametrize("components", [5, None, ((1.0,),), ((1.0, "mu", 0.0),), (1.0,)])
+    def test_malformed_components_rejected(self, components):
+        with pytest.raises(ValidationError, match="components"):
+            MixtureSpec(components)
+
     @pytest.mark.parametrize("component", [[1.0], np.array([1.0]), None, "mu"])
     def test_non_measure_component_rejected(self, component):
         with pytest.raises(ValidationError, match="Measure"):
@@ -127,6 +132,11 @@ class TestMixDivision:
         d2 = random_division(mu, family(2, [0, 1]), seed=0)
         with pytest.raises(ValidationError, match="cover"):
             mix_division(MixtureSpec(((0.5, mu), (0.5, mu))), [d, d2])
+
+    @pytest.mark.parametrize("divisions", [[None], ["d"], 5, None])
+    def test_non_division_rejected(self, divisions):
+        with pytest.raises(ValidationError, match="divisions"):
+            mix_division(MixtureSpec(((1.0, measure(1.0)),)), divisions)
 
     def test_measure_mismatch_rejected(self):
         mu = measure(0.5, 0.5)
@@ -214,6 +224,19 @@ class TestBoundInputValidation:
     def test_non_numeric_coefficient_rejected(self, bounds, coeffs):
         with pytest.raises(ValidationError, match="finite numbers"):
             bounds([1.0, 1.0], coeffs)
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: tsallis_mixture_bounds(5, [1.0], 2.0), "entropies"),
+        (lambda: tsallis_mixture_bounds([1.0], None, 2.0), "coefficients"),
+        (lambda: shannon_mixture_bounds([0.0], 5), "coefficients"),
+        (lambda: limit_bridge(5, [0.0], [2.0]), "coefficients"),
+        (lambda: limit_bridge([1.0], 5, [2.0]), "entropies"),
+        (lambda: limit_bridge([1.0], [0.0], 5), "alphas"),
+    ], ids=["tsallis-entropies", "tsallis-coefficients", "shannon-coefficients",
+            "bridge-coefficients", "bridge-entropies", "bridge-alphas"])
+    def test_non_sequence_rejected(self, call, what):
+        with pytest.raises(ValidationError, match=what):
+            call()
 
     def test_missing_alpha_rejected(self):
         with pytest.raises(ValidationError, match="alpha"):
