@@ -27,7 +27,9 @@ from .measure import (
     Measure,
     SetFamily,
     _require_shared_space,
+    _unchecked,
     check_integer,
+    check_type,
     is_integer,
     is_mu_cover,
     is_mu_partition,
@@ -49,7 +51,9 @@ class Assignment:
 
     ``choice`` maps atom index to cover-set index, stored as sorted pairs.
     Zero-mass atoms are simply absent.  The induced partition groups the
-    assigned atoms by their chosen set.
+    assigned atoms by their chosen set.  The constructor checks each pair;
+    the search checks the same per Venn cell and skips it, so the witness
+    builders trust any ``Assignment``.
     """
 
     space: DiscreteSpace
@@ -57,12 +61,10 @@ class Assignment:
     choice: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        check_type(self.cover, SetFamily, "cover")
         _require_shared_space(self, self.cover)
         try:
-            # a pair of Python ints, as the search builds them, skips the call
-            pairs = tuple(sorted(
-                (a, c) if type(a) is int is type(c) else _index_pair(a, c)
-                for a, c in self.choice))
+            pairs = tuple(sorted(_index_pair(a, c) for a, c in self.choice))
         except ValidationError:
             raise
         except (TypeError, ValueError) as exc:  # not iterable, or an entry not a pair
@@ -99,12 +101,16 @@ def _index_pair(atom, idx) -> tuple[int, int]:
 
 
 def assignment_to_partition(a: Assignment) -> SetFamily:
-    """Group assigned atoms by chosen cover set (ascending cover index)."""
+    """Group assigned atoms by chosen cover set (ascending cover index);
+    the blocks reuse the atoms that ``Assignment`` checked and sorted."""
+    check_type(a, Assignment, "assignment")
     blocks: dict[int, list[int]] = {}
     for atom, idx in a.choice:
         blocks.setdefault(idx, []).append(atom)
-    ordered = [AtomSet(a.space, tuple(blocks[i])) for i in sorted(blocks)]
-    return SetFamily(a.space, tuple(ordered))
+    # checked by Assignment: atoms distinct, sorted and inside the space
+    ordered = tuple(
+        _unchecked(AtomSet, space=a.space, members=tuple(blocks[i])) for i in sorted(blocks))
+    return _unchecked(SetFamily, space=a.space, sets=ordered)
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,15 @@ class CoverEntropyResult:
         return float("inf") if self.value is None else self.value
 
 
+def _check_operands(e: EntropyFunctional, mu: Measure, fam: SetFamily) -> None:
+    check_type(e, EntropyFunctional, "functional")
+    check_type(mu, Measure, "measure")
+    check_type(fam, SetFamily, "family")
+
+
 def partition_entropy(e: EntropyFunctional, mu: Measure, p: SetFamily) -> float:
     """Entropy of an explicit partition: ``f`` of the g-sum of block masses."""
+    _check_operands(e, mu, p)
     if not is_mu_partition(p, mu):
         raise ValidationError("family is not a mu-partition (overlap or uncovered mass)")
     return evaluate(e, [mu.mass_of(block) for block in p])
@@ -241,8 +254,12 @@ def minimizing_assignment(
     transitions evaluated.  Raises :class:`BudgetExceededError` when no
     certified optimum fits the budget, and :class:`ValidationError` when
     ``q`` is not a mu-cover or ``budget`` is not an integer of at least 1.
+    The DP's choice is checked per Venn cell (one set, one of the cell's
+    candidates); the cells partition the searched atoms, so this implies
+    every per-atom check of :class:`Assignment`, which is built unchecked.
     """
     budget = check_integer(budget, 1, "budget")
+    _check_operands(e, mu, q)
     _require_shared_space(mu, q)
     cells = _venn_cells(mu, q)
     # the cells hold every positive atom unless some atom lies in no cover set
@@ -258,10 +275,14 @@ def minimizing_assignment(
         )
     if len(choice) != len(cells):
         raise ValidationError("the search left a Venn cell without a cover set")
-    pairs = tuple(
-        (atom, idx) for (_, atoms, _), idx in zip(cells, choice) for atom in atoms
-    )
-    return Assignment(mu.space, q, pairs), explored
+    pairs = []
+    for (_, atoms, options), idx in zip(cells, choice):
+        if idx not in options:
+            raise ValidationError(f"atom {atoms[0]} is not a member of cover set {idx}")
+        pairs.extend([(atom, idx) for atom in atoms])
+    pairs.sort()
+    # checked per cell above: each atom of the space once, inside its set
+    return _unchecked(Assignment, space=mu.space, cover=q, choice=tuple(pairs)), explored
 
 
 def cover_entropy(
@@ -276,11 +297,12 @@ def cover_entropy(
     minimum over an empty set).  The witness is an optimal mu-partition finer
     than ``q`` and attains the reported value exactly: the value is
     :func:`partition_entropy` of the witness, the same arithmetic without
-    its partition check, which the search has already made (``Assignment``
-    places each atom once, inside its set, and
-    :func:`minimizing_assignment` checks coverage).
+    its partition check, which the search has already made
+    (:func:`minimizing_assignment` checks coverage and places each atom
+    once, inside its set).
     """
     check_integer(budget, 1, "budget")
+    _check_operands(e, mu, q)
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)

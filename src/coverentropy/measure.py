@@ -162,8 +162,7 @@ class SetFamily:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sets", tuple(self.sets))
         for s in self.sets:
-            if not isinstance(s, AtomSet):
-                raise ValidationError("family entries must be AtomSet instances")
+            check_type(s, AtomSet, "family entries")
             _require_shared_space(self, s)
 
     @classmethod
@@ -230,7 +229,7 @@ class SetFamily:
 
 
 def _require_shared_space(a, b) -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError(
             f"operands live on different spaces ({a.space.n} vs {b.space.n} atoms)"
         )
@@ -327,6 +326,22 @@ def check_tolerance(tol) -> float:
     if not is_finite_number(tol) or tol < 0:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
     return float(tol)
+
+
+def check_type(value, cls: type, what: str) -> None:
+    """A ValidationError naming ``what`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValidationError(
+            f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
+def _unchecked(cls: type, **fields):
+    """A frozen dataclass ``cls`` holding ``fields``, built without its
+    ``__post_init__``: only for values whose invariants the caller has
+    already checked, each call site naming that check."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def check_integer(value, least: int, what: str) -> int:

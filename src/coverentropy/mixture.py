@@ -37,6 +37,7 @@ from .measure import (
     SetFamily,
     _require_shared_space,
     check_integer,
+    check_type,
     is_finite_number,
     parse_blocks,
     real_array,
@@ -82,8 +83,7 @@ class MixtureSpec:
             raise ValidationError("components must be (coefficient, Measure) pairs")
         coeffs = _coefficients([a for a, _ in comps])
         for _, m in comps:
-            if not isinstance(m, Measure):
-                raise ValidationError(f"components must be Measure instances, got {m!r}")
+            check_type(m, Measure, "components")
             _require_shared_space(m, comps[0][1])
             if abs(m.total - 1.0) > MASS_TOL:
                 raise ValidationError("every component must be a probability measure")
@@ -110,11 +110,21 @@ class MixtureSpec:
 
 
 def mix(spec: MixtureSpec) -> Measure:
-    """Atomwise convex combination of the components."""
+    """Atomwise convex combination of the components, divided by its total
+    when that misses 1 by more than ``MASS_TOL`` (the coefficients and each
+    component's total may each miss 1 by that much)."""
+    check_type(spec, MixtureSpec, "spec")
+    return _mix(spec)[0]
+
+
+def _mix(spec: MixtureSpec) -> tuple[Measure, float]:
+    """The mixture, and the total it was divided by (1.0 when it was not)."""
     mass = np.zeros(spec.space.n, dtype=np.float64)
     for a, m in spec.components:
         mass += a * m.mass
-    return Measure(spec.space, mass, probability=True)
+    total = float(mass.sum())
+    scale = total if abs(total - 1.0) > MASS_TOL else 1.0
+    return Measure(spec.space, mass / scale, probability=True), scale
 
 
 def mix_division(
@@ -124,25 +134,27 @@ def mix_division(
 
     All divisions must live over the same cover and match their component
     measures; the rows combine linearly with the mixture coefficients and the
-    result is validated against the mixed measure.
+    result is validated against the mixed measure (both divided by the
+    same total when :func:`mix` divides).
     """
+    check_type(spec, MixtureSpec, "spec")
     divisions = _listed(divisions, "divisions")
     if len(divisions) != len(spec.components):
         raise ValidationError(
             f"expected {len(spec.components)} divisions, got {len(divisions)}"
         )
     for (_, m), d in zip(spec.components, divisions):
-        if not isinstance(d, WeightedDivision):
-            raise ValidationError(f"divisions must be WeightedDivision instances, got {d!r}")
+        check_type(d, WeightedDivision, "divisions")
         if d.cover != divisions[0].cover:
             raise ValidationError("all divisions must share one cover")
         if not np.array_equal(d.mu.mass, m.mass):
             raise ValidationError("division does not divide its component measure")
+    mu, scale = _mix(spec)
     cover = divisions[0].cover
     rows = np.zeros((len(cover), spec.space.n), dtype=np.float64)
     for (a, _), d in zip(spec.components, divisions):
         rows += a * d.rows
-    return WeightedDivision(mix(spec), cover, rows)
+    return WeightedDivision(mu, cover, rows / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +270,9 @@ def verify_mixture_bounds(
     search; budget errors propagate to the caller.
     """
     check_integer(budget, 1, "budget")
+    check_type(e, EntropyFunctional, "functional")
+    check_type(spec, MixtureSpec, "spec")
+    check_type(q, SetFamily, "cover")
     base = e.name.split(":")[0]
     if base not in ("shannon", "tsallis"):
         raise ValidationError(

@@ -32,6 +32,7 @@ from .classical import (
     DEFAULT_BUDGET,
     Assignment,
     CoverEntropyResult,
+    _check_operands,
     minimizing_assignment,
 )
 from .errors import ValidationError
@@ -43,8 +44,10 @@ from .measure import (
     SetFamily,
     _block_routes,
     _require_shared_space,
+    _unchecked,
     check_integer,
     check_tolerance,
+    check_type,
     is_finite_number,
     is_mu_cover,
     is_mu_partition,
@@ -72,8 +75,8 @@ class WeightedDivision:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mu, Measure) or not isinstance(self.cover, SetFamily):
-            raise ValidationError("a division needs a Measure and a SetFamily")
+        check_type(self.mu, Measure, "measure")
+        check_type(self.cover, SetFamily, "cover")
         _require_shared_space(self.mu, self.cover)
         rows = real_array(self.rows, "division rows").copy()
         expected = (len(self.cover), self.mu.space.n)
@@ -129,15 +132,32 @@ class WeightedDivision:
 
 def weighted_entropy(e: EntropyFunctional, d: WeightedDivision) -> float:
     """Apply the functional to the submeasure totals (zero rows drop out)."""
+    check_type(e, EntropyFunctional, "functional")
+    check_type(d, WeightedDivision, "division")
     return evaluate(e, d.row_masses)
 
 
 def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
-    """Vertex division: each atom's full mass goes to its assigned set's row."""
+    """Vertex division: each atom's full mass goes to its assigned set's row.
+
+    A valid ``Assignment`` implies every division invariant but one, which
+    alone is checked: no unassigned atom carries more than ``MASS_TOL``.
+    """
+    check_type(a, Assignment, "assignment")
+    check_type(mu, Measure, "measure")
+    _require_shared_space(mu, a.cover)
     rows = np.zeros((len(a.cover), mu.space.n), dtype=np.float64)
+    unplaced = mu.mass.tolist()
     for atom, idx in a.choice:
-        rows[idx, atom] = mu.mass[atom]
-    return WeightedDivision(mu, a.cover, rows)
+        rows[idx, atom] = unplaced[atom]
+        unplaced[atom] = 0.0
+    worst = max(unplaced)
+    if worst > MASS_TOL:
+        raise ValidationError(f"rows do not sum back to the measure at atom "
+                              f"{unplaced.index(worst)} (off by {worst})")
+    rows.setflags(write=False)
+    # checked by Assignment (each atom once, inside its set) and above
+    return _unchecked(WeightedDivision, mu=mu, cover=a.cover, rows=rows)
 
 
 def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDivision:
@@ -148,6 +168,9 @@ def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDi
     The weighted entropy of the result never exceeds the partition entropy
     of ``p`` (merging within one cover set only helps).
     """
+    check_type(mu, Measure, "measure")
+    check_type(p, SetFamily, "partition")
+    check_type(q, SetFamily, "cover")
     if not is_mu_partition(p, mu):
         raise ValidationError("p is not a mu-partition")
     routes = list(_block_routes(p, q))
@@ -165,6 +188,7 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     blocks.  The result is a mu-partition finer than the cover whose entropy
     never exceeds the division's weighted entropy.
     """
+    check_type(d, WeightedDivision, "division")
     order, blocks, block_masses = d._chain
     missed = ~d.cover.incidence[list(order)].any(axis=0)
     if float(d.mu.mass[missed].sum()) > MASS_TOL:
@@ -182,6 +206,7 @@ def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
     corresponding block masses; ``x`` is prefix-dominated by ``y`` with equal
     totals, which is exactly what the concave/convex comparison needs.
     """
+    check_type(d, WeightedDivision, "division")
     order, _, block_masses = d._chain
     masses = d.row_masses
     return HlpInput(x_seq=tuple(float(masses[i]) for i in order), y_seq=block_masses)
@@ -254,6 +279,7 @@ def hlp_compare(
     phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
     reports that direction within ``tol``.
     """
+    check_type(inp, HlpInput, "comparison input")
     if shape not in ("concave", "convex"):
         raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
     check_tolerance(tol)
@@ -286,6 +312,7 @@ def cover_entropy_weighted(
     the reported value is recomputed from the witness's row masses.
     """
     check_integer(budget, 1, "budget")
+    _check_operands(e, mu, q)
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)

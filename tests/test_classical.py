@@ -15,10 +15,12 @@ from coverentropy import (
     SetFamily,
     SpaceMismatchError,
     ValidationError,
+    WeightedDivision,
     assignment_to_partition,
     builtin_functionals,
     cover_entropy,
     cover_entropy_weighted,
+    division_from_assignment,
     enumerate_acceptable_partitions,
     finer_than,
     is_mu_cover,
@@ -77,6 +79,22 @@ def instances_with_gaps(draw):
     space = DiscreteSpace(n)
     sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5))
     return Measure(space, [v / total for v in raw]), SetFamily.of(space, sets)
+
+
+@st.composite
+def covers_with_dust(draw):
+    """A measure with some zero-mass atoms under up to five sets, where the
+    atoms in no set carry at most ``MASS_TOL`` between them, so the sets
+    always form a mu-cover."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    space = DiscreteSpace(n)
+    sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5))
+    held = set().union(*sets)
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n))
+    total = sum(raw[a] for a in held) or 1.0
+    dust = st.one_of(st.just(0.0), st.floats(0.0, MASS_TOL / (2 * n)))
+    mass = [raw[a] / total if a in held else draw(dust) for a in range(n)]
+    return Measure(space, mass), SetFamily.of(space, sets)
 
 
 class TestPartitionEntropy:
@@ -286,6 +304,22 @@ class TestSearchStructure:
                 assert r.is_infinite
                 continue
             assert r.value == partition_entropy(e, mu, r.witness)
+
+    @given(covers_with_dust())
+    @settings(max_examples=150, deadline=None)
+    def test_unchecked_builds_pass_the_public_checks(self, instance):
+        # the search's assignment and both witnesses skip their constructors'
+        # checks; each must be a value those constructors accept unchanged
+        mu, q = instance
+        assert is_mu_cover(q, mu)
+        for e in (shannon(), tsallis(2.0)):
+            a, _ = minimizing_assignment(e, mu, q)
+            assert Assignment(mu.space, q, a.choice) == a
+            witness = assignment_to_partition(a)
+            assert witness == SetFamily.of(mu.space, witness.as_lists())
+            d = division_from_assignment(a, mu)
+            assert not d.rows.flags.writeable
+            assert np.array_equal(WeightedDivision(mu, q, d.rows).rows, d.rows)
 
     @pytest.mark.parametrize("search", [cover_entropy, cover_entropy_weighted])
     def test_cell_sent_outside_its_sets_is_rejected(self, monkeypatch, search):

@@ -24,6 +24,7 @@ from coverentropy import (
     verify_mixture_bounds,
     weighted_entropy,
 )
+from coverentropy.measure import MASS_TOL
 from coverentropy.mixture import MixtureBoundReport
 from coverentropy.selftest import random_acceptable_partition, random_probability
 
@@ -98,6 +99,19 @@ class TestMix:
     def test_weighted_blend(self):
         got = mix(MixtureSpec(((0.3, measure(1.0, 0.0)), (0.7, measure(0.5, 0.5)))))
         assert got.mass.tolist() == pytest.approx([0.65, 0.35])
+
+    def test_total_drift_within_the_spec_tolerances_is_accepted(self):
+        # coefficients and the component's total each exceed 1 by 0.9 MASS_TOL,
+        # so the blend's total exceeds it by 1.8 MASS_TOL
+        m = measure(0.5 + 4.5e-13, 0.5 + 4.5e-13)
+        spec = MixtureSpec(((0.5 + 9e-13, m), (0.5, m)))
+        assert abs(sum(spec.coefficients) * m.total - 1.0) > MASS_TOL
+        got = mix(spec)
+        assert got.total == pytest.approx(1.0, abs=1e-15)
+        q = family(2, [0, 1])
+        d = mix_division(spec, [partition_to_division(m, q, q)] * 2)
+        assert np.array_equal(d.mu.mass, got.mass)
+        assert d.rows.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMixDivision:

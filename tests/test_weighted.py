@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from coverentropy import (
+    Assignment,
     DiscreteSpace,
     HlpInput,
     Measure,
     SetFamily,
+    SpaceMismatchError,
     ValidationError,
     WeightedDivision,
     builtin_functionals,
@@ -16,6 +18,7 @@ from coverentropy import (
     disjointify,
     disjointify_certificate,
     division_dict,
+    division_from_assignment,
     hlp_compare,
     parse_division,
     partition_entropy,
@@ -149,6 +152,22 @@ class TestWeightedEntropy:
         d = WeightedDivision(mu, q, [[0.4, 0.6]])
         for e in builtin_functionals():
             assert weighted_entropy(e, d) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestDivisionFromAssignment:
+    """The vertex division checks only what a valid Assignment leaves open."""
+
+    def test_positive_mass_left_unplaced_is_rejected(self):
+        q = family(3, [0, 1], [1, 2])
+        a = Assignment.from_mapping(q, {0: 0, 2: 1})
+        with pytest.raises(ValidationError, match="rows do not sum back .* atom 1 "):
+            division_from_assignment(a, measure(0.5, 0.25, 0.25))
+
+    def test_measure_on_another_space_is_rejected(self):
+        q = family(2, [0, 1])
+        a = Assignment.from_mapping(q, {0: 0, 1: 0})
+        with pytest.raises(SpaceMismatchError):
+            division_from_assignment(a, uniform(3))
 
 
 class TestPartitionToDivision:
