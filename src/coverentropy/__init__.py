@@ -14,6 +14,8 @@ Quick tour::
     cover_entropy_weighted(shannon(), mu, q).value  # same value, division witness
 """
 
+import importlib
+
 from .classical import (
     Assignment,
     CoverEntropyResult,
@@ -54,33 +56,52 @@ from .measure import (
     parse_instance,
     restrict,
 )
-from .mixture import (
-    LimitBridgeRow,
-    MixtureBoundReport,
-    MixtureSpec,
-    limit_bridge,
-    mix,
-    mix_division,
-    parse_mixture,
-    shannon_mixture_bounds,
-    tsallis_mixture_bounds,
-    verify_mixture_bounds,
-)
-from .weighted import (
-    ComparisonReport,
-    HlpInput,
-    WeightedDivision,
-    cover_entropy_weighted,
-    disjointify,
-    disjointify_certificate,
-    division_dict,
-    division_from_assignment,
-    hlp_compare,
-    parse_division,
-    partition_to_division,
-    random_division,
-    weighted_entropy,
-)
+# mixture, weighted and selftest load on first use (PEP 562), so that a
+# program that needs only the classical search, such as most CLI
+# subcommands, neither imports nor compiles them
+_LAZY_MODULES = ("mixture", "selftest", "weighted")
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "LimitBridgeRow",
+        "MixtureBoundReport",
+        "MixtureSpec",
+        "limit_bridge",
+        "mix",
+        "mix_division",
+        "parse_mixture",
+        "shannon_mixture_bounds",
+        "tsallis_mixture_bounds",
+        "verify_mixture_bounds",
+    ), "mixture"),
+    **dict.fromkeys((
+        "ComparisonReport",
+        "HlpInput",
+        "WeightedDivision",
+        "cover_entropy_weighted",
+        "disjointify",
+        "disjointify_certificate",
+        "division_dict",
+        "division_from_assignment",
+        "hlp_compare",
+        "parse_division",
+        "partition_to_division",
+        "random_division",
+        "weighted_entropy",
+    ), "weighted"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        return getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

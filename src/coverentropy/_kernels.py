@@ -56,16 +56,6 @@ def scan_assignments(masses, cand_lists, n_sets, g, maximize):
     return best, best_choice, total
 
 
-def _mass(masses, mask) -> float:
-    """Mass of the units in a bitmask, added in unit order."""
-    s = 0.0
-    while mask:
-        low = mask & -mask
-        s += masses[low.bit_length() - 1]
-        mask ^= low
-    return s
-
-
 def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
     """Exact search over the assignments induced by orderings of the sets.
 
@@ -90,19 +80,28 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
     set per unit, transitions evaluated, completed flag); when the flag is
     false the budget ran out, the g-sum is NaN and the choice is empty.
     """
-    n = len(masses)
+    # phase 1: each set's units, and the units with more than one candidate
     holders = [0] * n_sets
-    shared = 0  # units with more than one candidate set
-    for u, cands in enumerate(cand_lists):
+    shared = 0
+    bit = 1
+    for cands in cand_lists:
         for c in cands:
-            holders[c] |= 1 << u
+            holders[c] |= bit
         if len(cands) > 1:
-            shared |= 1 << u
+            shared |= bit
+        bit <<= 1
+    n = len(masses)
     full = (1 << n) - 1
-    # one-set moves (units left, sets placed), shared so move lists copy no mask
-    single = [(full ^ h, (i,)) for i, h in enumerate(holders)]
+    # the sets that hold some unit, each with its one-set move (units left,
+    # sets placed); move lists share these, so they copy no mask
+    sets = [(h, (full ^ h, (i,))) for i, h in enumerate(holders) if h]
+
+    # phase 2: expand the residuals reachable from the full mask.  A part's g
+    # term is negated when maximising, so one min serves both directions:
+    # negation is exact, and the walk's slack test reads only magnitudes.
     gvals = {}
-    # residual -> its moves, each (g terms, (units left, sets placed))
+    gget = gvals.get
+    # residual -> its moves, each (g term, (units left, sets placed))
     succ = {}
     count = 0
     todo = [full] if full else []
@@ -110,24 +109,32 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
         r = todo.pop()
         if r in succ:
             continue
-        out, alone = [], []
-        for i, h in enumerate(holders):
+        out = []
+        n_alone = 0  # parts with no other candidate set
+        for h, move in sets:
             part = r & h
             if part:
-                gp = gvals.get(part)
+                gp = gget(part)
                 if gp is None:
-                    gp = gvals[part] = g(_mass(masses, part))
-                out.append((gp, single[i]))
+                    m = 0.0  # the part's mass, added in unit order
+                    bits = part
+                    while bits:
+                        low = bits & -bits
+                        m += masses[low.bit_length() - 1]
+                        bits ^= low
+                    gp = gvals[part] = -g(m) if maximize else g(m)
+                out.append((gp, move))
                 if not part & shared:
-                    alone.append(i)
+                    n_alone += 1
         placed = len(out)
-        if alone and placed > 1:
+        if n_alone and placed > 1:
             # a unit left in r keeps all its candidate sets, so these sets'
             # parts have no other holder: one move places them all (the
             # parts are disjoint, so their sum is their union)
+            alone = [i for h, (_, (i,)) in sets if r & h and not r & h & shared]
             parts = [r & holders[i] for i in alone]
-            out = [(sum(map(gvals.get, parts)), (r ^ sum(parts), tuple(alone)))]
-            placed = len(alone)
+            out = [(sum(map(gget, parts)), (r ^ sum(parts), tuple(alone)))]
+            placed = n_alone
         count += placed
         if count > budget:
             return math.nan, [], budget, False
@@ -137,11 +144,18 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
             if rest and rest not in succ:
                 todo.append(rest)
 
-    opt = max if maximize else min
+    # phase 3: value the residuals in ascending order, the first least move
+    # winning as in min()
     memo = {0: 0.0}
     for r in sorted(succ):
-        memo[r] = opt([memo[r & keep] + s for s, (keep, _) in succ[r]])
+        best = None
+        for s, (keep, _) in succ[r]:
+            v = memo[r & keep] + s
+            if best is None or v < best:
+                best = v
+        memo[r] = best
 
+    # phase 4: the witness walk
     slack = _PRUNE_SLACK * (1.0 + abs(memo[full]))
     ranked, visited = [], set()
     stack = [(full, ())]
@@ -150,27 +164,37 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
         if not r:
             # groups are in set order with masses added in unit order, so
             # adding their g values gives the scan's g-sum bit for bit
+            # (subtracting a negated term adds the term exactly)
             choice = [0] * n
             s = 0.0
             for i, part in groups:
-                s += gvals[part]
+                if maximize:
+                    s -= gvals[part]
+                else:
+                    s += gvals[part]
                 while part:
                     low = part & -part
                     choice[low.bit_length() - 1] = i
                     part ^= low
             ranked.append((choice, s))
             continue
+        mr = memo[r]
         for s, (keep, placed) in succ[r]:
             count += len(placed)
             if count > budget:
                 return math.nan, [], budget, False
             rest = r & keep
-            if abs(memo[rest] + s - memo[r]) <= slack:
-                added = ((i, r & holders[i]) for i in placed)
-                node = (rest, tuple(sorted((*groups, *added))))
+            if abs(memo[rest] + s - mr) <= slack:
+                if len(placed) == 1:
+                    added = ((placed[0], r ^ rest),)
+                else:
+                    added = tuple((i, r & holders[i]) for i in placed)
+                node = (rest, tuple(sorted(groups + added)))
                 if node not in visited:
                     visited.add(node)
                     stack.append(node)
+    if len(ranked) == 1:
+        return ranked[0][1], ranked[0][0], count, True
     # the scan's rule: the best g-sum, the first choice vector among equals
     best_choice, best = min(ranked, key=lambda cs: (-cs[1] if maximize else cs[1], cs[0]))
     return best, best_choice, count, True

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
-from .functionals import EntropyFunctional, evaluate
+from .functionals import EntropyFunctional, _g_sum_value, evaluate
 from .measure import (
     AtomSet,
     DiscreteSpace,
@@ -275,14 +275,16 @@ def minimizing_assignment(
         )
     if len(choice) != len(cells):
         raise ValidationError("the search left a Venn cell without a cover set")
-    pairs = []
+    chosen: list[int | None] = [None] * mu.space.n
     for (_, atoms, options), idx in zip(cells, choice):
         if idx not in options:
             raise ValidationError(f"atom {atoms[0]} is not a member of cover set {idx}")
-        pairs.extend([(atom, idx) for atom in atoms])
-    pairs.sort()
-    # checked per cell above: each atom of the space once, inside its set
-    return _unchecked(Assignment, space=mu.space, cover=q, choice=tuple(pairs)), explored
+        for atom in atoms:
+            chosen[atom] = idx
+    # checked per cell above: each atom of the space once, inside its set;
+    # read in atom order, the pairs come sorted
+    pairs = tuple((atom, idx) for atom, idx in enumerate(chosen) if idx is not None)
+    return _unchecked(Assignment, space=mu.space, cover=q, choice=pairs), explored
 
 
 def cover_entropy(
@@ -296,10 +298,10 @@ def cover_entropy(
     Returns the tagged infinite result when ``q`` is not a mu-cover (the
     minimum over an empty set).  The witness is an optimal mu-partition finer
     than ``q`` and attains the reported value exactly: the value is
-    :func:`partition_entropy` of the witness, the same arithmetic without
-    its partition check, which the search has already made
-    (:func:`minimizing_assignment` checks coverage and places each atom
-    once, inside its set).
+    :func:`partition_entropy` of the witness, the same g-sum helper on the
+    same block masses without the partition and mass checks, which the
+    search has already made (:func:`minimizing_assignment` checks coverage
+    and places each atom once, inside its set).
     """
     check_integer(budget, 1, "budget")
     _check_operands(e, mu, q)
@@ -308,7 +310,7 @@ def cover_entropy(
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = assignment_to_partition(assignment)
     return CoverEntropyResult(
-        value=evaluate(e, [mu.mass_of(block) for block in witness]),
+        value=_g_sum_value(e, [mu.mass_of(block) for block in witness]),
         witness=witness,
         explored=explored,
     )

@@ -5,6 +5,11 @@ canonical JSON (sorted keys, 17-significant-digit floats, infinities as the
 string ``"infinity"``), so identical inputs and flags reproduce the report
 byte for byte.  Exit code 0 means status ``ok``; other statuses map to
 distinct nonzero codes.
+
+Each subcommand imports the modules it runs beyond the classical search
+(:mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
+:mod:`~coverentropy.selftest`) when it starts, so a child process loads and
+compiles only those.
 """
 
 from __future__ import annotations
@@ -26,18 +31,6 @@ from .measure import (
     load_instance,
     load_json,
     parse_blocks,
-)
-from .mixture import parse_mixture, verify_mixture_bounds
-from .selftest import run_selftest
-from .weighted import (
-    cover_entropy_weighted,
-    disjointify,
-    division_dict,
-    HlpInput,
-    hlp_compare,
-    parse_division,
-    random_division,
-    weighted_entropy,
 )
 
 EXIT_OK = 0
@@ -169,6 +162,8 @@ def cmd_cover(args) -> int:
         if classical.is_infinite:
             status = "infinite"
     if args.mode in ("weighted", "both"):
+        from .weighted import (
+            cover_entropy_weighted, division_dict, random_division, weighted_entropy)
         weighted = cover_entropy_weighted(e, mu, cover, budget=args.budget)
         results["weighted"] = {
             "value": _extended(weighted.value),
@@ -205,6 +200,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_mixture(args) -> int:
+    from .mixture import parse_mixture, verify_mixture_bounds
     [mixture] = _read_inputs(args, args.mixture)
     spec, cover, e = parse_mixture(load_json(mixture, "mixture file"))
     report = verify_mixture_bounds(e, spec, cover, budget=args.budget)
@@ -222,6 +218,7 @@ def cmd_mixture(args) -> int:
 
 
 def cmd_hlp(args) -> int:
+    from .weighted import HlpInput, hlp_compare
     [hlp] = _read_inputs(args, args.input)
     data = load_json(hlp, "hlp file")
     if not isinstance(data, dict) or not {"x", "y", "functional"} <= set(data):
@@ -240,6 +237,7 @@ def cmd_hlp(args) -> int:
 
 
 def cmd_disjointify(args) -> int:
+    from .weighted import disjointify, parse_division, weighted_entropy
     instance, division = _read_inputs(args, args.instance, args.division)
     mu, cover = load_instance(instance)
     d = parse_division(load_json(division, "division file"), mu, cover)
@@ -254,6 +252,7 @@ def cmd_disjointify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     config = {"scale": args.scale, "seed": args.seed, "budget": args.budget}
     args.digest = hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
     outcomes, ok = run_selftest(scale=args.scale, seed=args.seed, budget=args.budget)

@@ -24,7 +24,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measure import MASS_TOL, check_integer, check_tolerance, is_finite_number, real_array
+from .measure import (
+    MASS_TOL,
+    check_integer,
+    check_tolerance,
+    check_type,
+    is_finite_number,
+    real_array,
+)
 
 class CompositionCase(enum.Enum):
     """Which of the two admissible (f, g) shapes a functional declares."""
@@ -66,6 +73,7 @@ def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
     ``MASS_TOL``, so a NaN or a string is rejected; zero entries contribute
     nothing (the ``g(0) = 0`` convention built into every ``g`` here).
     """
+    check_type(e, EntropyFunctional, "functional")
     arr = real_array(masses, "masses")
     if arr.ndim != 1:
         raise ValidationError(f"masses must be one-dimensional, got shape {arr.shape}")
@@ -75,8 +83,16 @@ def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
         raise ValidationError("masses must lie in [0, 1]")
     if float(arr.sum()) > 1.0 + MASS_TOL:
         raise ValidationError(f"masses sum to {float(arr.sum())}, beyond 1")
+    return _g_sum_value(e, values)
+
+
+def _g_sum_value(e: EntropyFunctional, masses: list[float]) -> float:
+    """``f`` of the g-sum over the positive entries, added in list order: the
+    one definition of the value, unchecked.  :func:`evaluate` is its checks
+    plus this; the search's witness, whose block masses need no check, calls
+    it directly."""
     s = 0.0
-    for m in values:
+    for m in masses:
         if m > 0.0:
             s += e.g(m)
     return float(e.f(s))

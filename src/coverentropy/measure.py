@@ -99,6 +99,7 @@ class Measure:
     probability: bool = False
 
     def __post_init__(self) -> None:
+        check_type(self.space, DiscreteSpace, "space")
         arr = real_array(self.mass, "mass").copy()
         if arr.shape != (self.space.n,):
             raise ValidationError(f"mass must be a length-{self.space.n} vector, got {arr.shape}")
@@ -121,6 +122,7 @@ class Measure:
 
     def mass_of(self, a: "AtomSet") -> float:
         """Total mass carried by the atoms of ``a``."""
+        check_type(a, AtomSet, "atom set")
         _require_shared_space(self, a)
         if not a.members:
             return 0.0
@@ -139,6 +141,7 @@ class AtomSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_type(self.space, DiscreteSpace, "space")
         canon = tuple(sorted({check_integer(m, 0, "atom") for m in self.members}))
         if canon and canon[-1] >= self.space.n:
             raise ValidationError(f"atom {canon[-1]} outside space of size {self.space.n}")
@@ -160,6 +163,7 @@ class SetFamily:
     sets: tuple[AtomSet, ...]
 
     def __post_init__(self) -> None:
+        check_type(self.space, DiscreteSpace, "space")
         object.__setattr__(self, "sets", tuple(self.sets))
         for s in self.sets:
             check_type(s, AtomSet, "family entries")
@@ -237,6 +241,8 @@ def _require_shared_space(a, b) -> None:
 
 def restrict(mu: Measure, a: AtomSet) -> Measure:
     """Restriction of ``mu`` to ``a``: keep mass on members, zero elsewhere."""
+    check_type(mu, Measure, "measure")
+    check_type(a, AtomSet, "atom set")
     _require_shared_space(mu, a)
     out = np.zeros(mu.space.n, dtype=np.float64)
     if a.members:
@@ -246,13 +252,20 @@ def restrict(mu: Measure, a: AtomSet) -> Measure:
 
 
 def complement(a: AtomSet) -> AtomSet:
+    check_type(a, AtomSet, "atom set")
     members = set(a.members)
     return AtomSet(a.space, tuple(i for i in a.space.atoms() if i not in members))
 
 
+def _check_family_and_measure(fam, mu) -> None:
+    check_type(fam, SetFamily, "family")
+    check_type(mu, Measure, "measure")
+    _require_shared_space(fam, mu)
+
+
 def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
     """True iff the sets are pairwise disjoint and miss at most mu-null mass."""
-    _require_shared_space(fam, mu)
+    _check_family_and_measure(fam, mu)
     # counted from the members: a partition may have up to n blocks, too
     # many for an incidence matrix
     members = [a for s in fam.sets for a in s.members]
@@ -265,7 +278,7 @@ def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
 
 def is_mu_cover(fam: SetFamily, mu: Measure) -> bool:
     """True iff at most mu-null mass lies outside the union (overlaps allowed)."""
-    _require_shared_space(fam, mu)
+    _check_family_and_measure(fam, mu)
     missed = fam.uncovered_atoms
     # the same atoms, in the same order, as the mask of uncovered columns
     return not missed.size or float(mu.mass[missed].sum()) <= MASS_TOL
@@ -277,6 +290,8 @@ def finer_than(p: SetFamily, q: SetFamily) -> bool:
     Containment is non-strict, so a family is finer than itself.  Empty sets
     of ``p`` are ignored.
     """
+    check_type(p, SetFamily, "family")
+    check_type(q, SetFamily, "cover")
     return all(target is not None for _, target in _block_routes(p, q))
 
 

@@ -5,23 +5,31 @@ import pytest
 
 from coverentropy import (
     Assignment,
+    AtomSet,
     DiscreteSpace,
     Measure,
     MixtureSpec,
     SetFamily,
     ValidationError,
     assignment_to_partition,
+    complement,
     cover_entropy,
     cover_entropy_weighted,
     disjointify,
     disjointify_certificate,
     division_from_assignment,
+    evaluate,
+    finer_than,
     hlp_compare,
+    is_mu_cover,
+    is_mu_partition,
     minimizing_assignment,
     mix,
     mix_division,
     partition_entropy,
     partition_to_division,
+    random_division,
+    restrict,
     shannon,
     verify_mixture_bounds,
     weighted_entropy,
@@ -68,6 +76,17 @@ CALLS = {
     "mix_division": lambda: mix_division(5, [D]),
     "hlp_compare": lambda: hlp_compare(5, abs, "concave"),
     "Assignment cover": lambda: Assignment(SPACE, 5, ()),
+    "is_mu_cover family": lambda: is_mu_cover(5, MU),
+    "is_mu_partition measure": lambda: is_mu_partition(Q, 5),
+    "restrict atom set": lambda: restrict(MU, 5),
+    "finer_than cover": lambda: finer_than(Q, 5),
+    "complement": lambda: complement(5),
+    "Measure.mass_of": lambda: MU.mass_of(5),
+    "evaluate functional": lambda: evaluate(5, [0.5]),
+    "random_division cover": lambda: random_division(MU, 5, seed=0),
+    "Measure space": lambda: Measure(5, [1.0]),
+    "AtomSet space": lambda: AtomSet(5, (0,)),
+    "SetFamily space": lambda: SetFamily(5, ()),
 }
 
 

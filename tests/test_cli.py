@@ -535,3 +535,34 @@ class TestSelftestDiagnostics:
         failing = [o for o in outcomes if not o.passed]
         assert failing
         assert any(o.counterexample is not None for o in failing)
+
+
+class TestLazyImports:
+    def test_cli_import_leaves_weighted_mixture_and_selftest_unloaded(self):
+        # a fresh interpreter: this process has loaded every module already
+        # loaded modules are listed before any name of __all__ is resolved;
+        # a name that does not resolve fails the child
+        code = (
+            "import sys, coverentropy.cli, coverentropy\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('coverentropy.')))\n"
+            "[getattr(coverentropy, name) for name in coverentropy.__all__]\n"
+        )
+        src = str(Path(coverentropy.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        loaded = set(out.stdout.split())
+        assert "coverentropy.cli" in loaded
+        assert not loaded & {"coverentropy.selftest", "coverentropy.mixture",
+                             "coverentropy.weighted"}
+
+    def test_every_exported_name_resolves(self):
+        from coverentropy import mixture, weighted
+
+        for name in coverentropy.__all__:
+            assert getattr(coverentropy, name) is not None
+        assert coverentropy.cover_entropy_weighted is weighted.cover_entropy_weighted
+        assert coverentropy.MixtureSpec is mixture.MixtureSpec
+        assert set(coverentropy.__all__) <= set(dir(coverentropy))
+        with pytest.raises(AttributeError):
+            coverentropy.no_such_name

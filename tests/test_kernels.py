@@ -177,3 +177,48 @@ class TestCustomFunctional:
             expected = min(partition_entropy(e, mu, p)
                            for p in enumerate_acceptable_partitions(mu, q))
             assert cover_entropy(e, mu, q).value == pytest.approx(expected, abs=1e-12)
+
+
+def _dyadic_cases(seed, count):
+    # dyadic masses make many groupings tie exactly
+    rng = np.random.default_rng(seed)
+    functionals = builtin_functionals()
+    for trial in range(count):
+        n_sets = int(rng.integers(1, 5))
+        cands = [sorted(rng.choice(n_sets, size=int(rng.integers(1, n_sets + 1)),
+                                   replace=False).tolist())
+                 for _ in range(int(rng.integers(1, 7)))]
+        masses = [int(rng.integers(1, 5)) / 8 for _ in cands]
+        e = functionals[trial % len(functionals)]
+        yield masses, cands, n_sets, e.g, not e.minimizes_g_sum
+
+
+#: Transitions that ordering_dp evaluates over all of _guard_cases().
+TOTAL_EXPLORED = 29_447
+
+
+def _guard_cases():
+    yield from (case for seed in range(4, 12) for case in _packed_cases(seed, 40))
+    yield from _dyadic_cases(8, 600)
+
+
+class TestBudgetGuard:
+    """The transition count is part of the result: these pin it, so a rewrite
+    of the kernel that moves a single count fails here."""
+
+    def test_budget_of_exactly_explored_completes(self):
+        for case in _guard_cases():
+            full = _kernels.ordering_dp(*case, 10 ** 7)
+            assert full[3]
+            assert _kernels.ordering_dp(*case, full[2]) == full
+
+    def test_budget_one_short_fails_with_that_count(self):
+        for case in _guard_cases():
+            explored = _kernels.ordering_dp(*case, 10 ** 7)[2]
+            value, choice, count, done = _kernels.ordering_dp(*case, explored - 1)
+            assert math.isnan(value)
+            assert (choice, count, done) == ([], explored - 1, False)
+
+    def test_total_explored_is_pinned(self):
+        total = sum(_kernels.ordering_dp(*case, 10 ** 7)[2] for case in _guard_cases())
+        assert total == TOTAL_EXPLORED
