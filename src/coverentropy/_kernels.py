@@ -5,14 +5,16 @@ Both searches take one positive mass per searched unit (a Venn cell, see
 indices that may receive each unit, the number of cover sets, the
 functional's inner map ``g`` and the direction of the g-sum's optimum.
 
-Arithmetic is fixed so that the two agree bit for bit: a group's mass is the
-sum of its units' masses added in unit order, and the g-sum that ranks an
-assignment adds ``g`` of the positive groups in set order.  ``g`` is never
-called on an empty group, so a custom ``g`` need not define ``g(0)``.  Both
-return the lexicographically smallest optimal choice vector (first unit
-slowest, candidates ascending): the scan visits assignments in that order
-and moves only on strict improvement, and :func:`ordering_dp` ranks its
-optimal candidates the same way.
+Both score a choice with the same arithmetic: a group's mass is the sum of
+its units' masses added in unit order, and the g-sum adds ``g`` of the
+positive groups in set order.  ``g`` is never called on an empty group, so
+a custom ``g`` need not define ``g(0)``.  The scan returns the
+lexicographically smallest optimal choice vector (first unit slowest,
+candidates ascending), moving only on strict improvement.
+:func:`ordering_dp` returns the choice induced by the lexicographically
+first ordering of the sets whose g-sum lies within ``_PRUNE_SLACK``
+(relative) of the optimum, so its g-sum is within that slack of the scan's
+and never beats it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 #: Name of the search implementation; recorded in benchmark metadata.
 BACKEND = "python"
 
-# Relative slack within which a move counts as optimal in the witness walk:
+# Relative slack within which a move, or an ordering, counts as optimal:
 # DP values add the set-order sum's g terms in another order.
 _PRUNE_SLACK = 1e-12
 
@@ -71,9 +73,12 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
     Masses add units in unit order, never as a difference, and ``g`` of a
     mask is computed once.  The residuals reachable from the full mask are
     expanded, then valued in ascending order (each is a proper submask of
-    its parent), so nothing recurses.  The witness walk follows every move
-    within ``_PRUNE_SLACK`` (relative) of ``V``, deduplicated on (residual,
-    partial choice), and ranks the induced choice vectors as the scan does.
+    its parent), so nothing recurses.  The witness walk descends once from
+    the full mask: each residual ``R`` takes its first move (sets
+    ascending, or the one collapsed move) whose value lies within
+    ``_PRUNE_SLACK`` (relative to ``V`` of the full mask) of ``V(R)``.  That
+    is the first ordering of the sets within the slack; its choice's g-sum
+    is then added as the scan adds it.
 
     ``budget`` caps the transitions (one per set a move places) that the
     expansion and the walk evaluate together.  Returns (best g-sum, chosen
@@ -155,29 +160,12 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
                 best = v
         memo[r] = best
 
-    # phase 4: the witness walk
+    # phase 4: the witness walk, one greedy descent.  A residual's least move
+    # is within the slack, so every residual on the way takes some move
     slack = _PRUNE_SLACK * (1.0 + abs(memo[full]))
-    ranked, visited = [], set()
-    stack = [(full, ())]
-    while stack:
-        r, groups = stack.pop()
-        if not r:
-            # groups are in set order with masses added in unit order, so
-            # adding their g values gives the scan's g-sum bit for bit
-            # (subtracting a negated term adds the term exactly)
-            choice = [0] * n
-            s = 0.0
-            for i, part in groups:
-                if maximize:
-                    s -= gvals[part]
-                else:
-                    s += gvals[part]
-                while part:
-                    low = part & -part
-                    choice[low.bit_length() - 1] = i
-                    part ^= low
-            ranked.append((choice, s))
-            continue
+    groups = []
+    r = full
+    while r:
         mr = memo[r]
         for s, (keep, placed) in succ[r]:
             count += len(placed)
@@ -185,19 +173,25 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
                 return math.nan, [], budget, False
             rest = r & keep
             if abs(memo[rest] + s - mr) <= slack:
-                if len(placed) == 1:
-                    added = ((placed[0], r ^ rest),)
-                else:
-                    added = tuple((i, r & holders[i]) for i in placed)
-                node = (rest, tuple(sorted(groups + added)))
-                if node not in visited:
-                    visited.add(node)
-                    stack.append(node)
-    if len(ranked) == 1:
-        return ranked[0][1], ranked[0][0], count, True
-    # the scan's rule: the best g-sum, the first choice vector among equals
-    best_choice, best = min(ranked, key=lambda cs: (-cs[1] if maximize else cs[1], cs[0]))
-    return best, best_choice, count, True
+                break
+        groups.extend((i, r & holders[i]) for i in placed)
+        r = rest
+    # groups in set order with masses added in unit order give the scan's
+    # g-sum of this choice bit for bit (subtracting a negated term adds the
+    # term exactly)
+    groups.sort()
+    choice = [0] * n
+    best = 0.0
+    for i, part in groups:
+        if maximize:
+            best -= gvals[part]
+        else:
+            best += gvals[part]
+        while part:
+            low = part & -part
+            choice[low.bit_length() - 1] = i
+            part ^= low
+    return best, choice, count, True
 
 
 # The benchmark harness traces the search under this name.

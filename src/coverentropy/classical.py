@@ -203,11 +203,10 @@ def _venn_cells(
 ) -> list[tuple[float, list[int], tuple[int, ...]]]:
     """Searched atoms grouped by the cover sets that hold them.
 
-    Returns ``(mass, atoms, candidate sets)`` per cell: first the cells that
-    only one cover set holds (forced cells), then the others, each part
-    heaviest first with the smallest atom breaking ties.  A cell's mass adds
-    its atoms in ascending order.  Each cell is the positive-mass part of a
-    group of ``q.atom_signatures``.
+    Returns ``(mass, atoms, candidate sets)`` per cell, one per group of
+    ``q.atom_signatures`` that holds a positive-mass atom, in that order
+    (by first atom).  A cell's atoms are that group's positive-mass atoms,
+    and its mass adds them in ascending order.
     """
     mass = mu.mass.tolist()
     cells = []
@@ -218,7 +217,6 @@ def _venn_cells(
             for atom in atoms:
                 m += mass[atom]
             cells.append((m, atoms, options))
-    cells.sort(key=lambda cell: (len(cell[2]) > 1, -cell[0], cell[1][0]))
     return cells
 
 
@@ -241,13 +239,11 @@ def minimizing_assignment(
     the same path, and the result is exact whenever their declared case
     holds.
 
-    Witness tie-break: the lexicographically smallest optimal cell-choice
-    vector, with the forced cells (one candidate set) first and then the
-    other cells by decreasing mass (smallest atom breaking ties), each cell
-    trying its candidate sets in ascending order.  Forced cells have one
-    choice, so the order among the other cells decides.  Groups add their
-    cells' masses in that order, so optima that tie within rounding may
-    resolve either way.
+    Witness tie-break: the assignment induced by the lexicographically
+    first ordering of the cover sets whose g-sum lies within
+    ``_kernels._PRUNE_SLACK`` (relative) of the optimum, the g-sum adding
+    groups in set order and each group's cells in cell order (the order of
+    their first atoms).  The cell order fixes only these additions.
 
     ``budget`` caps the DP transitions evaluated, witness walk included
     (README, "Search", bounds them), and the returned count is the

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 
 import numpy as np
@@ -212,9 +214,10 @@ class TestCoverEntropy:
     def test_overlap_instance(self):
         r = cover_entropy(shannon(), uniform(3), family(3, [0, 1], [1, 2]))
         assert r.value == pytest.approx(OVERLAP_UNIFORM3, abs=1e-12)
-        # DP: 2 transitions from the root and 1 from each residual; the two
-        # optima tie, so the witness walk evaluates the same 4 again
-        assert r.explored == 8
+        # DP: 2 transitions from the root and 1 from each residual; the
+        # witness walk takes the root's first move, tied with the second,
+        # then the one move left
+        assert r.explored == 6
 
     def test_agrees_with_partition_entropy_when_cover_is_partition(self):
         rng = np.random.default_rng(11)
@@ -285,11 +288,16 @@ class TestSearchStructure:
         searched = [a for a in range(mu.space.n) if mass[a] > 0.0 and inc[:, a].any()]
         cands = [np.flatnonzero(inc[:, a]).tolist() for a in searched]
         assert _searched_atoms(mu, q) == (searched, cands)
+        # cells come in the order of their group's first atom, of any mass
         groups = {}
-        for atom, sets in zip(searched, cands):
-            groups.setdefault(tuple(sets), []).append(atom)
-        cells = [(sum(mass[a] for a in atoms), atoms, sets) for sets, atoms in groups.items()]
-        cells.sort(key=lambda c: (len(c[2]) > 1, -c[0], c[1][0]))
+        for atom in range(mu.space.n):
+            sets = tuple(np.flatnonzero(inc[:, atom]).tolist())
+            if sets:
+                group = groups.setdefault(sets, [])
+                if mass[atom] > 0.0:
+                    group.append(atom)
+        cells = [(sum(mass[a] for a in atoms), atoms, sets)
+                 for sets, atoms in groups.items() if atoms]
         assert _venn_cells(mu, q) == cells
         uncovered = float(mu.mass[~inc.any(axis=0)].sum())
         assert is_mu_cover(q, mu) is (uncovered <= MASS_TOL)
@@ -441,9 +449,9 @@ BUDGET_ENTRY_POINTS = {
 }
 
 
-class TestBudgetAndBranchBound:
+class TestBudget:
     def test_budget_error(self):
-        # the smallest valid budget; this instance needs four transitions
+        # the smallest valid budget; this instance needs three transitions
         mu, q = uniform(4), family(4, [0, 1, 2, 3], [0, 1, 2, 3])
         with pytest.raises(BudgetExceededError):
             cover_entropy(shannon(), mu, q, budget=1)
@@ -457,14 +465,14 @@ class TestBudgetAndBranchBound:
 
     def test_numpy_integer_budget_accepted(self):
         mu, q = uniform(3), family(3, [0, 1], [1, 2])
-        assert cover_entropy(shannon(), mu, q, budget=np.int64(8)).explored == 8
+        assert cover_entropy(shannon(), mu, q, budget=np.int64(6)).explored == 6
 
     def test_budget_counts_every_transition(self):
         # the budget is exact: the reported count fits, one less does not
         mu, q = uniform(3), family(3, [0, 1], [1, 2])
-        assert cover_entropy(shannon(), mu, q, budget=8).explored == 8
+        assert cover_entropy(shannon(), mu, q, budget=6).explored == 6
         with pytest.raises(BudgetExceededError):
-            cover_entropy(shannon(), mu, q, budget=7)
+            cover_entropy(shannon(), mu, q, budget=5)
 
     def test_search_matches_enumeration_on_thousand_instances(self):
         # exactness of the cell search: the enumeration minimum everywhere,
@@ -486,13 +494,39 @@ class TestBudgetAndBranchBound:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_transitions_do_not_grow_with_atoms(self, k):
-        # the DP makes at most k * 2**(k-1) transitions and, with a single
-        # optimal choice vector, the witness walk at most as many again
+        # the DP makes at most k * 2**(k-1) transitions and the witness walk
+        # at most k + (k-1) + ... + 1
         rng = np.random.default_rng(k)
         for n in (20, 200, 2000):
             mu, q = _dense_instance(rng, n, k)
             for e in (shannon(), tsallis(2)):
-                assert cover_entropy(e, mu, q).explored <= k * 2 ** k
+                assert cover_entropy(e, mu, q).explored <= (
+                    k * 2 ** (k - 1) + k * (k + 1) // 2)
+
+
+def _complete_graph_edges(k):
+    """The uniform measure on the edges of K_k, covered by the k vertex stars."""
+    edges = list(itertools.combinations(range(k), 2))
+    stars = [[j for j, edge in enumerate(edges) if v in edge] for v in range(k)]
+    return uniform(len(edges)), family(len(edges), *stars)
+
+
+class TestTieHeavyCovers:
+    """Minimum-entropy vertex cover of K_k: every ordering of the stars gives
+    blocks of k-1, ..., 1 edges, so the optima tie exactly and factorially
+    often; the witness walk takes the first of them in one pass."""
+
+    @pytest.mark.parametrize("k", [6, 10, 12])
+    def test_complete_graph_vertex_cover(self, k):
+        mu, q = _complete_graph_edges(k)
+        r = cover_entropy(shannon(), mu, q, budget=DEFAULT_BUDGET)
+        # -sum p_i log2 p_i with p_i = (k - i) / C(k, 2): 2.957295041922758 at k = 10
+        pairs = k * (k - 1) // 2
+        expected = -math.fsum((k - i) / pairs * math.log2((k - i) / pairs)
+                              for i in range(1, k))
+        assert r.value == pytest.approx(expected, abs=1e-12)
+        assert sorted(map(len, r.witness.as_lists()), reverse=True) == list(range(k - 1, 0, -1))
+        assert r.explored <= k * 2 ** (k - 1) + k * (k + 1) // 2
 
 
 def _stack_depth():
@@ -523,8 +557,8 @@ class TestDisjointAndDeepCovers:
 
     def test_transitions_count_only_sets_that_share_cells(self):
         # c = 4 dense sets sharing cells plus 30 disjoint blocks: the DP
-        # evaluates at most (k - c) + c * 2**(c-1) transitions and, with a
-        # single optimal choice vector, the walk at most as many again
+        # evaluates at most (k - c) + c * 2**(c-1) transitions and the walk
+        # at most as many again
         rng = np.random.default_rng(5)
         n_dense, k_dense, n_blocks = 100, 4, 30
         member = rng.random((k_dense, n_dense)) < 0.6
@@ -616,7 +650,7 @@ class TestLargeInstances:
         r = cover_entropy(shannon(), mu, q, budget=DEFAULT_BUDGET)
         assert is_mu_partition(r.witness, mu) and finer_than(r.witness, q)
         assert partition_entropy(shannon(), mu, r.witness) == r.value
-        assert r.explored == 1060  # 8 * 2**7 DP transitions, 8 + 7 + ... + 1 walked
+        assert r.explored == 1048  # 8 * 2**7 DP transitions, 24 walked
         for _ in range(50):
             p = random_acceptable_partition(rng, mu, q)
             assert r.value <= partition_entropy(shannon(), mu, p)

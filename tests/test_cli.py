@@ -94,7 +94,7 @@ class TestCoverCommand:
         assert report["results"]["classical"]["value"] == "infinity"
 
     def test_budget_exceeded_status(self, capsys, instance_file):
-        # the smallest valid budget; this instance needs eight transitions
+        # the smallest valid budget; this instance needs six transitions
         code, report = run_cli(capsys, "cover", instance_file,
                                "--functional", "shannon", "--budget", "1")
         assert code == 2
@@ -113,6 +113,20 @@ class TestCoverCommand:
         classical = report["results"]["classical"]
         assert classical["value"] == pytest.approx(math.log2(n), abs=1e-9)
         assert classical["explored"] == 2 * n
+
+    def test_tie_heavy_cover_completes(self, capsys, tmp_path):
+        # uniform edges of K_10 under the vertex stars: the optimal orderings
+        # tie factorially often, and the witness walk takes the first
+        edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        path = tmp_path / "k10.json"
+        path.write_text(json.dumps(
+            {"n": len(edges), "mu": [1.0 / len(edges)] * len(edges),
+             "cover": [[j for j, edge in enumerate(edges) if v in edge]
+                       for v in range(10)]}))
+        code, report = run_cli(capsys, "cover", str(path), "--functional", "shannon",
+                               "--mode", "classical")
+        assert code == 0
+        assert report["status"] == "ok"
 
     def test_missing_file_is_invalid_input(self, capsys):
         code, report = run_cli(capsys, "cover", "/nonexistent.json",

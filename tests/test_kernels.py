@@ -1,10 +1,16 @@
-"""The certified search (the DP over set orderings) against the exhaustive
-reference scan.
+"""The certified search (the DP over set orderings) against a naive
+orderings oracle and the exhaustive reference scan.
 
-Inputs are packed as the package packs them: one unit per Venn cell, cells
-with a single candidate set first, then heaviest first.
+The DP's witness is defined as the choice induced by the lexicographically
+first ordering of the sets whose g-sum, scored as the scan scores it, lies
+within ``_PRUNE_SLACK`` (relative) of the optimum; the oracle tries every
+ordering in that order, so the DP's value and choice must equal the
+oracle's exactly.  Against the scan the value is within the slack of its
+optimum and never beats it.  Inputs are packed as the package packs them:
+one unit per Venn cell, cells in the order of their first atom.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,36 +43,73 @@ def _packed_cases(seed, count):
             yield masses, cands, len(q), e.g, not e.minimizes_g_sum
 
 
+def _dyadic_cases(seed, count):
+    # dyadic masses make many groupings tie exactly
+    rng = np.random.default_rng(seed)
+    functionals = builtin_functionals()
+    for trial in range(count):
+        n_sets = int(rng.integers(1, 5))
+        cands = [sorted(rng.choice(n_sets, size=int(rng.integers(1, n_sets + 1)),
+                                   replace=False).tolist())
+                 for _ in range(int(rng.integers(1, 7)))]
+        masses = [int(rng.integers(1, 5)) / 8 for _ in cands]
+        e = functionals[trial % len(functionals)]
+        yield masses, cands, n_sets, e.g, not e.minimizes_g_sum
+
+
+def _ordering_oracle(masses, cands, n_sets, g, maximize):
+    """(g-sum, choice) of the first ordering of the sets, in lexicographic
+    order, whose g-sum lies within the slack of the best ordering's.
+
+    An ordering sends each unit to its lowest-ranked candidate set, and its
+    g-sum is scored as the scan scores a choice: groups in set order, each
+    adding its units in unit order.
+    """
+    scored = []
+    for order in itertools.permutations(range(n_sets)):
+        rank = [0] * n_sets
+        for pos, i in enumerate(order):
+            rank[i] = pos
+        choice = [min(c, key=rank.__getitem__) for c in cands]
+        group = [0.0] * n_sets
+        for m, c in zip(masses, choice):
+            group[c] += m
+        s = 0.0
+        for m in group:
+            if m > 0.0:
+                s += g(m)
+        scored.append((s, choice))
+    best = (max if maximize else min)(s for s, _ in scored)
+    slack = _kernels._PRUNE_SLACK * (1.0 + abs(best))
+    return next((s, c) for s, c in scored if abs(s - best) <= slack)
+
+
+def _check_against_oracle_and_scan(masses, cands, n_sets, g, maximize):
+    """Assert the DP's result is the oracle's, and within the slack of the
+    scan's optimum without beating it; return the DP's result."""
+    value, choice, explored, done = _kernels.ordering_dp(
+        masses, cands, n_sets, g, maximize, 10 ** 7)
+    assert done
+    assert (value, choice) == _ordering_oracle(masses, cands, n_sets, g, maximize)
+    best, _, _ = _kernels.scan_assignments(masses, cands, n_sets, g, maximize)
+    assert abs(value - best) <= _kernels._PRUNE_SLACK * (1.0 + abs(best))
+    assert (value <= best) if maximize else (value >= best)
+    return value, choice, explored
+
+
 class TestScanAgreement:
-    def test_ordering_dp_matches_scan_bitwise(self):
+    def test_ordering_dp_matches_oracle(self):
         for masses, cands, n_sets, g, maximize in (
                 case for seed in range(4, 60) for case in _packed_cases(seed, 120)):
-            b1, ch1, _ = _kernels.scan_assignments(masses, cands, n_sets, g, maximize)
-            b2, ch2, explored, done = _kernels.ordering_dp(
-                masses, cands, n_sets, g, maximize, 10 ** 7)
-            assert done and explored <= n_sets * 2 ** n_sets
-            assert b1 == b2  # same g and add order in the ranking: bit identical
-            assert ch1 == ch2
+            _, _, explored = _check_against_oracle_and_scan(
+                masses, cands, n_sets, g, maximize)
+            # the DP's transitions, then a walk of at most k + (k-1) + ... + 1
+            assert explored <= n_sets * 2 ** (n_sets - 1) + n_sets * (n_sets + 1) // 2
 
-    def test_ordering_dp_matches_scan_with_exact_ties(self):
-        # dyadic masses make many groupings tie exactly, so the witness
-        # walk must collect every optimal ordering and rank them as the scan
-        rng = np.random.default_rng(8)
-        functionals = builtin_functionals()
-        for trial in range(3000):
-            n_sets = int(rng.integers(1, 5))
-            cands = [sorted(rng.choice(n_sets, size=int(rng.integers(1, n_sets + 1)),
-                                       replace=False).tolist())
-                     for _ in range(int(rng.integers(1, 7)))]
-            masses = [int(rng.integers(1, 5)) / 8 for _ in cands]
-            e = functionals[trial % len(functionals)]
-            maximize = not e.minimizes_g_sum
-            b1, ch1, _ = _kernels.scan_assignments(masses, cands, n_sets, e.g, maximize)
-            b2, ch2, _, done = _kernels.ordering_dp(masses, cands, n_sets, e.g,
-                                                    maximize, 10 ** 7)
-            assert done
-            assert b1 == b2
-            assert ch1 == ch2
+    def test_ordering_dp_matches_oracle_with_exact_ties(self):
+        # many orderings tie exactly; the walk must take the first of them
+        for case in _dyadic_cases(8, 3000):
+            _check_against_oracle_and_scan(*case)
 
     def test_atom_scan_matches_cell_search(self):
         # the reference scan over atoms (no cells) reaches the value that the
@@ -85,21 +128,18 @@ class TestScanAgreement:
     def test_general_power_scan_matches_ordering_dp(self):
         # witnesses [3, 0, 1, 0, 0, 0] and [3, 0, 4, 0, 0, 0] have the same
         # block masses; only the set order of the g-sum's additions tells
-        # them apart, so both searches must add in the same order
+        # them apart, so the DP must score its choice as the scan does
         masses = [0.06344219993644984, 0.4224902862436267,
                   0.08822773484715178, 0.1401024813496706,
                   0.06875713472022942, 0.21698016290287164]
         cands = [[3], [0, 1, 2, 3, 4], [1, 2, 4], [0, 1, 3], [0, 1, 2, 4], [0]]
-        g = tsallis(0.25).g
-        b1, ch1, _ = _kernels.scan_assignments(masses, cands, 5, g, False)
-        b2, ch2, _, done = _kernels.ordering_dp(masses, cands, 5, g, False, 10 ** 7)
-        assert done
-        assert b1 == b2
-        assert ch1 == ch2 == [3, 0, 4, 0, 0, 0]
+        _, choice, _ = _check_against_oracle_and_scan(
+            masses, cands, 5, tsallis(0.25).g, False)
+        assert choice == [3, 0, 1, 0, 0, 0]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_ordering_dp_matches_scan_on_random_packings(self, data):
+    def test_ordering_dp_matches_oracle_on_random_packings(self, data):
         # any unit order, forced (single-candidate) units included
         n_sets = data.draw(st.integers(1, 4), label="n_sets")
         n = data.draw(st.integers(1, 6), label="units")
@@ -112,13 +152,7 @@ class TestScanAgreement:
         masses = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n),
                            label="masses")
         e = data.draw(st.sampled_from(builtin_functionals()), label="functional")
-        maximize = not e.minimizes_g_sum
-        b1, ch1, _ = _kernels.scan_assignments(masses, cands, n_sets, e.g, maximize)
-        b2, ch2, _, done = _kernels.ordering_dp(masses, cands, n_sets, e.g, maximize,
-                                                10 ** 7)
-        assert done
-        assert b1 == b2
-        assert ch1 == ch2
+        _check_against_oracle_and_scan(masses, cands, n_sets, e.g, not e.minimizes_g_sum)
 
     def test_benchmark_name_is_the_dp(self):
         # the benchmark harness traces the search as _kernels.branch_and_bound
@@ -141,24 +175,36 @@ class TestTieBreak:
             maximize = not e.minimizes_g_sum
             _, choice, _ = _kernels.scan_assignments(masses, cands, 2, e.g, maximize)
             assert choice == [0, 0]
-            _, choice, _, _ = _kernels.ordering_dp(masses, cands, 2, e.g, maximize,
-                                                   10 ** 6)
+            _, choice, _ = _check_against_oracle_and_scan(masses, cands, 2, e.g, maximize)
             assert choice == [0, 0]
 
     def test_relabelled_optimum_yields_to_first_optimum(self):
         # putting the middle unit with the forced one (choice [1, 1, 0]) is
         # optimal, but [1, 0, 0] has the same blocks under other labels and
-        # comes first, so both searches return it
+        # is induced by the first ordering (0, 1, 2), so both searches return it
         masses = [0.25, 0.5, 0.25]
         cands = [[1], [0, 1, 2], [0, 2]]
         for e in builtin_functionals():
             maximize = not e.minimizes_g_sum
             best, choice, _ = _kernels.scan_assignments(masses, cands, 3, e.g, maximize)
             assert choice == [1, 0, 0]
-            best2, choice, _, done = _kernels.ordering_dp(masses, cands, 3, e.g,
-                                                          maximize, 10 ** 6)
-            assert done and best2 == best
+            best2, choice, _ = _check_against_oracle_and_scan(
+                masses, cands, 3, e.g, maximize)
+            assert best2 == best
             assert choice == [1, 0, 0]
+
+    def test_first_ordering_decides_not_first_choice_vector(self):
+        # uniform edges of K_4 under the four vertex stars: every ordering
+        # gives blocks of 3, 2 and 1 edges.  The first ordering, (0, 1, 2, 3),
+        # sends each edge to its lower end.  Under shannon the scan returns
+        # [0, 0, 0, 1, 3, 3] instead: the same blocks, whose set-order g-sum
+        # rounds 1 ulp better
+        cands = [list(edge) for edge in itertools.combinations(range(4), 2)]
+        masses = [1 / 6] * 6
+        for e in builtin_functionals():
+            maximize = not e.minimizes_g_sum
+            _, choice, _ = _check_against_oracle_and_scan(masses, cands, 4, e.g, maximize)
+            assert choice == [0, 0, 0, 1, 1, 2]
 
 
 class TestCustomFunctional:
@@ -179,22 +225,8 @@ class TestCustomFunctional:
             assert cover_entropy(e, mu, q).value == pytest.approx(expected, abs=1e-12)
 
 
-def _dyadic_cases(seed, count):
-    # dyadic masses make many groupings tie exactly
-    rng = np.random.default_rng(seed)
-    functionals = builtin_functionals()
-    for trial in range(count):
-        n_sets = int(rng.integers(1, 5))
-        cands = [sorted(rng.choice(n_sets, size=int(rng.integers(1, n_sets + 1)),
-                                   replace=False).tolist())
-                 for _ in range(int(rng.integers(1, 7)))]
-        masses = [int(rng.integers(1, 5)) / 8 for _ in cands]
-        e = functionals[trial % len(functionals)]
-        yield masses, cands, n_sets, e.g, not e.minimizes_g_sum
-
-
 #: Transitions that ordering_dp evaluates over all of _guard_cases().
-TOTAL_EXPLORED = 29_447
+TOTAL_EXPLORED = 25_692
 
 
 def _guard_cases():
