@@ -58,49 +58,25 @@ from .measure import (
 )
 # mixture, weighted and selftest load on first use (PEP 562), so that a
 # program that needs only the classical search, such as most CLI
-# subcommands, neither imports nor compiles them
+# subcommands, neither imports nor compiles them.  A name of __all__ not
+# bound above is looked up in weighted, then in mixture, so a weighted name
+# never loads mixture.
 _LAZY_MODULES = ("mixture", "selftest", "weighted")
-_LAZY_NAMES = {
-    **dict.fromkeys((
-        "LimitBridgeRow",
-        "MixtureBoundReport",
-        "MixtureSpec",
-        "limit_bridge",
-        "mix",
-        "mix_division",
-        "parse_mixture",
-        "shannon_mixture_bounds",
-        "tsallis_mixture_bounds",
-        "verify_mixture_bounds",
-    ), "mixture"),
-    **dict.fromkeys((
-        "ComparisonReport",
-        "HlpInput",
-        "WeightedDivision",
-        "cover_entropy_weighted",
-        "disjointify",
-        "disjointify_certificate",
-        "division_dict",
-        "division_from_assignment",
-        "hlp_compare",
-        "parse_division",
-        "partition_to_division",
-        "random_division",
-        "weighted_entropy",
-    ), "weighted"),
-}
 
 
 def __getattr__(name: str):
     if name in _LAZY_MODULES:
         return importlib.import_module(f".{name}", __name__)
-    if name in _LAZY_NAMES:
-        return getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    if name in __all__:
+        for module in ("weighted", "mixture"):
+            found = getattr(importlib.import_module(f".{module}", __name__), name, None)
+            if found is not None:
+                return found
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})
+    return sorted({*globals(), *_LAZY_MODULES, *__all__})
 
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""The certified search over cell assignments, and its exhaustive reference.
+"""The certified search over cell assignments, and its exhaustive reference;
+this module holds nothing else.
 
 Both searches take one positive mass per searched unit (a Venn cell, see
 :func:`coverentropy.classical.minimizing_assignment`), the ascending cover-set
@@ -28,11 +29,6 @@ BACKEND = "python"
 # Relative slack within which a move, or an ordering, counts as optimal:
 # DP values add the set-order sum's g terms in another order.
 _PRUNE_SLACK = 1e-12
-
-
-def assignment_count(cand_lists) -> int:
-    """Size of the assignment space (a Python int; no overflow)."""
-    return math.prod(len(c) for c in cand_lists)
 
 
 def scan_assignments(masses, cand_lists, n_sets, g, maximize):

@@ -15,6 +15,7 @@ results do not depend on any thread-count setting.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -134,9 +135,6 @@ class CoverEntropyResult:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def value_or_inf(self) -> float:
-        return float("inf") if self.value is None else self.value
-
 
 def _check_operands(e: EntropyFunctional, mu: Measure, fam: SetFamily) -> None:
     check_type(e, EntropyFunctional, "functional")
@@ -168,7 +166,7 @@ def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int
 def search_space_size(mu: Measure, q: SetFamily) -> int:
     """Number of atom-to-set assignments for this instance (Python int)."""
     _, cands = _searched_atoms(mu, q)
-    return _kernels.assignment_count(cands)
+    return math.prod(map(len, cands))
 
 
 def enumerate_acceptable_partitions(mu: Measure, q: SetFamily) -> Iterator[SetFamily]:
@@ -181,7 +179,7 @@ def enumerate_acceptable_partitions(mu: Measure, q: SetFamily) -> Iterator[SetFa
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
     atoms, cands = _searched_atoms(mu, q)
-    if _kernels.assignment_count(cands) > ENUMERATION_CAP:
+    if math.prod(map(len, cands)) > ENUMERATION_CAP:
         raise BudgetExceededError(
             f"assignment space exceeds the enumeration cap of {ENUMERATION_CAP}"
         )

@@ -128,10 +128,6 @@ class Measure:
             return 0.0
         return float(self.mass[list(a.members)].sum())
 
-    def support(self) -> tuple[int, ...]:
-        """Atoms with strictly positive mass, ascending."""
-        return tuple(int(i) for i in np.flatnonzero(self.mass > 0.0))
-
 
 @dataclass(frozen=True)
 class AtomSet:

@@ -10,8 +10,10 @@ where ``H_i`` is the Tsallis cover entropy of component ``i``.  The Shannon
 analogue replaces the additive term with the base-2 entropy of the
 coefficient vector.  Both ends are attained: point masses on disjoint atoms
 with a singleton cover hit the upper bound exactly, identical components hit
-the lower one.  Infinite component entropies propagate (the mixture's
-entropy is then infinite as well and the bounds hold vacuously).
+the lower one.  An infinite weighted component entropy makes both bounds
+infinite, and they hold vacuously when the mixture's entropy is infinite
+too; :func:`verify_mixture_bounds` rejects the one other case, a mixture
+covered within ``MASS_TOL`` with a weighted component that is not.
 
 Component entropies are computed with the exact classical search, so the
 containment checks here are exact at this scale rather than epsilon
@@ -175,6 +177,20 @@ def _clean_inputs(component_entropies, a):
     return [(c, h) for c, h in zip(coeffs, entropies) if c > 0.0]
 
 
+def _bounds(kept, alpha) -> tuple[float | None, float | None]:
+    """Lower and upper bound from (coefficient, entropy) pairs with positive
+    coefficients: Tsallis of order ``alpha``, or Shannon when ``alpha is
+    None``.  A ``None`` (infinite) entropy makes both bounds ``None``."""
+    if any(h is None for _, h in kept):
+        return None, None
+    lower = sum(c * h for c, h in kept)
+    if alpha is None:  # the upper bound adds the coefficient entropy
+        return float(lower), float(lower - sum(c * math.log2(c) for c, _ in kept))
+    powers = [c ** alpha for c, _ in kept]
+    upper = sum(p * h for p, (_, h) in zip(powers, kept))
+    return float(lower), float(upper + (sum(powers) - 1.0) / (1.0 - alpha))
+
+
 def tsallis_mixture_bounds(
     component_entropies: Sequence[float | None],
     a: Sequence[float],
@@ -187,14 +203,7 @@ def tsallis_mixture_bounds(
     None)``.  Zero-coefficient components are dropped first.
     """
     alpha = _check_alpha(alpha)
-    kept = _clean_inputs(component_entropies, a)
-    if any(h is None for _, h in kept):
-        return None, None
-    lower = sum(c * h for c, h in kept)
-    powers = [c ** alpha for c, _ in kept]
-    upper = sum(p * h for p, (_, h) in zip(powers, kept))
-    upper += (sum(powers) - 1.0) / (1.0 - alpha)
-    return float(lower), float(upper)
+    return _bounds(_clean_inputs(component_entropies, a), alpha)
 
 
 def shannon_mixture_bounds(
@@ -202,12 +211,7 @@ def shannon_mixture_bounds(
     a: Sequence[float],
 ) -> tuple[float | None, float | None]:
     """Sharp Shannon bounds: the upper bound adds the coefficient entropy."""
-    kept = _clean_inputs(component_entropies, a)
-    if any(h is None for _, h in kept):
-        return None, None
-    lower = sum(c * h for c, h in kept)
-    coeff_entropy = -sum(c * math.log2(c) for c, _ in kept)
-    return float(lower), float(lower + coeff_entropy)
+    return _bounds(_clean_inputs(component_entropies, a), None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +222,8 @@ def shannon_mixture_bounds(
 class MixtureBoundReport:
     """Bounds, achieved mixture entropy, and the per-component entropies.
 
-    ``None`` tags infinite values.  Construction asserts containment
-    (``lower - tol <= achieved <= upper + tol``) whenever everything is
+    ``None`` tags infinite values.  Construction raises ValidationError
+    unless ``lower - tol <= achieved <= upper + tol`` whenever everything is
     finite, so holding a report is already the verification.
     """
 
@@ -251,11 +255,6 @@ class MixtureBoundReport:
     def is_infinite(self) -> bool:
         return self.achieved is None
 
-    @property
-    def containment_ok(self) -> bool:
-        """True by construction; infinite reports hold vacuously."""
-        return True
-
 
 def verify_mixture_bounds(
     e: EntropyFunctional,
@@ -267,7 +266,9 @@ def verify_mixture_bounds(
 
     Supports the Shannon and Tsallis functionals (the bound formulas exist
     for those two).  All cover entropies come from the exact classical
-    search; budget errors propagate to the caller.
+    search; budget errors propagate to the caller.  A mixture covered within
+    ``MASS_TOL`` with a weighted component that is not has no valid bound
+    (the lower one is infinite, the achieved value finite): ValidationError.
     """
     check_integer(budget, 1, "budget")
     check_type(e, EntropyFunctional, "functional")
@@ -278,8 +279,7 @@ def verify_mixture_bounds(
         raise ValidationError(
             f"mixture bounds are defined for shannon/tsallis, not {e.name!r}"
         )
-    if base == "tsallis":
-        _check_alpha(e.alpha)
+    alpha = _check_alpha(e.alpha) if base == "tsallis" else None
     spec = spec.drop_zero_coefficients()
     _require_shared_space(q, spec)
     entropies = [
@@ -287,13 +287,10 @@ def verify_mixture_bounds(
     ]
     achieved = cover_entropy(e, mix(spec), q, budget=budget).value
     if any(h is None for h in entropies) and achieved is not None:
-        # A positively weighted component with uncovered support forces
-        # uncovered support for the mixture; reaching this means a bug.
-        raise AssertionError("finite mixture entropy with an infinite component")
-    if base == "shannon":
-        lower, upper = shannon_mixture_bounds(entropies, spec.coefficients)
-    else:
-        lower, upper = tsallis_mixture_bounds(entropies, spec.coefficients, e.alpha)
+        # the mixture leaves the weighted average of the uncovered masses
+        raise ValidationError(
+            "the mixture is covered within MASS_TOL but a weighted component is not")
+    lower, upper = _bounds(list(zip(spec.coefficients, entropies)), alpha)
     return MixtureBoundReport(
         lower=lower,
         upper=upper,
@@ -336,10 +333,11 @@ def limit_bridge(
     if not all(map(is_finite_number, entropies)):
         raise ValidationError(
             f"component entropies must be finite numbers, got {entropies}")
-    shannon_lower, shannon_upper = shannon_mixture_bounds(entropies, a)
+    kept = _clean_inputs(entropies, a)
+    shannon_lower, shannon_upper = _bounds(kept, None)
     rows = []
     for alpha in _listed(alphas, "alphas"):
-        lower, upper = tsallis_mixture_bounds(entropies, a, alpha)
+        lower, upper = _bounds(kept, _check_alpha(alpha))
         rows.append(
             LimitBridgeRow(
                 alpha=float(alpha),

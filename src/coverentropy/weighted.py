@@ -36,7 +36,7 @@ from .classical import (
     minimizing_assignment,
 )
 from .errors import ValidationError
-from .functionals import EntropyFunctional, evaluate
+from .functionals import EntropyFunctional, _g_sum_value, evaluate
 from .measure import (
     MASS_TOL,
     AtomSet,
@@ -318,7 +318,7 @@ def cover_entropy_weighted(
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = division_from_assignment(assignment, mu)
     return CoverEntropyResult(
-        value=weighted_entropy(e, witness),
+        value=_g_sum_value(e, witness.row_masses.tolist()),
         witness=witness,
         explored=explored,
     )

@@ -92,6 +92,7 @@ class TestCoverCommand:
         assert code == 3
         assert report["status"] == "infinite"
         assert report["results"]["classical"]["value"] == "infinity"
+        assert report["results"]["equality"] == {"difference": "infinity", "within_tol": True}
 
     def test_budget_exceeded_status(self, capsys, instance_file):
         # the smallest valid budget; this instance needs six transitions
@@ -165,6 +166,10 @@ MALFORMED = {
                    ["--functional", "shannon"]),
     "mixture-cover-bool": ("mixture", {**MIXTURE, "cover": [[False], [True]]}, []),
     "coefficient-bool": ("mixture", {**MIXTURE, "coefficients": [True, 0.0]}, []),
+    # component 0 leaves 2e-12 > MASS_TOL uncovered, the mixture 8e-13: no bound holds
+    "mixture-covered-component-not": ("mixture", {**MIXTURE, "coefficients": [0.4, 0.6],
+                                      "measures": [[1 - 2e-12, 2e-12], [1.0, 0.0]],
+                                      "cover": [[0]]}, []),
     "blocks-bool": ("partition", None, ["--functional", "shannon", "--blocks", "[[0, true], [2]]"]),
     "hlp-bool": ("hlp", {"x": [True], "y": [1.0], "functional": "shannon"}, []),
     "mass-int-overflow": ("cover", {"n": 2, "mu": [10 ** 400, 0.5], "cover": [[0, 1]]},
@@ -359,7 +364,8 @@ class TestMixtureCommand:
         res = report["results"]
         assert res["achieved"] == pytest.approx(0.5)
         assert res["achieved"] == pytest.approx(res["upper"], abs=1e-12)
-        assert res["containment"] is True
+        # status ok already says containment held
+        assert "containment" not in res
 
     def test_identical_measures_hit_lower(self, capsys, tmp_path):
         data = dict(MIXTURE, measures=[[0.3, 0.7], [0.3, 0.7]], cover=[[0, 1], [1]])
@@ -580,3 +586,19 @@ class TestLazyImports:
         assert set(coverentropy.__all__) <= set(dir(coverentropy))
         with pytest.raises(AttributeError):
             coverentropy.no_such_name
+
+
+def test_weighted_name_leaves_mixture_unloaded():
+    # a fresh interpreter; lazy names are looked up in weighted first
+    code = (
+        "import sys, coverentropy\n"
+        "coverentropy.WeightedDivision\n"
+        "print('coverentropy.mixture' in sys.modules)\n"
+        "print(set(coverentropy.__all__) | {'mixture', 'selftest', 'weighted'}\n"
+        "      <= set(dir(coverentropy)))\n"
+    )
+    src = str(Path(coverentropy.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -304,7 +304,14 @@ class TestVerifyMixtureBounds:
         assert report.is_infinite
         assert report.lower is None and report.upper is None
         assert report.component_entropies[1] is None
-        assert report.containment_ok  # vacuous
+
+    def test_mixture_covered_within_tol_with_uncovered_component_rejected(self):
+        # component 0 leaves 2e-12 > MASS_TOL uncovered, so its entropy is
+        # infinite; the mixture leaves 0.4 * 2e-12 <= MASS_TOL, so its entropy
+        # is finite and no bound holds
+        spec = MixtureSpec(((0.4, measure(1 - 2e-12, 2e-12)), (0.6, measure(1.0, 0.0))))
+        with pytest.raises(ValidationError, match="MASS_TOL"):
+            verify_mixture_bounds(tsallis(2), spec, family(2, [0]))
 
     def test_random_containment(self):
         rng = np.random.default_rng(19)

@@ -393,6 +393,8 @@ class TestCoverEntropyWeighted:
                 a = cover_entropy(e, mu, q)
                 b = cover_entropy_weighted(e, mu, q)
                 assert abs(a.value - b.value) <= 1e-9
+                # the value is the g-sum helper on the row masses, bit for bit
+                assert b.value == weighted_entropy(e, b.witness)
 
     def test_round_trip_domination(self):
         # partition -> division -> disjointify never increases entropy
