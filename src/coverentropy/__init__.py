@@ -30,12 +30,15 @@ from .classical import (
 )
 from .errors import BudgetExceededError, SpaceMismatchError, ValidationError
 from .functionals import (
+    ComparisonReport,
     CompositionCase,
     EntropyFunctional,
+    HlpInput,
     StructureReport,
     builtin_functionals,
     check_structure,
     evaluate,
+    hlp_compare,
     parse_functional,
     renyi,
     shannon,

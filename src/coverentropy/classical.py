@@ -206,7 +206,7 @@ def _venn_cells(
     (by first atom).  A cell's atoms are that group's positive-mass atoms,
     and its mass adds them in ascending order.
     """
-    mass = mu.mass.tolist()
+    mass = mu.masses
     cells = []
     for options, group in q.atom_signatures:
         atoms = [atom for atom in group if mass[atom] > 0.0]
@@ -257,7 +257,7 @@ def minimizing_assignment(
     _require_shared_space(mu, q)
     cells = _venn_cells(mu, q)
     # the cells hold every positive atom unless some atom lies in no cover set
-    if q.uncovered_atoms.size and not is_mu_cover(q, mu):
+    if q.uncovered_atoms and not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
     _, choice, explored, completed = _kernels.ordering_dp(
         [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,

@@ -9,7 +9,7 @@ distinct nonzero codes.
 Each subcommand imports the modules it runs beyond the classical search
 (:mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
 :mod:`~coverentropy.selftest`) when it starts, so a child process loads and
-compiles only those.
+compiles only those; only they import numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
 from .errors import BudgetExceededError, ValidationError
-from .functionals import parse_functional
+from .functionals import HlpInput, hlp_compare, parse_functional
 from .measure import (
     SetFamily,
     check_integer,
@@ -214,7 +214,6 @@ def cmd_mixture(args) -> int:
 
 
 def cmd_hlp(args) -> int:
-    from .weighted import HlpInput, hlp_compare
     [hlp] = _read_inputs(args, args.input)
     data = load_json(hlp, "hlp file")
     if not isinstance(data, dict) or not {"x", "y", "functional"} <= set(data):

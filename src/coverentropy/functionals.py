@@ -11,7 +11,8 @@ Shannon, Renyi-alpha and Tsallis-alpha (base-2 logs, ``alpha`` in
 ``(0, inf) \\ {1}``) are provided as built-ins; arbitrary ``(f, g)`` pairs can
 be wrapped and checked numerically with :func:`check_structure`.
 
-Functionals are immutable value objects; :func:`evaluate` is pure.
+Functionals are immutable value objects; :func:`evaluate` is pure.  The
+Hardy-Littlewood-Polya comparison :func:`hlp_compare` lives here too.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, Literal, Sequence
 
 from .errors import ValidationError
 from .measure import (
@@ -30,7 +29,7 @@ from .measure import (
     check_tolerance,
     check_type,
     is_finite_number,
-    real_array,
+    real_list,
 )
 
 class CompositionCase(enum.Enum):
@@ -74,19 +73,17 @@ def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
     nothing (the ``g(0) = 0`` convention built into every ``g`` here).
     """
     check_type(e, EntropyFunctional, "functional")
-    arr = real_array(masses, "masses")
-    if arr.ndim != 1:
-        raise ValidationError(f"masses must be one-dimensional, got shape {arr.shape}")
-    values = arr.tolist()
+    values = real_list(masses, "masses")
     # a NaN fails both comparisons
     if not all(0.0 <= m <= 1.0 + MASS_TOL for m in values):
         raise ValidationError("masses must lie in [0, 1]")
-    if float(arr.sum()) > 1.0 + MASS_TOL:
-        raise ValidationError(f"masses sum to {float(arr.sum())}, beyond 1")
+    total = math.fsum(values)
+    if total > 1.0 + MASS_TOL:
+        raise ValidationError(f"masses sum to {total}, beyond 1")
     return _g_sum_value(e, values)
 
 
-def _g_sum_value(e: EntropyFunctional, masses: list[float]) -> float:
+def _g_sum_value(e: EntropyFunctional, masses: Sequence[float]) -> float:
     """``f`` of the g-sum over the positive entries, added in list order: the
     one definition of the value, unchecked.  :func:`evaluate` is its checks
     plus this; the search's witness, whose block masses need no check, calls
@@ -214,6 +211,7 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
     most ``grid_size`` blocks (between ``g(1)`` and ``grid_size*g(1/grid_size)``);
     ``f`` is never evaluated outside that span.
     """
+    import numpy as np
     check_integer(grid_size, 3, "grid_size")
     check_tolerance(tol)
     ts = np.linspace(0.0, 1.0, grid_size)
@@ -269,3 +267,84 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
         worst_additive_violation=worst_add,
         worst_curvature_violation=worst_curv,
     )
+
+
+# ---------------------------------------------------------------------------
+# Hardy-Littlewood-Polya comparison
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HlpInput:
+    """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``.
+
+    Each is given as a list or tuple of finite nonnegative numbers and kept
+    as a tuple of floats.
+    """
+
+    x_seq: tuple[float, ...]
+    y_seq: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.x_seq, (list, tuple)) and isinstance(self.y_seq, (list, tuple))):
+            raise ValidationError("x and y must be lists or tuples of numbers")
+        x, y = tuple(self.x_seq), tuple(self.y_seq)
+        for v in x + y:
+            if not is_finite_number(v) or v < 0:
+                raise ValidationError(
+                    f"sequence entries must be finite and nonnegative numbers, got {v!r}")
+        x, y = tuple(map(float, x)), tuple(map(float, y))
+        object.__setattr__(self, "x_seq", x)
+        object.__setattr__(self, "y_seq", y)
+        if len(x) != len(y):
+            raise ValidationError("x and y must have the same length")
+        if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
+            raise ValidationError("x must be nonincreasing")
+        sum_x, sum_y = math.fsum(x), math.fsum(y)
+        if abs(sum_x - sum_y) > MASS_TOL:
+            raise ValidationError(
+                f"totals differ: sum x = {sum_x}, sum y = {sum_y}"
+            )
+        px = py = 0.0
+        for i in range(len(x)):
+            px += x[i]
+            py += y[i]
+            if px > py + MASS_TOL:
+                raise ValidationError(
+                    f"prefix dominance fails at position {i}: {px} > {py}"
+                )
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Both transformed sums plus whether the predicted direction held."""
+
+    sum_x: float
+    sum_y: float
+    shape: str
+    confirmed: bool
+
+
+def hlp_compare(
+    inp: HlpInput,
+    phi: Callable[[float], float],
+    shape: Literal["concave", "convex"],
+    tol: float = 1e-9,
+) -> ComparisonReport:
+    """Compare ``sum phi(x)`` against ``sum phi(y)``.
+
+    For a continuous ``phi`` with ``phi(0) = 0``, prefix dominance of the
+    nonincreasing ``x`` by ``y`` (equal totals) forces ``sum phi(x) >= sum
+    phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
+    reports that direction within ``tol``.
+    """
+    check_type(inp, HlpInput, "comparison input")
+    if shape not in ("concave", "convex"):
+        raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
+    check_tolerance(tol)
+    sum_x = float(sum(phi(v) for v in inp.x_seq))
+    sum_y = float(sum(phi(v) for v in inp.y_seq))
+    if shape == "concave":
+        confirmed = sum_x >= sum_y - tol
+    else:
+        confirmed = sum_x <= sum_y + tol
+    return ComparisonReport(sum_x=sum_x, sum_y=sum_y, shape=shape, confirmed=confirmed)

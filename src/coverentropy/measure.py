@@ -5,17 +5,18 @@ The whole package works on a fixed finite model: atoms are the integers
 vector.  Families of atom sets play two roles: *partitions* (pairwise
 disjoint, covering all mass) and *covers* (overlaps allowed, covering all
 mass).  All types are immutable after construction and all operations are
-pure functions, so everything here is safe to share across threads.  A
-family's derived structure is built on first use and is read-only; two
-threads that race to build it build the same values:
+pure functions, so everything here is safe to share across threads.  The
+checks run on tuples, without numpy.  A measure's ``mass`` array and a
+family's derived structure are built on first use and are read-only; two
+threads that race to build them build the same values:
 
 * ``incidence``, the sets-by-atoms membership matrix, read by block
   containment, the assignment and division checks and the division
   sampler;
 * ``atom_signatures``, the atoms grouped by the sets that hold them, read
   by the search's Venn cells and candidate lists;
-* ``uncovered_atoms``, the atoms that no set holds, derived with the
-  signatures and read by :func:`is_mu_cover`.
+* ``uncovered_atoms``, the tuple of atoms that no set holds, derived with
+  the signatures and read by :func:`is_mu_cover`.
 
 This module also owns the instance JSON schema consumed by the CLI::
 
@@ -26,21 +27,23 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import SpaceMismatchError, ValidationError
 
-#: Absolute tolerance for mu-null discrepancies.  A left-to-right sum of n
-#: nonnegative binary64 masses with total at most 1 is off by at most
-#: (n - 1) * 2**-53, which reaches 1e-12 at n = 9,008 atoms; beyond that a
-#: worst-case instance can fail a mass check by rounding alone.  numpy's
-#: pairwise sums stay far inside the bound.
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Absolute tolerance for mu-null discrepancies.  Every total compared with
+#: it is ``math.fsum``, the exact sum rounded once, so rounding alone trips no
+#: check at any atom count; a left-to-right sum of n masses with total at
+#: most 1 can be off by (n - 1) * 2**-53, which is 1e-12 at n = 9,008.
 MASS_TOL = 1e-12
 
 
@@ -61,6 +64,7 @@ def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array (``values`` itself if it is one), each an
     integer or a float as in :func:`is_finite_number`, else a ValidationError;
     finiteness is not checked."""
+    import numpy as np
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
@@ -74,11 +78,29 @@ def real_array(values, what: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def real_list(values, what: str) -> tuple[float, ...]:
+    """The one-dimensional ``values`` as a tuple of floats by the rule of
+    :func:`real_array`, else a ValidationError.  A list or tuple of plain
+    floats and of ints in int64 range, which numpy reads the same, is read
+    without numpy; any other input goes through :func:`real_array`."""
+    if type(values) in (list, tuple):
+        kinds = set(map(type, values))
+        if kinds <= {float}:
+            return tuple(values)
+        if kinds <= {float, int} and all(-2**63 <= v < 2**63 for v in values if type(v) is int):
+            return tuple(map(float, values))
+    arr = real_array(values, what)
+    if arr.ndim != 1:
+        raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    return tuple(arr.tolist())
+
+
 def _holds_bool(values) -> bool:
     """True if the list or tuple ``values``, or one nested in it, holds a
     Python or numpy boolean."""
     kinds = set(map(type, values))
-    if bool in kinds or np.bool_ in kinds:
+    np = sys.modules.get("numpy")  # no numpy boolean exists before numpy loads
+    if bool in kinds or np is not None and np.bool_ in kinds:
         return True
     if list in kinds or tuple in kinds:
         return any(_holds_bool(v) for v in values if type(v) in (list, tuple))
@@ -89,44 +111,57 @@ def _holds_bool(values) -> bool:
 class Measure:
     """Finite, nonnegative mass vector over a space; at most sub-probability total.
 
+    ``masses`` (:func:`real_list`) is kept as a tuple of floats; ``mass`` is
+    the same as a read-only float64 array, built on first use.
     ``probability=True`` additionally pins the total mass to 1 (within
     ``MASS_TOL``).  Restrictions and the per-cover-set submeasures are plain
     sub-probability measures.
     """
 
     space: DiscreteSpace
-    mass: np.ndarray
+    masses: tuple[float, ...]
     probability: bool = False
 
     def __post_init__(self) -> None:
         check_type(self.space, DiscreteSpace, "space")
-        arr = real_array(self.mass, "mass").copy()
-        if arr.shape != (self.space.n,):
-            raise ValidationError(f"mass must be a length-{self.space.n} vector, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mass", arr)
-        if not np.isfinite(arr).all():
+        masses = real_list(self.masses, "mass")
+        if len(masses) != self.space.n:
+            raise ValidationError(
+                f"mass must be a length-{self.space.n} vector, got {len(masses)} entries")
+        object.__setattr__(self, "masses", masses)
+        try:
+            total = math.fsum(masses)
+        except (OverflowError, ValueError):  # a sum beyond float range, or inf - inf
+            total = math.inf
+        # a finite total has no non-finite entry to find
+        if not math.isfinite(total) and not all(map(math.isfinite, masses)):
             raise ValidationError("mass vector has a non-finite entry")
-        if np.any(arr < 0.0):
-            worst = float(arr.min())
+        worst = min(masses)
+        if worst < 0.0:
             raise ValidationError(f"mass vector has a negative entry ({worst})")
-        total = float(arr.sum())
         if total > 1.0 + MASS_TOL:
             raise ValidationError(f"total mass {total} exceeds 1 beyond tolerance")
         if self.probability and abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"probability measure must have total 1, got {total}")
 
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Read-only float64 array of ``masses``."""
+        import numpy as np
+        arr = np.array(self.masses, dtype=np.float64)
+        arr.setflags(write=False)
+        return arr
+
     @property
     def total(self) -> float:
-        return float(self.mass.sum())
+        return math.fsum(self.masses)
 
     def mass_of(self, a: "AtomSet") -> float:
         """Total mass carried by the atoms of ``a``."""
         check_type(a, AtomSet, "atom set")
         _require_shared_space(self, a)
-        if not a.members:
-            return 0.0
-        return float(self.mass[list(a.members)].sum())
+        masses = self.masses
+        return math.fsum([masses[atom] for atom in a.members])
 
 
 @dataclass(frozen=True)
@@ -185,6 +220,7 @@ class SetFamily:
         Built on first use and kept; the containment, assignment and division
         checks and the division sampler read it.
         """
+        import numpy as np
         m = np.zeros((len(self.sets), self.space.n), dtype=bool)
         rows = np.repeat(np.arange(len(self.sets)), [len(s) for s in self.sets])
         m[rows, [a for s in self.sets for a in s.members]] = True
@@ -204,8 +240,8 @@ class SetFamily:
         return self._signature_map[0]
 
     @property
-    def uncovered_atoms(self) -> np.ndarray:
-        """Read-only ascending index array of the atoms that no set holds.
+    def uncovered_atoms(self) -> tuple[int, ...]:
+        """Ascending tuple of the atoms that no set holds.
 
         Derived with :attr:`atom_signatures` and kept; the cover check reads it.
         """
@@ -220,8 +256,7 @@ class SetFamily:
         groups: dict[tuple[int, ...], list[int]] = {}
         for atom, sets in enumerate(held):
             groups.setdefault(tuple(sets), []).append(atom)
-        uncovered = np.array(groups.pop((), []), dtype=np.intp)
-        uncovered.setflags(write=False)
+        uncovered = tuple(groups.pop((), ()))
         return tuple((sets, tuple(atoms)) for sets, atoms in groups.items()), uncovered
 
     def as_lists(self) -> list[list[int]]:
@@ -240,10 +275,9 @@ def restrict(mu: Measure, a: AtomSet) -> Measure:
     check_type(mu, Measure, "measure")
     check_type(a, AtomSet, "atom set")
     _require_shared_space(mu, a)
-    out = np.zeros(mu.space.n, dtype=np.float64)
-    if a.members:
-        idx = list(a.members)
-        out[idx] = mu.mass[idx]
+    out = [0.0] * mu.space.n
+    for atom in a.members:
+        out[atom] = mu.masses[atom]
     return Measure(mu.space, out)
 
 
@@ -262,22 +296,18 @@ def _check_family_and_measure(fam, mu) -> None:
 def is_mu_partition(fam: SetFamily, mu: Measure) -> bool:
     """True iff the sets are pairwise disjoint and miss at most mu-null mass."""
     _check_family_and_measure(fam, mu)
-    # counted from the members: a partition may have up to n blocks, too
-    # many for an incidence matrix
-    members = [a for s in fam.sets for a in s.members]
-    coverage = np.bincount(members, minlength=fam.space.n)
-    if np.any(coverage > 1):
+    held = set(chain.from_iterable(s.members for s in fam.sets))
+    if len(held) != sum(map(len, fam.sets)):
         return False
-    uncovered = float(mu.mass[coverage == 0].sum())
-    return uncovered <= MASS_TOL
+    if len(held) == fam.space.n:
+        return True
+    return math.fsum([mu.masses[a] for a in range(fam.space.n) if a not in held]) <= MASS_TOL
 
 
 def is_mu_cover(fam: SetFamily, mu: Measure) -> bool:
     """True iff at most mu-null mass lies outside the union (overlaps allowed)."""
     _check_family_and_measure(fam, mu)
-    missed = fam.uncovered_atoms
-    # the same atoms, in the same order, as the mask of uncovered columns
-    return not missed.size or float(mu.mass[missed].sum()) <= MASS_TOL
+    return math.fsum([mu.masses[a] for a in fam.uncovered_atoms]) <= MASS_TOL
 
 
 def finer_than(p: SetFamily, q: SetFamily) -> bool:
@@ -312,8 +342,8 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     if missing:
         raise ValidationError(f"instance is missing keys: {sorted(missing)}")
     space = DiscreteSpace(data["n"])
-    mass = real_array(data["mu"], '"mu"')
-    if mass.shape != (space.n,):
+    mass = real_list(data["mu"], '"mu"')
+    if len(mass) != space.n:
         raise ValidationError(f'"mu" must be a list of {space.n} numbers')
     mu = Measure(space, mass, probability=True)
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))
@@ -322,9 +352,14 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
 
 def is_finite_number(v) -> bool:
     """True for a finite Python or numpy real; booleans, strings and ``None``
-    are not numbers."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+    are not numbers.  numpy is looked up, not imported: no numpy value exists
+    before numpy is loaded."""
+    if isinstance(v, bool):
         return False
+    if not isinstance(v, (int, float)):
+        np = sys.modules.get("numpy")
+        if np is None or not isinstance(v, (np.integer, np.floating)):
+            return False
     try:
         return math.isfinite(v)
     except OverflowError:
@@ -367,8 +402,12 @@ def check_integer(value, least: int, what: str) -> int:
 
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; booleans are not integers here
-    (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``)."""
-    return type(value) is int or isinstance(value, np.integer)
+    (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``).
+    numpy is looked up, not imported, as in :func:`is_finite_number`."""
+    if type(value) is int:
+        return True
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.integer)
 
 
 def parse_blocks(raw, what: str) -> list[list[int]]:
@@ -403,6 +442,6 @@ def instance_dict(mu: Measure, cover: SetFamily) -> dict:
     """Inverse of :func:`parse_instance`, handy for tests and reports."""
     return {
         "n": mu.space.n,
-        "mu": [float(v) for v in mu.mass],
+        "mu": list(mu.masses),
         "cover": cover.as_lists(),
     }

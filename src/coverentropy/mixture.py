@@ -42,7 +42,7 @@ from .measure import (
     check_type,
     is_finite_number,
     parse_blocks,
-    real_array,
+    real_list,
 )
 from .weighted import WeightedDivision
 
@@ -66,8 +66,9 @@ def _coefficients(values) -> tuple[float, ...]:
         if not is_finite_number(v) or not 0.0 <= v <= 1.0:
             raise ValidationError(f"coefficients must be finite numbers in [0, 1], got {v!r}")
     coeffs = tuple(map(float, listed))
-    if abs(sum(coeffs) - 1.0) > MASS_TOL:
-        raise ValidationError(f"coefficients sum to {sum(coeffs)}, not 1")
+    total = math.fsum(coeffs)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"coefficients sum to {total}, not 1")
     return coeffs
 
 
@@ -124,7 +125,7 @@ def _mix(spec: MixtureSpec) -> tuple[Measure, float]:
     mass = np.zeros(spec.space.n, dtype=np.float64)
     for a, m in spec.components:
         mass += a * m.mass
-    total = float(mass.sum())
+    total = math.fsum(mass.tolist())
     scale = total if abs(total - 1.0) > MASS_TOL else 1.0
     return Measure(spec.space, mass / scale, probability=True), scale
 
@@ -149,7 +150,7 @@ def mix_division(
         check_type(d, WeightedDivision, "divisions")
         if d.cover != divisions[0].cover:
             raise ValidationError("all divisions must share one cover")
-        if not np.array_equal(d.mu.mass, m.mass):
+        if d.mu.masses != m.masses:
             raise ValidationError("division does not divide its component measure")
     mu, scale = _mix(spec)
     cover = divisions[0].cover
@@ -370,8 +371,8 @@ def parse_mixture(data: dict) -> tuple[MixtureSpec, SetFamily, EntropyFunctional
         raise ValidationError("one coefficient per measure is required")
     comps = []  # MixtureSpec applies the coefficient rule
     for i, (weight, raw) in enumerate(zip(coeffs, measures)):
-        mass = real_array(raw, f"measure {i}")
-        if mass.shape != (space.n,):
+        mass = real_list(raw, f"measure {i}")
+        if len(mass) != space.n:
             raise ValidationError(f"measure {i} must list {space.n} masses")
         comps.append((weight, Measure(space, mass, probability=True)))
     cover = SetFamily.of(space, parse_blocks(data["cover"], '"cover"'))

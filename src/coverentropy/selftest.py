@@ -29,8 +29,10 @@ from .errors import ValidationError
 from .functionals import (
     CompositionCase,
     EntropyFunctional,
+    HlpInput,
     builtin_functionals,
     check_structure,
+    hlp_compare,
     renyi,
     shannon,
     tsallis,
@@ -38,11 +40,9 @@ from .functionals import (
 from .measure import AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, instance_dict
 from .mixture import MixtureSpec, verify_mixture_bounds
 from .weighted import (
-    HlpInput,
     cover_entropy_weighted,
     disjointify,
     disjointify_certificate,
-    hlp_compare,
     partition_to_division,
     random_division,
     weighted_entropy,
@@ -109,7 +109,7 @@ def random_cover(rng: np.random.Generator, mu: Measure, k: int) -> SetFamily:
         blocks.append(members)
     covered = set().union(*map(set, blocks))
     for atom in range(n):
-        if mu.mass[atom] > 0.0 and atom not in covered:
+        if mu.masses[atom] > 0.0 and atom not in covered:
             blocks[int(rng.integers(k))].append(atom)
     return SetFamily.of(mu.space, blocks)
 
@@ -247,7 +247,7 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
                 mixture=dict(
                     n=n,
                     coefficients=[float(a) for a in coeffs],
-                    measures=[[float(v) for v in m.mass] for m in mus],
+                    measures=[list(m.masses) for m in mus],
                     cover=q.as_lists(),
                     functional=e.name,
                 ),

@@ -12,19 +12,20 @@ picture to partitions:
   by sorting the cover sets by submeasure mass and taking set differences.
 
 The second direction is certified by prefix-sum dominance between the sorted
-row masses and the block masses (a Hardy-Littlewood-Polya comparison, exposed
-via :func:`hlp_compare`).  Minimising the weighted entropy over the whole
-division polytope therefore matches the classical cover entropy; the minimum
-is attained at an assignment-induced (vertex) division, which is how
-:func:`cover_entropy_weighted` computes it.  All operations are pure and the
-random sampler depends only on ``(seed, instance)``.
+row masses and the block masses (a Hardy-Littlewood-Polya comparison, see
+:func:`~coverentropy.functionals.hlp_compare`).  Minimising the weighted
+entropy over the whole division polytope therefore matches the classical
+cover entropy; the minimum is attained at an assignment-induced (vertex)
+division, which is how :func:`cover_entropy_weighted` computes it.  All
+operations are pure and the random sampler depends only on ``(seed,
+instance)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .classical import (
     minimizing_assignment,
 )
 from .errors import ValidationError
-from .functionals import EntropyFunctional, _g_sum_value, evaluate
+from .functionals import EntropyFunctional, HlpInput, _g_sum_value, evaluate
 from .measure import (
     MASS_TOL,
     AtomSet,
@@ -46,9 +47,7 @@ from .measure import (
     _require_shared_space,
     _unchecked,
     check_integer,
-    check_tolerance,
     check_type,
-    is_finite_number,
     is_mu_cover,
     is_mu_partition,
     real_array,
@@ -147,7 +146,7 @@ def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
     check_type(mu, Measure, "measure")
     _require_shared_space(mu, a.cover)
     rows = np.zeros((len(a.cover), mu.space.n), dtype=np.float64)
-    unplaced = mu.mass.tolist()
+    unplaced = list(mu.masses)
     for atom, idx in a.choice:
         rows[idx, atom] = unplaced[atom]
         unplaced[atom] = 0.0
@@ -191,7 +190,7 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     check_type(d, WeightedDivision, "division")
     order, blocks, block_masses = d._chain
     missed = ~d.cover.incidence[list(order)].any(axis=0)
-    if float(d.mu.mass[missed].sum()) > MASS_TOL:
+    if math.fsum(d.mu.mass[missed].tolist()) > MASS_TOL:
         raise ValidationError(
             "rows of positive mass do not cover the measure's support"
         )
@@ -199,7 +198,7 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     return SetFamily(d.mu.space, pruned)
 
 
-def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
+def disjointify_certificate(d: WeightedDivision) -> HlpInput:
     """Prefix-dominance certificate behind :func:`disjointify`.
 
     ``x`` holds the sorted masses of the rows of positive mass and ``y`` the
@@ -210,86 +209,6 @@ def disjointify_certificate(d: WeightedDivision) -> "HlpInput":
     order, _, block_masses = d._chain
     masses = d.row_masses
     return HlpInput(x_seq=tuple(float(masses[i]) for i in order), y_seq=block_masses)
-
-
-# ---------------------------------------------------------------------------
-# Hardy-Littlewood-Polya comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HlpInput:
-    """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``.
-
-    Each is given as a list or tuple of finite nonnegative numbers and kept
-    as a tuple of floats.
-    """
-
-    x_seq: tuple[float, ...]
-    y_seq: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.x_seq, (list, tuple)) and isinstance(self.y_seq, (list, tuple))):
-            raise ValidationError("x and y must be lists or tuples of numbers")
-        x, y = tuple(self.x_seq), tuple(self.y_seq)
-        for v in x + y:
-            if not is_finite_number(v) or v < 0:
-                raise ValidationError(
-                    f"sequence entries must be finite and nonnegative numbers, got {v!r}")
-        x, y = tuple(map(float, x)), tuple(map(float, y))
-        object.__setattr__(self, "x_seq", x)
-        object.__setattr__(self, "y_seq", y)
-        if len(x) != len(y):
-            raise ValidationError("x and y must have the same length")
-        if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
-            raise ValidationError("x must be nonincreasing")
-        if abs(sum(x) - sum(y)) > MASS_TOL:
-            raise ValidationError(
-                f"totals differ: sum x = {sum(x)}, sum y = {sum(y)}"
-            )
-        px = py = 0.0
-        for i in range(len(x)):
-            px += x[i]
-            py += y[i]
-            if px > py + MASS_TOL:
-                raise ValidationError(
-                    f"prefix dominance fails at position {i}: {px} > {py}"
-                )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Both transformed sums plus whether the predicted direction held."""
-
-    sum_x: float
-    sum_y: float
-    shape: str
-    confirmed: bool
-
-
-def hlp_compare(
-    inp: HlpInput,
-    phi: Callable[[float], float],
-    shape: Literal["concave", "convex"],
-    tol: float = 1e-9,
-) -> ComparisonReport:
-    """Compare ``sum phi(x)`` against ``sum phi(y)``.
-
-    For a continuous ``phi`` with ``phi(0) = 0``, prefix dominance of the
-    nonincreasing ``x`` by ``y`` (equal totals) forces ``sum phi(x) >= sum
-    phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
-    reports that direction within ``tol``.
-    """
-    check_type(inp, HlpInput, "comparison input")
-    if shape not in ("concave", "convex"):
-        raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
-    check_tolerance(tol)
-    sum_x = float(sum(phi(v) for v in inp.x_seq))
-    sum_y = float(sum(phi(v) for v in inp.y_seq))
-    if shape == "concave":
-        confirmed = sum_x >= sum_y - tol
-    else:
-        confirmed = sum_x <= sum_y + tol
-    return ComparisonReport(sum_x=sum_x, sum_y=sum_y, shape=shape, confirmed=confirmed)
 
 
 # ---------------------------------------------------------------------------

@@ -557,24 +557,69 @@ class TestSelftestDiagnostics:
         assert any(o.counterexample is not None for o in failing)
 
 
+def run_fresh(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter with ``argv``; this process
+    has loaded every module already."""
+    src = str(Path(coverentropy.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# a child that runs cli.main on its arguments and prints the exit code and
+# whether numpy got loaded
+CLI_CHILD = (
+    "import contextlib, io, sys\n"
+    "from coverentropy.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
 class TestLazyImports:
     def test_cli_import_leaves_weighted_mixture_and_selftest_unloaded(self):
-        # a fresh interpreter: this process has loaded every module already
-        # loaded modules are listed before any name of __all__ is resolved;
-        # a name that does not resolve fails the child
+        # numpy too; loaded modules are listed before any name of __all__ is
+        # resolved, and a name that does not resolve fails the child
         code = (
             "import sys, coverentropy.cli, coverentropy\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('coverentropy.')))\n"
+            "print(' '.join(m for m in sys.modules\n"
+            "               if m.startswith('coverentropy.') or m == 'numpy'))\n"
             "[getattr(coverentropy, name) for name in coverentropy.__all__]\n"
         )
-        src = str(Path(coverentropy.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        loaded = set(out.stdout.split())
+        loaded = set(run_fresh(code).split())
         assert "coverentropy.cli" in loaded
         assert not loaded & {"coverentropy.selftest", "coverentropy.mixture",
-                             "coverentropy.weighted"}
+                             "coverentropy.weighted", "numpy"}
+
+    @pytest.mark.parametrize("case", ["cover-classical", "partition", "hlp",
+                                      "nan-literal", "missing-cover"])
+    def test_classical_commands_never_load_numpy(self, tmp_path, case):
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(INSTANCE))
+        hlp = tmp_path / "hlp.json"
+        hlp.write_text(json.dumps({"x": [0.5, 0.5], "y": [0.7, 0.3], "functional": "shannon"}))
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps({**INSTANCE, "mu": [math.nan, 0.5, 0.5]}))
+        missing = tmp_path / "missing.json"
+        missing.write_text(json.dumps({"n": 3, "mu": INSTANCE["mu"]}))
+        argv, expected = {
+            "cover-classical": (["cover", str(instance), "--functional", "shannon",
+                                 "--mode", "classical"], 0),
+            "partition": (["partition", str(instance), "--functional", "tsallis:2",
+                           "--blocks", "[[0, 1], [2]]"], 0),
+            "hlp": (["hlp", str(hlp)], 0),
+            "nan-literal": (["cover", str(nan), "--functional", "shannon"], 1),
+            "missing-cover": (["cover", str(missing), "--functional", "shannon",
+                               "--mode", "classical"], 1),
+        }[case]
+        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
+
+    def test_weighted_command_loads_numpy(self, instance_file):
+        # the control: the child does see numpy when a command needs arrays
+        argv = ["cover", instance_file, "--functional", "shannon", "--mode", "weighted",
+                "--samples", "1"]
+        assert run_fresh(CLI_CHILD, *argv).split() == ["0", "True"]
 
     def test_every_exported_name_resolves(self):
         from coverentropy import mixture, weighted
@@ -583,6 +628,7 @@ class TestLazyImports:
             assert getattr(coverentropy, name) is not None
         assert coverentropy.cover_entropy_weighted is weighted.cover_entropy_weighted
         assert coverentropy.MixtureSpec is mixture.MixtureSpec
+        assert coverentropy.hlp_compare is coverentropy.functionals.hlp_compare
         assert set(coverentropy.__all__) <= set(dir(coverentropy))
         with pytest.raises(AttributeError):
             coverentropy.no_such_name
@@ -597,8 +643,4 @@ def test_weighted_name_leaves_mixture_unloaded():
         "print(set(coverentropy.__all__) | {'mixture', 'selftest', 'weighted'}\n"
         "      <= set(dir(coverentropy)))\n"
     )
-    src = str(Path(coverentropy.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert run_fresh(code).split() == ["False", "True"]

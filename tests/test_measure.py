@@ -1,16 +1,23 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bad_values import BAD_ALPHAS, BAD_BUDGETS, BAD_GRID_SIZES, BAD_SEEDS, BAD_TOLS
 from coverentropy import (
     AtomSet,
     DiscreteSpace,
+    MASS_TOL,
     Measure,
     SetFamily,
     SpaceMismatchError,
     ValidationError,
     complement,
+    cover_entropy,
     finer_than,
     instance_dict,
     is_mu_cover,
@@ -18,8 +25,11 @@ from coverentropy import (
     parse_division,
     parse_instance,
     parse_mixture,
+    partition_entropy,
     restrict,
+    shannon,
 )
+from coverentropy.measure import is_finite_number, is_integer, real_array, real_list
 
 
 def measure(*mass, probability=False):
@@ -225,7 +235,7 @@ class TestSignatureMap:
     def test_groups_atoms_by_their_sets(self):
         fam = family(6, [2, 0, 5], [], [0, 2, 4], [4])
         assert fam.atom_signatures == (((0, 2), (0, 2)), ((2, 3), (4,)), ((0,), (5,)))
-        assert fam.uncovered_atoms.tolist() == [1, 3]
+        assert fam.uncovered_atoms == (1, 3)
 
     def test_cached_and_readonly(self):
         fam = family(4, [0, 1], [1])
@@ -233,25 +243,23 @@ class TestSignatureMap:
         assert fam.atom_signatures is sigs and fam.uncovered_atoms is missed
         assert isinstance(sigs, tuple)
         assert all(type(sets) is tuple and type(atoms) is tuple for sets, atoms in sigs)
-        assert missed.dtype == np.intp
-        with pytest.raises(ValueError):
-            missed[0] = 0
+        assert type(missed) is tuple and missed == (2, 3)  # a tuple is read-only
 
     @given(families())
     @settings(max_examples=200)
     def test_agrees_with_incidence(self, fam):
         sigs, uncovered = signatures_from_incidence(fam)
         assert fam.atom_signatures == sigs
-        assert fam.uncovered_atoms.tolist() == uncovered
+        assert fam.uncovered_atoms == tuple(uncovered)
 
     def test_two_thousand_singletons(self):
         n = 2000
         fam = family(n, *([a] for a in range(n)))
         assert fam.atom_signatures == tuple(((a,), (a,)) for a in range(n))
-        assert fam.uncovered_atoms.size == 0
+        assert fam.uncovered_atoms == ()
         assert (fam.atom_signatures, []) == signatures_from_incidence(fam)
         gap = family(n, *([a] for a in range(1, n)))
-        assert gap.uncovered_atoms.tolist() == [0]
+        assert gap.uncovered_atoms == (0,)
         mass = np.full(n, 1.0 / n)
         assert is_mu_cover(fam, Measure(fam.space, mass))
         assert not is_mu_cover(gap, Measure(fam.space, mass))
@@ -367,3 +375,73 @@ def test_json_mass_list_rejects_uniform_nesting(parse, what):
     # every entry a list gives a well-formed 2-D array, not a ragged one
     with pytest.raises(ValidationError, match=what):
         parse([[0.5], [0.5]])
+
+
+# -- the number rule, with and without numpy ------------------------------------
+
+ONE_DIMENSIONAL = [
+    [0.25, 0.75], (0.5,), [1, 2], [1, 0.5], (0, 0.5, 1),
+    [2 ** 63 - 1], [2 ** 63], [2 ** 64], [-1, 2 ** 63], [-(2 ** 63)], [-(2 ** 63) - 1],
+    [2 ** 62 + 1, 0.5], [2 ** 64, 0.5],
+    [True], [0.5, np.bool_(True)], [np.float64(0.5)], [np.int64(3), 0.5], [np.float32(0.5)],
+    ["0.5"], [None], [[0.5]], [[0.5], [0.5]], [], (),
+    np.array([0.5, 0.25]), np.array([[0.5]]), "ab", None, 0.5,
+    *([v] for v in BAD_BUDGETS + BAD_SEEDS + BAD_GRID_SIZES + BAD_TOLS + BAD_ALPHAS),
+    *([0.5, v] for v in BAD_BUDGETS + BAD_SEEDS + BAD_GRID_SIZES + BAD_TOLS + BAD_ALPHAS),
+]
+
+
+def rule_outcome(read, values):
+    """``("ok", hex floats)`` or ``("error", message)``: what ``read`` makes of ``values``."""
+    try:
+        floats = read(values)
+    except ValidationError as exc:
+        return "error", str(exc)
+    assert all(type(v) is float for v in floats)
+    return "ok", [v.hex() for v in floats]
+
+
+def array_rule(values):
+    """The 1-D reading of :func:`real_array`: its floats, or the error that
+    :func:`real_list` gives for another number of dimensions."""
+    arr = real_array(values, "mass")
+    if arr.ndim != 1:
+        raise ValidationError(f"mass must be one-dimensional, got shape {arr.shape}")
+    return arr.tolist()
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("values", ONE_DIMENSIONAL, ids=repr)
+    def test_pure_python_form_agrees_with_real_array(self, values):
+        assert rule_outcome(lambda v: real_list(v, "mass"), values) == rule_outcome(
+            array_rule, values)
+
+    def test_numpy_scalars_follow_the_rule_once_numpy_is_loaded(self):
+        assert is_integer(np.int64(3)) and is_integer(np.uint8(0))
+        assert not is_integer(np.bool_(True)) and not is_integer(np.float64(3.0))
+        assert is_finite_number(np.float32(0.5)) and is_finite_number(np.int64(3))
+        assert not is_finite_number(np.float64("nan")) and not is_finite_number(np.bool_(False))
+
+
+# -- mass sums at large n ------------------------------------------------------
+
+class TestLargeUniformMeasures:
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    def test_uniform_probability_measure_is_accepted(self, n):
+        mass = [1 / n] * n
+        # a left-to-right sum misses 1 by more than MASS_TOL here, so the
+        # total must be summed exactly
+        assert abs(functools.reduce(operator.add, mass) - 1.0) > MASS_TOL
+        mu = Measure(DiscreteSpace(n), mass, probability=True)
+        assert mu.total == 1.0
+        assert is_mu_partition(family(n, range(n)), mu)
+
+    def test_cover_entropy_runs_on_the_search_path(self):
+        n = 10 ** 5
+        mu = Measure(DiscreteSpace(n), [1 / n] * n, probability=True)
+        q = family(n, range(0, 60_000), range(40_000, n), range(20_000, 80_000))
+        result = cover_entropy(shannon(), mu, q)
+        # the two end sets take all mass: 0.6 and 0.4
+        assert [len(b) for b in result.witness] == [60_000, 40_000]
+        assert result.value == pytest.approx(-(0.6 * math.log2(0.6) + 0.4 * math.log2(0.4)))
+        assert result.value == partition_entropy(shannon(), mu, result.witness)
