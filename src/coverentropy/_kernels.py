@@ -111,7 +111,9 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
         if r in succ:
             continue
         out = []
-        n_alone = 0  # parts with no other candidate set
+        # parts with no other candidate set, and their g terms added in set
+        # order (builtin sum compensates from Python 3.12)
+        n_alone, g_alone = 0, 0.0
         for h, move in sets:
             part = r & h
             if part:
@@ -127,6 +129,7 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
                 out.append((gp, move))
                 if not part & shared:
                     n_alone += 1
+                    g_alone += gp
         placed = len(out)
         if n_alone and placed > 1:
             # a unit left in r keeps all its candidate sets, so these sets'
@@ -134,7 +137,7 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
             # parts are disjoint, so their sum is their union)
             alone = [i for h, (_, (i,)) in sets if r & h and not r & h & shared]
             parts = [r & holders[i] for i in alone]
-            out = [(sum(map(gget, parts)), (r ^ sum(parts), tuple(alone)))]
+            out = [(g_alone, (r ^ sum(parts), tuple(alone)))]
             placed = n_alone
         count += placed
         if count > budget:

@@ -95,6 +95,15 @@ def _g_sum_value(e: EntropyFunctional, masses: Sequence[float]) -> float:
     return float(e.f(s))
 
 
+def _sum_in_order(values) -> float:
+    """``values`` added left to right: builtin ``sum`` compensates float sums
+    from Python 3.12 on, so reports built on it would change with the version."""
+    s = 0.0
+    for v in values:
+        s += v
+    return float(s)
+
+
 # ---------------------------------------------------------------------------
 # Built-ins
 # ---------------------------------------------------------------------------
@@ -277,9 +286,9 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
 class HlpInput:
     """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``.
 
-    Each is given as a list or tuple of finite nonnegative numbers and kept
-    as a tuple of floats.
-    """
+    Each is given as a list or tuple of finite nonnegative numbers
+    (:func:`~coverentropy.measure.real_list`) and kept as a tuple of floats;
+    totals must stay in float range."""
 
     x_seq: tuple[float, ...]
     y_seq: tuple[float, ...]
@@ -287,19 +296,19 @@ class HlpInput:
     def __post_init__(self) -> None:
         if not (isinstance(self.x_seq, (list, tuple)) and isinstance(self.y_seq, (list, tuple))):
             raise ValidationError("x and y must be lists or tuples of numbers")
-        x, y = tuple(self.x_seq), tuple(self.y_seq)
-        for v in x + y:
-            if not is_finite_number(v) or v < 0:
-                raise ValidationError(
-                    f"sequence entries must be finite and nonnegative numbers, got {v!r}")
-        x, y = tuple(map(float, x)), tuple(map(float, y))
+        x, y = real_list(self.x_seq, "x"), real_list(self.y_seq, "y")
+        if not all(0.0 <= v < math.inf for v in x + y):  # false for NaN too
+            raise ValidationError("sequence entries must be finite and nonnegative numbers")
         object.__setattr__(self, "x_seq", x)
         object.__setattr__(self, "y_seq", y)
         if len(x) != len(y):
             raise ValidationError("x and y must have the same length")
         if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
             raise ValidationError("x must be nonincreasing")
-        sum_x, sum_y = math.fsum(x), math.fsum(y)
+        try:
+            sum_x, sum_y = math.fsum(x), math.fsum(y)
+        except OverflowError:
+            raise ValidationError("the totals of x and y exceed float range") from None
         if abs(sum_x - sum_y) > MASS_TOL:
             raise ValidationError(
                 f"totals differ: sum x = {sum_x}, sum y = {sum_y}"
@@ -335,14 +344,18 @@ def hlp_compare(
     For a continuous ``phi`` with ``phi(0) = 0``, prefix dominance of the
     nonincreasing ``x`` by ``y`` (equal totals) forces ``sum phi(x) >= sum
     phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
-    reports that direction within ``tol``.
-    """
+    reports that direction within ``tol``.  Each sum adds left to right, and
+    one beyond float range is a ValidationError."""
     check_type(inp, HlpInput, "comparison input")
     if shape not in ("concave", "convex"):
         raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
     check_tolerance(tol)
-    sum_x = float(sum(phi(v) for v in inp.x_seq))
-    sum_y = float(sum(phi(v) for v in inp.y_seq))
+    try:
+        sum_x, sum_y = _sum_in_order(map(phi, inp.x_seq)), _sum_in_order(map(phi, inp.y_seq))
+    except OverflowError:
+        raise ValidationError("phi of an entry exceeds float range") from None
+    if not (math.isfinite(sum_x) and math.isfinite(sum_y)):
+        raise ValidationError(f"the phi sums are not finite: {sum_x} and {sum_y}")
     if shape == "concave":
         confirmed = sum_x >= sum_y - tol
     else:

@@ -60,51 +60,30 @@ class DiscreteSpace:
         return range(self.n)
 
 
-def real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array (``values`` itself if it is one), each an
-    integer or a float as in :func:`is_finite_number`, else a ValidationError;
-    finiteness is not checked."""
-    import numpy as np
-    try:
-        arr = np.asarray(values)
-    except ValueError as exc:  # ragged nesting
-        raise ValidationError(f"{what} must be an array of numbers: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must hold numbers, got {arr.dtype} entries")
-    # numpy casts a boolean mixed with numbers to a number; an array's dtype
-    # has already said whether it holds booleans
-    if isinstance(values, (list, tuple)) and _holds_bool(values):
-        raise ValidationError(f"{what} must hold numbers, got a boolean entry")
-    return arr.astype(np.float64, copy=False)
-
-
 def real_list(values, what: str) -> tuple[float, ...]:
-    """The one-dimensional ``values`` as a tuple of floats by the rule of
-    :func:`real_array`, else a ValidationError.  A list or tuple of plain
-    floats and of ints in int64 range, which numpy reads the same, is read
-    without numpy; any other input goes through :func:`real_array`."""
-    if type(values) in (list, tuple):
-        kinds = set(map(type, values))
-        if kinds <= {float}:
+    """``values`` as a tuple of floats, else a ValidationError naming ``what``:
+    a list or tuple of reals (:func:`is_real`), each read with ``float()``,
+    or a one-dimensional numpy array of integers or floats.  Finiteness is
+    not checked; an integer beyond float range is an error."""
+    if isinstance(values, (list, tuple)):
+        if set(map(type, values)) <= {float}:  # the common case, without a call per entry
             return tuple(values)
-        if kinds <= {float, int} and all(-2**63 <= v < 2**63 for v in values if type(v) is int):
+        for v in values:
+            if not is_real(v):
+                raise ValidationError(f"{what} must hold numbers, got {type(v).__name__} entries")
+        try:
             return tuple(map(float, values))
-    arr = real_array(values, what)
-    if arr.ndim != 1:
-        raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    return tuple(arr.tolist())
-
-
-def _holds_bool(values) -> bool:
-    """True if the list or tuple ``values``, or one nested in it, holds a
-    Python or numpy boolean."""
-    kinds = set(map(type, values))
-    np = sys.modules.get("numpy")  # no numpy boolean exists before numpy loads
-    if bool in kinds or np is not None and np.bool_ in kinds:
-        return True
-    if list in kinds or tuple in kinds:
-        return any(_holds_bool(v) for v in values if type(v) in (list, tuple))
-    return False
+        except OverflowError:
+            raise ValidationError(f"{what} holds an integer beyond float range") from None
+    np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+    if np is not None and isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"{what} must hold numbers, got {values.dtype} entries")
+        if values.ndim != 1:
+            raise ValidationError(f"{what} must be one-dimensional, got shape {values.shape}")
+        return tuple(values.astype(np.float64, copy=False).tolist())
+    raise ValidationError(
+        f"{what} must be a list, tuple or 1-D array of numbers, got {type(values).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,19 +329,21 @@ def parse_instance(data: dict) -> tuple[Measure, SetFamily]:
     return mu, cover
 
 
+def is_real(v) -> bool:
+    """True for a Python or numpy integer or float, but not a boolean (a
+    ``bool`` is an ``int``; ``np.bool_`` is no ``np.integer``).  numpy is
+    looked up, not imported: no numpy value exists before numpy is loaded."""
+    if isinstance(v, (int, float)):
+        return not isinstance(v, bool)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(v, (np.integer, np.floating))
+
+
 def is_finite_number(v) -> bool:
-    """True for a finite Python or numpy real; booleans, strings and ``None``
-    are not numbers.  numpy is looked up, not imported: no numpy value exists
-    before numpy is loaded."""
-    if isinstance(v, bool):
-        return False
-    if not isinstance(v, (int, float)):
-        np = sys.modules.get("numpy")
-        if np is None or not isinstance(v, (np.integer, np.floating)):
-            return False
+    """True for a finite real (:func:`is_real`)."""
     try:
-        return math.isfinite(v)
-    except OverflowError:
+        return is_real(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
         return False
 
 
@@ -403,7 +384,7 @@ def check_integer(value, least: int, what: str) -> int:
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; booleans are not integers here
     (``type(True)`` is ``bool``, and ``np.bool_`` is no ``np.integer``).
-    numpy is looked up, not imported, as in :func:`is_finite_number`."""
+    numpy is looked up, not imported, as in :func:`is_real`."""
     if type(value) is int:
         return True
     np = sys.modules.get("numpy")

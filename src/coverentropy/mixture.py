@@ -31,7 +31,7 @@ import numpy as np
 
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import ValidationError
-from .functionals import EntropyFunctional, _check_alpha, parse_functional
+from .functionals import EntropyFunctional, _check_alpha, _sum_in_order, parse_functional
 from .measure import (
     MASS_TOL,
     DiscreteSpace,
@@ -61,11 +61,10 @@ def _listed(values, what: str) -> list:
 def _coefficients(values) -> tuple[float, ...]:
     """``values`` as floats if they are finite numbers in [0, 1] that sum to 1
     within ``MASS_TOL``, else a ValidationError."""
-    listed = _listed(values, "coefficients")
-    for v in listed:
-        if not is_finite_number(v) or not 0.0 <= v <= 1.0:
-            raise ValidationError(f"coefficients must be finite numbers in [0, 1], got {v!r}")
-    coeffs = tuple(map(float, listed))
+    coeffs = real_list(_listed(values, "coefficients"), "coefficients")
+    for c in coeffs:
+        if not 0.0 <= c <= 1.0:  # false for NaN too
+            raise ValidationError(f"coefficients must be finite numbers in [0, 1], got {c!r}")
     total = math.fsum(coeffs)
     if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(f"coefficients sum to {total}, not 1")
@@ -184,12 +183,12 @@ def _bounds(kept, alpha) -> tuple[float | None, float | None]:
     None``.  A ``None`` (infinite) entropy makes both bounds ``None``."""
     if any(h is None for _, h in kept):
         return None, None
-    lower = sum(c * h for c, h in kept)
+    lower = _sum_in_order(c * h for c, h in kept)
     if alpha is None:  # the upper bound adds the coefficient entropy
-        return float(lower), float(lower - sum(c * math.log2(c) for c, _ in kept))
+        return lower, lower - _sum_in_order(c * math.log2(c) for c, _ in kept)
     powers = [c ** alpha for c, _ in kept]
-    upper = sum(p * h for p, (_, h) in zip(powers, kept))
-    return float(lower), float(upper + (sum(powers) - 1.0) / (1.0 - alpha))
+    upper = _sum_in_order(p * h for p, (_, h) in zip(powers, kept))
+    return lower, upper + (_sum_in_order(powers) - 1.0) / (1.0 - alpha)
 
 
 def tsallis_mixture_bounds(

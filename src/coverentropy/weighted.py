@@ -50,7 +50,7 @@ from .measure import (
     check_type,
     is_mu_cover,
     is_mu_partition,
-    real_array,
+    real_list,
 )
 
 
@@ -77,16 +77,22 @@ class WeightedDivision:
         check_type(self.mu, Measure, "measure")
         check_type(self.cover, SetFamily, "cover")
         _require_shared_space(self.mu, self.cover)
-        rows = real_array(self.rows, "division rows").copy()
-        expected = (len(self.cover), self.mu.space.n)
-        if rows.shape != expected:
-            raise ValidationError(
-                f"rows must have shape {expected} (cover size x atom count), "
-                f"got {rows.shape}"
-            )
-        # false for NaN too; an infinite entry fails the sum-back check
-        if not (rows >= 0.0).all():
-            raise ValidationError("division rows must be finite and nonnegative")
+        # an integer or float array is read by its dtype, a list or tuple of
+        # rows one row at a time
+        rows, k, n = self.rows, len(self.cover), self.mu.space.n
+        if not (isinstance(rows, np.ndarray) and rows.shape == (k, n) and rows.dtype.kind in "iuf"):
+            if not isinstance(rows, (list, tuple)) or len(rows) != k:
+                raise ValidationError(f"division rows must be numbers of shape {(k, n)} "
+                                      f"(cover size x atom count), as an array or a list of rows")
+            rows = [real_list(row, f"row {i} of the division rows") for i, row in enumerate(rows)]
+            for i, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValidationError(f"row {i} of the division rows must list {n} atom masses")
+        rows = np.array(rows, dtype=np.float64).reshape(k, n)
+        # false for NaN and infinity too; the sum-back check rejects any entry
+        # above 1 + 2 * MASS_TOL, and bounding entries first keeps its sums finite
+        if not ((rows >= 0.0) & (rows <= 2.0)).all():
+            raise ValidationError("division rows must be finite, nonnegative and at most 1")
         stray = ((rows != 0.0) & ~self.cover.incidence).any(axis=1)
         if stray.any():
             raise ValidationError(
@@ -284,11 +290,7 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
         raise ValidationError(
             f'"cover_index_rows" must hold {len(cover)} rows (one per cover set)'
         )
-    rows = [real_array(row, f"row {i}") for i, row in enumerate(rows_raw)]
-    for i, row in enumerate(rows):
-        if row.shape != (mu.space.n,):
-            raise ValidationError(f"row {i} must list {mu.space.n} atom masses")
-    return WeightedDivision(mu, cover, rows)
+    return WeightedDivision(mu, cover, rows_raw)
 
 
 def division_dict(d: WeightedDivision) -> dict:

@@ -404,6 +404,20 @@ class TestHlpCommand:
         code, report = run_cli(capsys, "hlp", str(path))
         assert code == 1
 
+    # finite entries whose sums leave float range: the total of x, phi of an
+    # entry (1e300 ** 2) and the phi-sum (1e308 * log2(1e308) is inf)
+    @pytest.mark.parametrize("doc", [
+        {"x": [1e308, 1e308], "y": [1e308, 1e308], "functional": "shannon"},
+        {"x": [1e300], "y": [1e300], "functional": "tsallis:2"},
+        {"x": [1e308], "y": [1e308], "functional": "shannon"},
+    ], ids=["total", "phi", "phi-sum"])
+    def test_sums_beyond_float_range_are_invalid_input(self, capsys, tmp_path, doc):
+        path = tmp_path / "hlp.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(capsys, "hlp", str(path))
+        assert code == 1
+        assert report["status"] == "invalid-input"
+
 
 class TestDisjointifyCommand:
     def test_partition_and_both_entropies(self, capsys, instance_file, tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,14 +10,17 @@ from hypothesis import strategies as st
 from coverentropy import (
     CompositionCase,
     EntropyFunctional,
+    HlpInput,
     ValidationError,
     builtin_functionals,
     check_structure,
     evaluate,
+    hlp_compare,
     parse_functional,
     renyi,
     shannon,
     tsallis,
+    tsallis_mixture_bounds,
 )
 
 from bad_values import BAD_ALPHAS, BAD_GRID_SIZES, BAD_TOLS
@@ -272,3 +277,16 @@ class TestParseFunctional:
     def test_non_string_rejected(self, spec):
         with pytest.raises(ValidationError, match="string"):
             parse_functional(spec)
+
+
+def test_reported_sums_add_left_to_right():
+    # builtin sum compensates from Python 3.12 on; a report added left to
+    # right reads the same under every Python version
+    tenths = [0.1] * 10
+    left = functools.partial(functools.reduce, operator.add)
+    assert left(tenths) != math.fsum(tenths)
+    assert hlp_compare(HlpInput(tenths, tenths), lambda t: t, "concave").sum_x == left(tenths)
+    lower, upper = tsallis_mixture_bounds([1.0] * 10, tenths, 2.0)
+    powers = [c ** 2.0 for c in tenths]
+    assert lower == left(tenths)
+    assert upper == left(powers) + (left(powers) - 1.0) / (1.0 - 2.0)

@@ -18,6 +18,7 @@ from coverentropy import (
     ValidationError,
     complement,
     cover_entropy,
+    evaluate,
     finer_than,
     instance_dict,
     is_mu_cover,
@@ -29,7 +30,7 @@ from coverentropy import (
     restrict,
     shannon,
 )
-from coverentropy.measure import is_finite_number, is_integer, real_array, real_list
+from coverentropy.measure import is_finite_number, is_integer, real_list
 
 
 def measure(*mass, probability=False):
@@ -377,50 +378,93 @@ def test_json_mass_list_rejects_uniform_nesting(parse, what):
         parse([[0.5], [0.5]])
 
 
-# -- the number rule, with and without numpy ------------------------------------
+# -- the number rule ------------------------------------------------------------
 
+BAD_ENTRIES = BAD_BUDGETS + BAD_SEEDS + BAD_GRID_SIZES + BAD_TOLS + BAD_ALPHAS
+
+# what the rule reads from each bad argument value as a list entry (None: a
+# ValidationError); of these, only a zero makes a measure
+BAD_ENTRY_READS = {
+    "True": None, "None": None, "'1'": None, "'5'": None, "'0.1'": None, "'0.5'": None,
+    "b'2'": None, "nan": math.nan, "inf": math.inf, "1.5": 1.5, "5.5": 5.5, "2": 2.0,
+    "-1": -1.0, "-1.0": -1.0, "-1e-09": -1e-9, "0": 0.0, "0.0": 0.0,
+}
+
+
+def bad_entry_row(head, v):
+    read = BAD_ENTRY_READS[repr(v)]
+    return head + [v], None if read is None else (*head, read), "ME" if read == 0.0 else ""
+
+
+# each row: values, what real_list reads from them (None: a ValidationError),
+# and which of Measure (M), evaluate (E) and parse_instance (I) accept them
 ONE_DIMENSIONAL = [
-    [0.25, 0.75], (0.5,), [1, 2], [1, 0.5], (0, 0.5, 1),
-    [2 ** 63 - 1], [2 ** 63], [2 ** 64], [-1, 2 ** 63], [-(2 ** 63)], [-(2 ** 63) - 1],
-    [2 ** 62 + 1, 0.5], [2 ** 64, 0.5],
-    [True], [0.5, np.bool_(True)], [np.float64(0.5)], [np.int64(3), 0.5], [np.float32(0.5)],
-    ["0.5"], [None], [[0.5]], [[0.5], [0.5]], [], (),
-    np.array([0.5, 0.25]), np.array([[0.5]]), "ab", None, 0.5,
-    *([v] for v in BAD_BUDGETS + BAD_SEEDS + BAD_GRID_SIZES + BAD_TOLS + BAD_ALPHAS),
-    *([0.5, v] for v in BAD_BUDGETS + BAD_SEEDS + BAD_GRID_SIZES + BAD_TOLS + BAD_ALPHAS),
+    ([0.25, 0.75], (0.25, 0.75), "MEI"), ((0.5,), (0.5,), "ME"),
+    ([1, 2], (1.0, 2.0), ""), ([1, 0.5], (1.0, 0.5), ""), ((0, 0.5, 1), (0.0, 0.5, 1.0), ""),
+    # integers read as the nearest float, beyond int64 too; the range checks
+    # reject them
+    ([2 ** 63 - 1], (2.0 ** 63,), ""), ([2 ** 63], (2.0 ** 63,), ""),
+    ([2 ** 64], (2.0 ** 64,), ""), ([-1, 2 ** 63], (-1.0, 2.0 ** 63), ""),
+    ([-(2 ** 63)], (-(2.0 ** 63),), ""), ([-(2 ** 63) - 1], (-(2.0 ** 63),), ""),
+    ([2 ** 62 + 1, 0.5], (2.0 ** 62, 0.5), ""), ([2 ** 64, 0.5], (2.0 ** 64, 0.5), ""),
+    ([True], None, ""), ([0.5, np.bool_(True)], None, ""),
+    ([np.float64(0.5)], (0.5,), "ME"), ([np.int64(3), 0.5], (3.0, 0.5), ""),
+    ([np.float32(0.5)], (0.5,), "ME"),
+    (["0.5"], None, ""), ([None], None, ""), ([[0.5]], None, ""), ([[0.5], [0.5]], None, ""),
+    ([], (), "E"), ((), (), "E"),
+    (np.array([0.5, 0.25]), (0.5, 0.25), "ME"), (np.array([[0.5]]), None, ""),
+    ("ab", None, ""), (None, None, ""), (0.5, None, ""),
+    *(bad_entry_row([], v) for v in BAD_ENTRIES),
+    *(bad_entry_row([0.5], v) for v in BAD_ENTRIES),
+    # the rule reads lists, tuples and 1-D arrays, not other containers, and
+    # no integer beyond float range
+    (range(2), None, ""), ([np.array(0.5)], None, ""), ([0.5, 10 ** 400], None, ""),
 ]
 
 
-def rule_outcome(read, values):
-    """``("ok", hex floats)`` or ``("error", message)``: what ``read`` makes of ``values``."""
-    try:
-        floats = read(values)
-    except ValidationError as exc:
-        return "error", str(exc)
+def hex_floats(floats):
     assert all(type(v) is float for v in floats)
-    return "ok", [v.hex() for v in floats]
-
-
-def array_rule(values):
-    """The 1-D reading of :func:`real_array`: its floats, or the error that
-    :func:`real_list` gives for another number of dimensions."""
-    arr = real_array(values, "mass")
-    if arr.ndim != 1:
-        raise ValidationError(f"mass must be one-dimensional, got shape {arr.shape}")
-    return arr.tolist()
+    return [v.hex() for v in floats]
 
 
 class TestNumberRule:
-    @pytest.mark.parametrize("values", ONE_DIMENSIONAL, ids=repr)
-    def test_pure_python_form_agrees_with_real_array(self, values):
-        assert rule_outcome(lambda v: real_list(v, "mass"), values) == rule_outcome(
-            array_rule, values)
+    # named for the numpy reader this table was once checked against, so each
+    # row keeps its test id
+    @pytest.mark.parametrize("values, floats, accepted", ONE_DIMENSIONAL,
+                             ids=[repr(row[0]) for row in ONE_DIMENSIONAL])
+    def test_pure_python_form_agrees_with_real_array(self, values, floats, accepted):
+        if floats is None:
+            with pytest.raises(ValidationError, match="mass"):
+                real_list(values, "mass")
+        else:
+            assert hex_floats(real_list(values, "mass")) == hex_floats(floats)
+        n = max(len(values), 1) if isinstance(values, (list, tuple, np.ndarray)) else 1
+        reads = {
+            "M": lambda: Measure(DiscreteSpace(n), values).masses,
+            "E": lambda: (evaluate(shannon(), values),),
+            "I": lambda: parse_instance({"n": n, "mu": values, "cover": [list(range(n))]})[0].masses,
+        }
+        for boundary, read in reads.items():
+            if boundary not in accepted:
+                with pytest.raises(ValidationError):
+                    read()
+                continue
+            expected = (evaluate(shannon(), list(floats)),) if boundary == "E" else floats
+            assert hex_floats(read()) == hex_floats(expected)
 
     def test_numpy_scalars_follow_the_rule_once_numpy_is_loaded(self):
         assert is_integer(np.int64(3)) and is_integer(np.uint8(0))
         assert not is_integer(np.bool_(True)) and not is_integer(np.float64(3.0))
         assert is_finite_number(np.float32(0.5)) and is_finite_number(np.int64(3))
         assert not is_finite_number(np.float64("nan")) and not is_finite_number(np.bool_(False))
+
+    def test_arrays_are_read_by_dtype(self):
+        assert real_list(np.array([3, 0], dtype=np.uint8), "mass") == (3.0, 0.0)
+        assert real_list(np.array([0.5], dtype=np.float32), "mass") == (0.5,)
+        for arr in (np.array([True]), np.array(["0.5"]), np.array([0.5], dtype=object),
+                    np.array([1j])):
+            with pytest.raises(ValidationError, match="mass must hold numbers"):
+                real_list(arr, "mass")
 
 
 # -- mass sums at large n ------------------------------------------------------

@@ -70,7 +70,7 @@ class TestMixtureSpec:
 
     @pytest.mark.parametrize("coefficient", ["half", "0.5", None, True])
     def test_non_numeric_coefficient_rejected(self, coefficient):
-        with pytest.raises(ValidationError, match="finite numbers"):
+        with pytest.raises(ValidationError, match="coefficients"):
             MixtureSpec(((coefficient, measure(1.0)), (0.5, measure(1.0))))
 
     @pytest.mark.parametrize("components", [5, None, ((1.0,),), ((1.0, "mu", 0.0),), (1.0,)])
@@ -236,7 +236,7 @@ class TestBoundInputValidation:
     @pytest.mark.parametrize("coeffs", [["half", 0.5], ["0.5", 0.5], [False, 1.0]])
     @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
     def test_non_numeric_coefficient_rejected(self, bounds, coeffs):
-        with pytest.raises(ValidationError, match="finite numbers"):
+        with pytest.raises(ValidationError, match="coefficients"):
             bounds([1.0, 1.0], coeffs)
 
     @pytest.mark.parametrize("call, what", [

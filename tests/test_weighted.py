@@ -328,6 +328,15 @@ class TestHlpCompare:
         with pytest.raises(ValidationError):
             hlp_compare(HlpInput((0.5,), (0.5,)), lambda t: t, "linear")
 
+    def test_sums_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="float range"):
+            HlpInput((1e308, 1e308), (1e308, 1e308))
+        inp = HlpInput((1e300,), (1e300,))
+        with pytest.raises(ValidationError, match="float range"):
+            hlp_compare(inp, lambda t: t ** 2, "convex")
+        with pytest.raises(ValidationError, match="not finite"):
+            hlp_compare(inp, lambda t: t * 1e10, "convex")
+
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol"):
