@@ -79,10 +79,9 @@ class Assignment:
             raise ValidationError(f"cover indices must lie in 0..{len(self.cover) - 1}")
         if pairs and not 0 <= atoms[0] <= atoms[-1] < self.space.n:
             raise ValidationError(f"assigned atoms must lie in 0..{self.space.n - 1}")
-        member = self.cover.incidence[sets, atoms]
-        if not member.all():
-            j = int(member.argmin())
-            raise ValidationError(f"atom {atoms[j]} is not a member of cover set {sets[j]}")
+        for atom, idx in pairs:
+            if atom not in self.cover[idx]:
+                raise ValidationError(f"atom {atom} is not a member of cover set {idx}")
         object.__setattr__(self, "choice", pairs)
 
     @classmethod

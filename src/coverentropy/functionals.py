@@ -149,9 +149,18 @@ def _power_functional(family: str, alpha, f) -> EntropyFunctional:
     )
 
 
+def _renyi_f(s: float, alpha: float) -> float:
+    # no positive g-sum: all masses zero, or their powers below float range
+    if not s > 0.0:
+        raise ValidationError(f"the Renyi entropy needs a positive g-sum, got {s}")
+    return math.log2(s) / (1.0 - alpha)
+
+
 def renyi(alpha: float) -> EntropyFunctional:
-    """Renyi entropy of order alpha: ``f(s) = log2(s)/(1-alpha)``, ``g(t) = t**alpha``."""
-    return _power_functional("renyi", alpha, lambda s, a: math.log2(s) / (1.0 - a))
+    """Renyi entropy of order alpha: ``f(s) = log2(s)/(1-alpha)``, ``g(t) = t**alpha``.
+
+    A g-sum that is not positive has no logarithm: ValidationError."""
+    return _power_functional("renyi", alpha, _renyi_f)
 
 
 def tsallis(alpha: float) -> EntropyFunctional:

@@ -6,13 +6,13 @@ vector.  Families of atom sets play two roles: *partitions* (pairwise
 disjoint, covering all mass) and *covers* (overlaps allowed, covering all
 mass).  All types are immutable after construction and all operations are
 pure functions, so everything here is safe to share across threads.  The
-checks run on tuples, without numpy.  A measure's ``mass`` array and a
-family's derived structure are built on first use and are read-only; two
-threads that race to build them build the same values:
+checks run on tuples, without numpy.  A family is read through its sets'
+``members``, the sorted atom tuples: block containment, the assignment
+check and the weighted divisions, whose values are stored per membership,
+set by set in the order of each set's members.  A measure's ``mass``
+array and a family's derived structure are built on first use and are
+read-only; two threads that race to build them build the same values:
 
-* ``incidence``, the sets-by-atoms membership matrix, read by block
-  containment, the assignment and division checks and the division
-  sampler;
 * ``atom_signatures``, the atoms grouped by the sets that hold them, read
   by the search's Venn cells and candidate lists;
 * ``uncovered_atoms``, the tuple of atoms that no set holds, derived with
@@ -192,20 +192,6 @@ class SetFamily:
     def __getitem__(self, i: int) -> AtomSet:
         return self.sets[i]
 
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Read-only boolean ``(len, n)`` matrix, true where set ``i`` holds atom ``x``.
-
-        Built on first use and kept; the containment, assignment and division
-        checks and the division sampler read it.
-        """
-        import numpy as np
-        m = np.zeros((len(self.sets), self.space.n), dtype=bool)
-        rows = np.repeat(np.arange(len(self.sets)), [len(s) for s in self.sets])
-        m[rows, [a for s in self.sets for a in s.members]] = True
-        m.setflags(write=False)
-        return m
-
     @property
     def atom_signatures(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """The atoms that some set holds, grouped by the sets that hold them.
@@ -303,10 +289,10 @@ def finer_than(p: SetFamily, q: SetFamily) -> bool:
 def _block_routes(p: SetFamily, q: SetFamily) -> Iterator[tuple[AtomSet, int | None]]:
     """Each nonempty set of ``p`` with the lowest index of a ``q`` set holding it, or None."""
     _require_shared_space(p, q)
+    held = [frozenset(s.members) for s in q.sets]
     for block in p.sets:
         if block.members:
-            fits = q.incidence[:, list(block.members)].all(axis=1)
-            yield block, int(fits.argmax()) if fits.any() else None
+            yield block, next((i for i, s in enumerate(held) if s.issuperset(block.members)), None)
 
 
 # ---------------------------------------------------------------------------

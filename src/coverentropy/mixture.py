@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import ValidationError
 from .functionals import EntropyFunctional, _check_alpha, _sum_in_order, parse_functional
@@ -121,12 +119,12 @@ def mix(spec: MixtureSpec) -> Measure:
 
 def _mix(spec: MixtureSpec) -> tuple[Measure, float]:
     """The mixture, and the total it was divided by (1.0 when it was not)."""
-    mass = np.zeros(spec.space.n, dtype=np.float64)
+    mass = [0.0] * spec.space.n
     for a, m in spec.components:
-        mass += a * m.mass
-    total = math.fsum(mass.tolist())
+        mass = [x + a * y for x, y in zip(mass, m.masses)]
+    total = math.fsum(mass)
     scale = total if abs(total - 1.0) > MASS_TOL else 1.0
-    return Measure(spec.space, mass / scale, probability=True), scale
+    return Measure(spec.space, [x / scale for x in mass], probability=True), scale
 
 
 def mix_division(
@@ -135,9 +133,10 @@ def mix_division(
     """Combine one division per component into a division of the mixture.
 
     All divisions must live over the same cover and match their component
-    measures; the rows combine linearly with the mixture coefficients and the
-    result is validated against the mixed measure (both divided by the
-    same total when :func:`mix` divides).
+    measures; each membership's values combine linearly with the mixture
+    coefficients, added in component order, and the result is validated
+    against the mixed measure (both divided by the same total when
+    :func:`mix` divides).
     """
     check_type(spec, MixtureSpec, "spec")
     divisions = _listed(divisions, "divisions")
@@ -153,10 +152,10 @@ def mix_division(
             raise ValidationError("division does not divide its component measure")
     mu, scale = _mix(spec)
     cover = divisions[0].cover
-    rows = np.zeros((len(cover), spec.space.n), dtype=np.float64)
+    values = [[0.0] * len(s) for s in cover.sets]
     for (a, _), d in zip(spec.components, divisions):
-        rows += a * d.rows
-    return WeightedDivision(mu, cover, rows / scale)
+        values = [[x + a * v for x, v in zip(row, more)] for row, more in zip(values, d.values)]
+    return WeightedDivision(mu, cover, [[x / scale for x in row] for row in values])
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +179,25 @@ def _clean_inputs(component_entropies, a):
 def _bounds(kept, alpha) -> tuple[float | None, float | None]:
     """Lower and upper bound from (coefficient, entropy) pairs with positive
     coefficients: Tsallis of order ``alpha``, or Shannon when ``alpha is
-    None``.  A ``None`` (infinite) entropy makes both bounds ``None``."""
+    None``.  A ``None`` (infinite) entropy makes both bounds ``None``; a
+    bound beyond float range is a ValidationError."""
     if any(h is None for _, h in kept):
         return None, None
     lower = _sum_in_order(c * h for c, h in kept)
     if alpha is None:  # the upper bound adds the coefficient entropy
-        return lower, lower - _sum_in_order(c * math.log2(c) for c, _ in kept)
-    powers = [c ** alpha for c, _ in kept]
-    upper = _sum_in_order(p * h for p, (_, h) in zip(powers, kept))
-    return lower, upper + (_sum_in_order(powers) - 1.0) / (1.0 - alpha)
+        upper = lower - _sum_in_order(c * math.log2(c) for c, _ in kept)
+    else:
+        powers = [c ** alpha for c, _ in kept]
+        upper = (_sum_in_order(p * h for p, (_, h) in zip(powers, kept))
+                 + (_sum_in_order(powers) - 1.0) / (1.0 - alpha))
+    return _finite("mixture bounds", lower, upper)
+
+
+def _finite(what: str, *values: float) -> tuple[float, ...]:
+    """``values`` unchanged if all are finite, else a ValidationError naming ``what``."""
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what} leave float range: {values}")
+    return values
 
 
 def tsallis_mixture_bounds(
@@ -338,13 +347,15 @@ def limit_bridge(
     rows = []
     for alpha in _listed(alphas, "alphas"):
         lower, upper = _bounds(kept, _check_alpha(alpha))
+        lower_gap, upper_gap = _finite(
+            "bound gaps", abs(lower - shannon_lower), abs(upper - shannon_upper))
         rows.append(
             LimitBridgeRow(
                 alpha=float(alpha),
                 lower=lower,
                 upper=upper,
-                lower_gap=abs(lower - shannon_lower),
-                upper_gap=abs(upper - shannon_upper),
+                lower_gap=lower_gap,
+                upper_gap=upper_gap,
             )
         )
     return tuple(rows)

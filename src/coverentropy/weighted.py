@@ -24,10 +24,10 @@ instance)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classical import (
     DEFAULT_BUDGET,
@@ -53,67 +53,90 @@ from .measure import (
     real_list,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedDivision:
-    """Per-cover-set submeasures: ``rows[i][x]`` is set ``i``'s mass on atom ``x``.
+    """Per-cover-set submeasures, stored per membership: ``values[i][j]`` is
+    set ``i``'s mass on its member atom ``cover[i].members[j]``.
 
-    Invariants (validated on construction): entries are nonnegative, a row is
-    exactly zero outside its cover set, and the rows sum atomwise to the
-    measure within ``MASS_TOL``.
+    ``values`` holds one row per cover set, kept as a tuple of floats.  A
+    row as long as its set lists the member values; a row of ``n`` entries
+    (or a ``(sets, atoms)`` array) is a dense row of atom masses and must be
+    zero outside the set.  For a set holding every atom the two agree.
 
-    Quantities derived from the rows are computed on first use and kept on
-    the division, so every reader shares one copy: ``row_masses`` (a
-    read-only array) and the sorted difference chain behind
-    :func:`disjointify` and :func:`disjointify_certificate` (tuples).  The
-    rows themselves are read-only, so neither can go stale.
+    Invariants (validated on construction): values are nonnegative, and
+    each atom's values add back to its mass within ``MASS_TOL`` (as exact
+    ``math.fsum`` totals).
+
+    Quantities derived from the values are computed on first use and kept on
+    the division, so every reader shares one copy: ``row_masses`` (the
+    ``math.fsum`` of each row, a tuple), ``rows`` (the dense read-only
+    float64 array, which imports numpy) and the sorted difference chain
+    behind :func:`disjointify` and :func:`disjointify_certificate` (tuples).
     """
 
     mu: Measure
     cover: SetFamily
-    rows: np.ndarray
+    values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         check_type(self.mu, Measure, "measure")
         check_type(self.cover, SetFamily, "cover")
         _require_shared_space(self.mu, self.cover)
-        # an integer or float array is read by its dtype, a list or tuple of
-        # rows one row at a time
-        rows, k, n = self.rows, len(self.cover), self.mu.space.n
-        if not (isinstance(rows, np.ndarray) and rows.shape == (k, n) and rows.dtype.kind in "iuf"):
-            if not isinstance(rows, (list, tuple)) or len(rows) != k:
-                raise ValidationError(f"division rows must be numbers of shape {(k, n)} "
-                                      f"(cover size x atom count), as an array or a list of rows")
-            rows = [real_list(row, f"row {i} of the division rows") for i, row in enumerate(rows)]
-            for i, row in enumerate(rows):
+        sets, n = self.cover.sets, self.mu.space.n
+        raw = self.values
+        np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+        if (np is not None and isinstance(raw, np.ndarray) and raw.shape == (len(sets), n)
+                and raw.dtype.kind in "iuf"):
+            raw = raw.astype(np.float64, copy=False).tolist()
+        if not isinstance(raw, (list, tuple)) or len(raw) != len(sets):
+            raise ValidationError(f"division rows must be numbers of shape {(len(sets), n)} "
+                                  f"(cover size x atom count), as an array or a list of rows")
+        values = []
+        for i, (row, s) in enumerate(zip(raw, sets)):
+            members = s.members
+            row = real_list(row, f"row {i} of the division rows")
+            if len(row) != len(members):  # a dense row: its nonzeros must all be members
                 if len(row) != n:
-                    raise ValidationError(f"row {i} of the division rows must list {n} atom masses")
-        rows = np.array(rows, dtype=np.float64).reshape(k, n)
-        # false for NaN and infinity too; the sum-back check rejects any entry
-        # above 1 + 2 * MASS_TOL, and bounding entries first keeps its sums finite
-        if not ((rows >= 0.0) & (rows <= 2.0)).all():
-            raise ValidationError("division rows must be finite, nonnegative and at most 1")
-        stray = ((rows != 0.0) & ~self.cover.incidence).any(axis=1)
-        if stray.any():
-            raise ValidationError(
-                f"row {stray.argmax()} carries mass outside its cover set"
-            )
-        gap = np.abs(rows.sum(axis=0) - self.mu.mass)
-        if float(gap.max(initial=0.0)) > MASS_TOL:
-            atom = int(gap.argmax())
-            raise ValidationError(
-                f"rows do not sum back to the measure at atom {atom} "
-                f"(off by {float(gap[atom])})"
-            )
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+                    raise ValidationError(f"row {i} of the division rows must list "
+                                          f"{len(members)} member values or {n} atom masses")
+                dense, row = row, tuple([row[atom] for atom in members])
+                if len(dense) - dense.count(0.0) != len(row) - row.count(0.0):
+                    raise ValidationError(f"row {i} carries mass outside its cover set")
+            values.append(row)
+        parts: list[list[float]] = [[] for _ in range(n)]
+        for s, row in zip(sets, values):
+            for atom, v in zip(s.members, row):
+                # false for NaN and infinity too; the sum-back check rejects
+                # any value above 1 + 2 * MASS_TOL, and bounding values first
+                # keeps its sums finite
+                if not 0.0 <= v <= 2.0:
+                    raise ValidationError("division rows must be finite, nonnegative and at most 1")
+                parts[atom].append(v)
+        gaps = [abs(math.fsum(p) - m) for p, m in zip(parts, self.mu.masses)]
+        worst = max(gaps)
+        if worst > MASS_TOL:
+            raise ValidationError(f"rows do not sum back to the measure at atom "
+                                  f"{gaps.index(worst)} (off by {worst})")
+        object.__setattr__(self, "values", tuple(values))
 
     @cached_property
-    def row_masses(self) -> np.ndarray:
-        """Read-only vector of row totals, one per cover set."""
-        masses = self.rows.sum(axis=1)
-        masses.setflags(write=False)
-        return masses
+    def row_masses(self) -> tuple[float, ...]:
+        """Each row's total, the ``math.fsum`` of its values."""
+        return tuple(map(math.fsum, self.values))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Read-only ``(sets, atoms)`` float64 array: ``rows[i][x]`` is set
+        ``i``'s mass on atom ``x``, zero outside the set."""
+        import numpy as np
+        rows = np.array(_dense_rows(self), dtype=np.float64).reshape(len(self.cover),
+                                                                    self.mu.space.n)
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def _chain(self) -> tuple[tuple[int, ...], tuple[AtomSet, ...], tuple[float, ...]]:
@@ -123,7 +146,7 @@ class WeightedDivision:
         index breaking ties; ``blocks[j]`` is cover set ``order[j]`` minus
         every set before it, and ``block_masses[j]`` its mass under ``mu``.
         """
-        masses = self.row_masses.tolist()
+        masses = self.row_masses
         order = sorted((i for i, m in enumerate(masses) if m > 0.0),
                        key=lambda i: (-masses[i], i))
         taken: set[int] = set()
@@ -133,6 +156,17 @@ class WeightedDivision:
             taken.update(fresh)
             blocks.append(AtomSet(self.mu.space, fresh))
         return tuple(order), tuple(blocks), tuple(self.mu.mass_of(b) for b in blocks)
+
+
+def _dense_rows(d: WeightedDivision) -> list[list[float]]:
+    """One list of ``n`` atom masses per cover set, zero outside the set."""
+    rows = []
+    for s, values in zip(d.cover.sets, d.values):
+        row = [0.0] * d.mu.space.n
+        for atom, v in zip(s.members, values):
+            row[atom] = v
+        rows.append(row)
+    return rows
 
 
 def weighted_entropy(e: EntropyFunctional, d: WeightedDivision) -> float:
@@ -151,18 +185,19 @@ def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
     check_type(a, Assignment, "assignment")
     check_type(mu, Measure, "measure")
     _require_shared_space(mu, a.cover)
-    rows = np.zeros((len(a.cover), mu.space.n), dtype=np.float64)
+    placed: list[dict[int, float]] = [{} for _ in a.cover.sets]
     unplaced = list(mu.masses)
     for atom, idx in a.choice:
-        rows[idx, atom] = unplaced[atom]
+        placed[idx][atom] = unplaced[atom]
         unplaced[atom] = 0.0
     worst = max(unplaced)
     if worst > MASS_TOL:
         raise ValidationError(f"rows do not sum back to the measure at atom "
                               f"{unplaced.index(worst)} (off by {worst})")
-    rows.setflags(write=False)
+    values = tuple(tuple([got.get(atom, 0.0) for atom in s.members])
+                   for got, s in zip(placed, a.cover.sets))
     # checked by Assignment (each atom once, inside its set) and above
-    return _unchecked(WeightedDivision, mu=mu, cover=a.cover, rows=rows)
+    return _unchecked(WeightedDivision, mu=mu, cover=a.cover, values=values)
 
 
 def partition_to_division(mu: Measure, p: SetFamily, q: SetFamily) -> WeightedDivision:
@@ -194,14 +229,14 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     never exceeds the division's weighted entropy.
     """
     check_type(d, WeightedDivision, "division")
-    order, blocks, block_masses = d._chain
-    missed = ~d.cover.incidence[list(order)].any(axis=0)
-    if math.fsum(d.mu.mass[missed].tolist()) > MASS_TOL:
+    _, blocks, block_masses = d._chain
+    partition = SetFamily(d.mu.space, tuple(b for b, m in zip(blocks, block_masses) if m > 0.0))
+    # the blocks are disjoint, so this checks that they miss only mu-null mass
+    if not is_mu_partition(partition, d.mu):
         raise ValidationError(
             "rows of positive mass do not cover the measure's support"
         )
-    pruned = tuple(b for b, m in zip(blocks, block_masses) if m > 0.0)
-    return SetFamily(d.mu.space, pruned)
+    return partition
 
 
 def disjointify_certificate(d: WeightedDivision) -> HlpInput:
@@ -214,7 +249,7 @@ def disjointify_certificate(d: WeightedDivision) -> HlpInput:
     check_type(d, WeightedDivision, "division")
     order, _, block_masses = d._chain
     masses = d.row_masses
-    return HlpInput(x_seq=tuple(float(masses[i]) for i in order), y_seq=block_masses)
+    return HlpInput(x_seq=tuple(masses[i] for i in order), y_seq=block_masses)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +278,7 @@ def cover_entropy_weighted(
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = division_from_assignment(assignment, mu)
     return CoverEntropyResult(
-        value=_g_sum_value(e, witness.row_masses.tolist()),
+        value=_g_sum_value(e, witness.row_masses),
         witness=witness,
         explored=explored,
     )
@@ -253,24 +288,36 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     """Seeded uniform sample from the division polytope.
 
     One call to ``numpy.random.default_rng(seed).standard_exponential`` draws
-    a unit exponential for every (set, atom) membership of ``q.incidence``,
-    set by set in row-major order, so the result depends only on ``(seed,
-    instance)``.  Each atom's draws are divided by their sum, which gives
-    flat-Dirichlet weights over the sets containing it, and scaled by the
-    atom's mass.  Atoms contained in a single set keep their exact mass there
-    (``x / x == 1.0``) regardless of the seed; atoms in no set get no mass.
+    a unit exponential for every (set, atom) membership, set by set and
+    atoms ascending within a set, so the result depends only on ``(seed,
+    instance)``.  Each atom's draws are added in set order, and each draw
+    ``x`` of an atom with draw total ``t`` and mass ``m`` becomes ``(x / t)
+    * m``: flat-Dirichlet weights over the sets containing the atom, scaled
+    by its mass.  Atoms contained in a single set keep their exact mass
+    there (``x / x == 1.0``) regardless of the seed; atoms in no set get no
+    mass.
     """
+    import numpy as np
     check_integer(seed, 0, "seed")
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
-    rng = np.random.default_rng(seed)
-    inc = q.incidence
-    rows = np.zeros(inc.shape, dtype=np.float64)
-    rows[inc] = rng.standard_exponential(int(inc.sum()))
-    total = rows.sum(axis=0)
-    np.divide(rows, total, out=rows, where=total > 0.0)
-    rows *= mu.mass
-    return WeightedDivision(mu, q, rows)
+    members = [s.members for s in q.sets]
+    draws = np.random.default_rng(seed).standard_exponential(
+        sum(map(len, members))).tolist()
+    total = [0.0] * mu.space.n
+    chunks, start = [], 0
+    for atoms in members:
+        chunk = draws[start:start + len(atoms)]
+        start += len(atoms)
+        for atom, x in zip(atoms, chunk):
+            total[atom] += x
+        chunks.append(chunk)
+    # an atom whose draws are all 0.0 gets no mass, as it would by 0 / 0
+    total = [t if t > 0.0 else math.inf for t in total]
+    masses = mu.masses
+    values = tuple(tuple([(x / total[atom]) * masses[atom] for atom, x in zip(atoms, chunk)])
+                   for atoms, chunk in zip(members, chunks))
+    return WeightedDivision(mu, q, values)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +327,12 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
 def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivision:
     """Validate ``{"cover_index_rows": [[...], ...]}`` against an instance.
 
-    Rows align with the instance's cover order; misaligned shapes are
-    rejected before the division invariants run.
+    One dense row of ``n`` atom masses per cover set, in the instance's
+    cover order; misaligned shapes are rejected before the division
+    invariants run.
     """
+    check_type(mu, Measure, "measure")
+    check_type(cover, SetFamily, "cover")
     if not isinstance(data, dict) or "cover_index_rows" not in data:
         raise ValidationError('division JSON needs a "cover_index_rows" key')
     rows_raw = data["cover_index_rows"]
@@ -290,9 +340,12 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
         raise ValidationError(
             f'"cover_index_rows" must hold {len(cover)} rows (one per cover set)'
         )
+    for i, row in enumerate(rows_raw):
+        if not isinstance(row, list) or len(row) != mu.space.n:
+            raise ValidationError(f"row {i} of the division rows must list {mu.space.n} atom masses")
     return WeightedDivision(mu, cover, rows_raw)
 
 
 def division_dict(d: WeightedDivision) -> dict:
     """Inverse of :func:`parse_division`."""
-    return {"cover_index_rows": [[float(v) for v in row] for row in d.rows]}
+    return {"cover_index_rows": _dense_rows(d)}

@@ -44,6 +44,7 @@ from coverentropy.measure import MASS_TOL
 from coverentropy.selftest import random_acceptable_partition, random_instance, run_selftest
 
 from bad_values import BAD_BUDGETS
+from oracles import incidence
 
 OVERLAP_UNIFORM3 = 0.9182958340544896  # shannon entropy of (2/3, 1/3), mpmath-frozen
 
@@ -282,7 +283,7 @@ class TestSearchStructure:
     @settings(max_examples=200, deadline=None)
     def test_cells_and_cover_check_agree_with_incidence(self, instance):
         mu, q = instance
-        inc = q.incidence
+        inc = incidence(q)
         mass = mu.mass.tolist()
         searched = [a for a in range(mu.space.n) if mass[a] > 0.0 and inc[:, a].any()]
         cands = [np.flatnonzero(inc[:, a]).tolist() for a in searched]
@@ -616,8 +617,9 @@ class TestLargeInstances:
     def _collapsed(mu, q):
         # one atom per Venn cell, carrying the cell's mass
         cells = {}
+        inc = incidence(q)
         for a in range(mu.space.n):
-            key = tuple(np.flatnonzero(q.incidence[:, a]).tolist())
+            key = tuple(np.flatnonzero(inc[:, a]).tolist())
             cells[key] = cells.get(key, 0.0) + float(mu.mass[a])
         keys = sorted(cells)
         space = DiscreteSpace(len(keys))

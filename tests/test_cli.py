@@ -629,8 +629,32 @@ class TestLazyImports:
         }[case]
         assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
 
+    @pytest.mark.parametrize("case", ["mixture", "disjointify", "cover-weighted", "cover-both"])
+    def test_weighted_and_mixture_commands_never_load_numpy(self, tmp_path, case):
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(INSTANCE))
+        mixture = tmp_path / "mixture.json"
+        mixture.write_text(json.dumps(MIXTURE))
+        division = tmp_path / "division.json"
+        division.write_text(json.dumps(DIVISION))
+        argv = {
+            "mixture": ["mixture", str(mixture)],
+            "disjointify": ["disjointify", str(instance), str(division),
+                            "--functional", "shannon"],
+            "cover-weighted": ["cover", str(instance), "--functional", "shannon",
+                               "--mode", "weighted", "--samples", "0"],
+            "cover-both": ["cover", str(instance), "--functional", "shannon",
+                           "--mode", "both", "--samples", "0"],
+        }[case]
+        assert run_fresh(CLI_CHILD, *argv).split() == ["0", "False"]
+
+    def test_weighted_and_mixture_imports_leave_numpy_unloaded(self):
+        code = ("import sys, coverentropy.weighted, coverentropy.mixture\n"
+                "print('numpy' in sys.modules)\n")
+        assert run_fresh(code).split() == ["False"]
+
     def test_weighted_command_loads_numpy(self, instance_file):
-        # the control: the child does see numpy when a command needs arrays
+        # the control: the child does see numpy when it samples divisions
         argv = ["cover", instance_file, "--functional", "shannon", "--mode", "weighted",
                 "--samples", "1"]
         assert run_fresh(CLI_CHILD, *argv).split() == ["0", "True"]

@@ -112,6 +112,13 @@ class TestEvaluateContract:
         with pytest.raises(ValidationError):
             evaluate(shannon(), [[0.5], [0.5]])
 
+    # no positive mass, or one whose square is below float range: the g-sum
+    # is 0 and has no logarithm
+    @pytest.mark.parametrize("masses", [[0.0], [], [5e-324]])
+    def test_renyi_without_positive_g_sum_rejected(self, masses):
+        with pytest.raises(ValidationError, match="positive g-sum"):
+            evaluate(renyi(2.0), masses)
+
     # numpy would cast a boolean mixed with numbers to 1.0 or 0.0
     @pytest.mark.parametrize("masses", [["a"], [0.5, "0.5"], [None], [True], "ab",
                                         [True, 0.0], [0.5, np.True_], (0.5, False)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bad_values import BAD_ALPHAS, BAD_BUDGETS, BAD_GRID_SIZES, BAD_SEEDS, BAD_TOLS
+from oracles import incidence
 from coverentropy import (
     AtomSet,
     DiscreteSpace,
@@ -146,16 +147,6 @@ class TestTypes:
         with pytest.raises(SpaceMismatchError):
             SetFamily(DiscreteSpace(2), (a, b))
 
-    def test_incidence_matches_members_and_is_readonly(self):
-        fam = family(4, [2, 0], [], [1, 2, 3])
-        inc = fam.incidence
-        assert inc.dtype == bool and inc.shape == (3, 4)
-        for i, s in enumerate(fam):
-            assert np.flatnonzero(inc[i]).tolist() == list(s.members)
-        with pytest.raises(ValueError):
-            inc[1, 0] = True
-        assert fam.incidence is inc
-
 
 # -- restrict ----------------------------------------------------------------
 
@@ -225,8 +216,9 @@ def families(draw, max_n=7, max_k=5):
 def signatures_from_incidence(fam):
     """``(atom_signatures, uncovered atoms)`` read off the incidence columns."""
     groups = {}
+    inc = incidence(fam)
     for atom in fam.space.atoms():
-        sets = tuple(np.flatnonzero(fam.incidence[:, atom]).tolist())
+        sets = tuple(np.flatnonzero(inc[:, atom]).tolist())
         groups.setdefault(sets, []).append(atom)
     uncovered = groups.pop((), [])
     return tuple((sets, tuple(atoms)) for sets, atoms in groups.items()), uncovered

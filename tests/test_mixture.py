@@ -138,7 +138,7 @@ class TestMixDivision:
             divs = [random_division(m, q, seed=i * 2 + j) for j, m in enumerate(mus)]
             a = float(rng.uniform(0.1, 0.9))
             out = mix_division(MixtureSpec(((a, mus[0]), (1 - a, mus[1]))), divs)
-            assert out.row_masses.sum() == pytest.approx(1.0, abs=1e-9)
+            assert math.fsum(out.row_masses) == pytest.approx(1.0, abs=1e-9)
 
     def test_cover_mismatch_rejected(self):
         mu = measure(0.5, 0.5)
@@ -255,6 +255,22 @@ class TestBoundInputValidation:
     def test_missing_alpha_rejected(self):
         with pytest.raises(ValidationError, match="alpha"):
             tsallis_mixture_bounds([1.0], [1.0], None)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tsallis_mixture_bounds([1.7e308, 1.7e308], [0.5, 0.5], 0.5),
+        lambda: limit_bridge([0.5, 0.5], [1.7e308, 1.7e308], [0.5]),
+    ], ids=["tsallis", "limit_bridge"])
+    def test_bound_beyond_float_range_rejected(self, call):
+        # finite entropies whose upper bound, 2**0.5 * 1.7e308, is not
+        with pytest.raises(ValidationError, match="float range"):
+            call()
+
+    def test_bound_gap_beyond_float_range_rejected(self):
+        # both upper bounds are finite (about 1.75e308 and -1.64e307), and
+        # so are the entropies; their distance is not
+        h = 2.047e307
+        with pytest.raises(ValidationError, match="gaps leave float range"):
+            limit_bridge([0.9] + [0.01] * 10, [-h] + [h] * 10, [0.01])
 
 
 class TestVerifyMixtureBounds:

@@ -21,6 +21,7 @@ from coverentropy import (
     parse_division,
     parse_instance,
     parse_mixture,
+    renyi,
     shannon,
     tsallis,
     tsallis_mixture_bounds,
@@ -29,7 +30,7 @@ from coverentropy import (
 SPACE = DiscreteSpace(2)
 MU = Measure(SPACE, [0.5, 0.5], probability=True)
 Q = SetFamily.of(SPACE, [[0, 1], [1]])
-FUNCTIONALS = (shannon(), tsallis(2.0))
+FUNCTIONALS = (shannon(), tsallis(2.0), renyi(2.0))
 
 FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, 5e-324,
                           0.25, 0.5, 1.0]) | st.floats()

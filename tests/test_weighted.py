@@ -31,6 +31,7 @@ from coverentropy import (
 from coverentropy.selftest import random_acceptable_partition, random_instance
 
 from bad_values import BAD_SEEDS, BAD_TOLS
+from oracles import incidence
 
 # mpmath-frozen comparison sums for x=(0.5,0.5) vs y=(0.7,0.3)
 NEG_TLOG_SUM_Y = 0.8812908992306926
@@ -96,6 +97,17 @@ class TestWeightedDivisionValidation:
         with pytest.raises(ValidationError, match="SetFamily"):
             WeightedDivision(measure(0.5, 0.5), [[0, 1]], [[0.5, 0.5]])
 
+    def test_member_values_and_dense_rows_agree(self):
+        mu, q = measure(0.2, 0.3, 0.5), family(3, [0, 1], [1, 2])
+        members = WeightedDivision(mu, q, [[0.2, 0.1], [0.2, 0.5]])
+        dense = WeightedDivision(mu, q, [[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]])
+        mixed = WeightedDivision(mu, q, ((0.2, 0.1), np.array([0.0, 0.2, 0.5])))
+        assert members.values == dense.values == mixed.values == ((0.2, 0.1), (0.2, 0.5))
+        assert members.rows.tolist() == [[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]]
+        assert members.row_masses == (math.fsum([0.2, 0.1]), 0.7)
+        with pytest.raises(ValidationError, match="2 member values or 3 atom masses"):
+            WeightedDivision(mu, q, [[0.2, 0.1], [0.7]])
+
     def test_rows_readonly(self):
         d = random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=0)
         with pytest.raises(ValueError):
@@ -107,9 +119,9 @@ class TestSharedDerivations:
         d = random_division(uniform(3), family(3, [0, 1], [1, 2]), seed=5)
         masses = d.row_masses
         assert d.row_masses is masses
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             masses[0] = 0.0
-        assert masses.tolist() == d.rows.sum(axis=1).tolist()
+        assert masses == tuple(math.fsum(row) for row in d.rows.tolist())
 
     def test_call_order_does_not_change_results(self):
         rng = np.random.default_rng(59)
@@ -188,7 +200,7 @@ class TestPartitionToDivision:
         mu = measure(0.5, 0.0, 0.5)
         d = partition_to_division(mu, family(3, [0], [2]), family(3, [0, 1], [1, 2]))
         assert d.rows.tolist() == [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]]
-        assert d.row_masses.tolist() == [0.5, 0.5]
+        assert d.row_masses == (0.5, 0.5)
 
     def test_lowest_index_routing(self):
         # block {1} fits both cover sets; it must land in set 0
@@ -380,7 +392,7 @@ class TestCoverEntropyWeighted:
     def test_matches_overlap_example(self):
         r = cover_entropy_weighted(shannon(), uniform(3), family(3, [0, 1], [1, 2]))
         assert r.value == pytest.approx(OVERLAP_UNIFORM3, abs=1e-12)
-        assert r.witness.row_masses.tolist() == pytest.approx([2 / 3, 1 / 3])
+        assert r.witness.row_masses == pytest.approx((2 / 3, 1 / 3))
 
     def test_empty_polytope_is_infinite(self):
         r = cover_entropy_weighted(shannon(), measure(0.5, 0.5), family(2, [0]))
@@ -455,12 +467,32 @@ class TestRandomDivision:
         a = random_division(mu, q, seed=np.uint32(7))
         assert np.array_equal(a.rows, random_division(mu, q, seed=7).rows)
 
+    def test_matches_the_dense_formula(self):
+        # the sampler as dense numpy rows: one draw per membership in
+        # row-major order, each atom's draws added over the sets, each draw
+        # divided by its atom's total and scaled by the atom's mass
+        rng = np.random.default_rng(43)
+        cases = [random_instance(rng) for _ in range(60)]
+        n = 2000
+        member = rng.random((8, n)) < 0.4
+        member[0] |= ~member.any(axis=0)
+        cases.append((Measure(DiscreteSpace(n), rng.dirichlet(np.ones(n)), probability=True),
+                      family(n, *(np.flatnonzero(row).tolist() for row in member))))
+        for seed, (mu, q) in enumerate(cases):
+            inc = incidence(q)
+            rows = np.zeros(inc.shape)
+            rows[inc] = np.random.default_rng(seed).standard_exponential(int(inc.sum()))
+            total = rows.sum(axis=0)
+            np.divide(rows, total, out=rows, where=total > 0.0)
+            rows *= mu.mass
+            assert random_division(mu, q, seed=seed).rows.tobytes() == rows.tobytes()
+
     def test_sampled_division_validates(self):
         rng = np.random.default_rng(13)
         for i in range(40):
             mu, q = random_instance(rng)
             d = random_division(mu, q, seed=i)  # validator runs in constructor
-            assert d.row_masses.sum() == pytest.approx(1.0, abs=1e-9)
+            assert math.fsum(d.row_masses) == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_dirichlet_law(self):
         mu = measure(0.5, 0.3, 0.2)
@@ -500,9 +532,12 @@ class TestDivisionSchema:
             parse_division({"cover_index_rows": [[0.5, 0.5]]},
                            uniform(2), family(2, [0, 1], [0, 1]))
 
-    def test_rejects_wrong_row_length(self):
+    @pytest.mark.parametrize("rows, q", [([[1.0]], family(2, [0, 1])),
+                                         # member values are no dense rows
+                                         ([[0.5], [0.5]], family(2, [0], [1]))])
+    def test_rejects_wrong_row_length(self, rows, q):
         with pytest.raises(ValidationError, match="atom masses"):
-            parse_division({"cover_index_rows": [[1.0]]}, uniform(2), family(2, [0, 1]))
+            parse_division({"cover_index_rows": rows}, uniform(2), q)
 
     @pytest.mark.parametrize("bad", [True, "0.5", None])
     def test_rejects_non_number_entry(self, bad):
