@@ -9,8 +9,8 @@ distinct nonzero codes.
 Each subcommand imports the modules it runs beyond the classical search
 (:mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
 :mod:`~coverentropy.selftest`) when it starts, so a child process loads and
-compiles only those.  numpy is loaded only by the division sampler (``cover``
-with ``--samples`` above 0) and the self test.
+compiles only those.  numpy is loaded only by the self test; the division
+sampler behind ``cover --samples`` draws with the standard library.
 """
 
 from __future__ import annotations

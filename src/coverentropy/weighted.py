@@ -17,13 +17,15 @@ row masses and the block masses (a Hardy-Littlewood-Polya comparison, see
 entropy over the whole division polytope therefore matches the classical
 cover entropy; the minimum is attained at an assignment-induced (vertex)
 division, which is how :func:`cover_entropy_weighted` computes it.  All
-operations are pure and the random sampler depends only on ``(seed,
-instance)``.
+operations are pure, and the random sampler draws from the standard
+library's ``random.Random(seed)``, so it depends only on ``(seed,
+instance)``; numpy is imported only by the dense ``rows`` view.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -287,36 +289,32 @@ def cover_entropy_weighted(
 def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     """Seeded uniform sample from the division polytope.
 
-    One call to ``numpy.random.default_rng(seed).standard_exponential`` draws
-    a unit exponential for every (set, atom) membership, set by set and
-    atoms ascending within a set, so the result depends only on ``(seed,
-    instance)``.  Each atom's draws are added in set order, and each draw
-    ``x`` of an atom with draw total ``t`` and mass ``m`` becomes ``(x / t)
-    * m``: flat-Dirichlet weights over the sets containing the atom, scaled
-    by its mass.  Atoms contained in a single set keep their exact mass
-    there (``x / x == 1.0``) regardless of the seed; atoms in no set get no
-    mass.
+    One ``random.Random(seed)`` gives a unit exponential ``-log(1 - u)`` for
+    every (set, atom) membership, ``u`` from its ``.random()``, set by set
+    and atoms ascending within a set, so the result depends only on ``(seed,
+    instance)`` and is the same on every Python version.  Each atom's draws
+    are added in set order, and each draw ``x`` of an atom with draw total
+    ``t`` and mass ``m`` becomes ``(x / t) * m``: flat-Dirichlet weights over
+    the sets containing the atom, scaled by its mass.  Atoms contained in a
+    single set keep their exact mass there (``x / x == 1.0``) regardless of
+    the seed; atoms in no set get no mass.
     """
-    import numpy as np
-    check_integer(seed, 0, "seed")
+    uniform = random.Random(check_integer(seed, 0, "seed")).random
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
-    members = [s.members for s in q.sets]
-    draws = np.random.default_rng(seed).standard_exponential(
-        sum(map(len, members))).tolist()
+    log = math.log
     total = [0.0] * mu.space.n
-    chunks, start = [], 0
-    for atoms in members:
-        chunk = draws[start:start + len(atoms)]
-        start += len(atoms)
-        for atom, x in zip(atoms, chunk):
+    chunks = []
+    for s in q.sets:
+        chunk = [-log(1.0 - uniform()) for _ in s.members]
+        for atom, x in zip(s.members, chunk):
             total[atom] += x
         chunks.append(chunk)
     # an atom whose draws are all 0.0 gets no mass, as it would by 0 / 0
     total = [t if t > 0.0 else math.inf for t in total]
     masses = mu.masses
-    values = tuple(tuple([(x / total[atom]) * masses[atom] for atom, x in zip(atoms, chunk)])
-                   for atoms, chunk in zip(members, chunks))
+    values = tuple(tuple([(x / total[atom]) * masses[atom] for atom, x in zip(s.members, chunk)])
+                   for s, chunk in zip(q.sets, chunks))
     return WeightedDivision(mu, q, values)
 
 

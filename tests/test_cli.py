@@ -629,7 +629,9 @@ class TestLazyImports:
         }[case]
         assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
 
-    @pytest.mark.parametrize("case", ["mixture", "disjointify", "cover-weighted", "cover-both"])
+    @pytest.mark.parametrize("case", ["mixture", "disjointify", "cover-weighted", "cover-both",
+                                      "cover-both-sampled", "cover-weighted-sampled",
+                                      "nan-literal"])
     def test_weighted_and_mixture_commands_never_load_numpy(self, tmp_path, case):
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps(INSTANCE))
@@ -637,26 +639,34 @@ class TestLazyImports:
         mixture.write_text(json.dumps(MIXTURE))
         division = tmp_path / "division.json"
         division.write_text(json.dumps(DIVISION))
-        argv = {
-            "mixture": ["mixture", str(mixture)],
-            "disjointify": ["disjointify", str(instance), str(division),
-                            "--functional", "shannon"],
-            "cover-weighted": ["cover", str(instance), "--functional", "shannon",
-                               "--mode", "weighted", "--samples", "0"],
-            "cover-both": ["cover", str(instance), "--functional", "shannon",
-                           "--mode", "both", "--samples", "0"],
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps({**INSTANCE, "mu": [math.nan, 0.5, 0.5]}))
+        argv, expected = {
+            "mixture": (["mixture", str(mixture)], 0),
+            "disjointify": (["disjointify", str(instance), str(division),
+                             "--functional", "shannon"], 0),
+            "cover-weighted": (["cover", str(instance), "--functional", "shannon",
+                                "--mode", "weighted", "--samples", "0"], 0),
+            "cover-both": (["cover", str(instance), "--functional", "shannon",
+                            "--mode", "both", "--samples", "0"], 0),
+            # the default --samples 100 draws with the standard library
+            "cover-both-sampled": (["cover", str(instance), "--functional", "shannon"], 0),
+            "cover-weighted-sampled": (["cover", str(instance), "--functional", "shannon",
+                                        "--mode", "weighted", "--samples", "1"], 0),
+            # the benchmark's invalid input: a NaN literal under --mode both
+            "nan-literal": (["cover", str(nan), "--functional", "shannon", "--mode", "both",
+                             "--samples", "100"], 1),
         }[case]
-        assert run_fresh(CLI_CHILD, *argv).split() == ["0", "False"]
+        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
 
     def test_weighted_and_mixture_imports_leave_numpy_unloaded(self):
         code = ("import sys, coverentropy.weighted, coverentropy.mixture\n"
                 "print('numpy' in sys.modules)\n")
         assert run_fresh(code).split() == ["False"]
 
-    def test_weighted_command_loads_numpy(self, instance_file):
-        # the control: the child does see numpy when it samples divisions
-        argv = ["cover", instance_file, "--functional", "shannon", "--mode", "weighted",
-                "--samples", "1"]
+    def test_selftest_command_loads_numpy(self):
+        # the control: the child does see numpy when a command uses it
+        argv = ["selftest", "--scale", "quick", "--seed", "3"]
         assert run_fresh(CLI_CHILD, *argv).split() == ["0", "True"]
 
     def test_every_exported_name_resolves(self):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -468,9 +469,10 @@ class TestRandomDivision:
         assert np.array_equal(a.rows, random_division(mu, q, seed=7).rows)
 
     def test_matches_the_dense_formula(self):
-        # the sampler as dense numpy rows: one draw per membership in
-        # row-major order, each atom's draws added over the sets, each draw
-        # divided by its atom's total and scaled by the atom's mass
+        # the sampler as dense numpy rows: one unit exponential -log(1 - u)
+        # per membership in row-major order, u from random.Random(seed), each
+        # atom's draws added over the sets, each draw divided by its atom's
+        # total and scaled by the atom's mass
         rng = np.random.default_rng(43)
         cases = [random_instance(rng) for _ in range(60)]
         n = 2000
@@ -480,12 +482,20 @@ class TestRandomDivision:
                       family(n, *(np.flatnonzero(row).tolist() for row in member))))
         for seed, (mu, q) in enumerate(cases):
             inc = incidence(q)
+            uniform01 = random.Random(seed).random
             rows = np.zeros(inc.shape)
-            rows[inc] = np.random.default_rng(seed).standard_exponential(int(inc.sum()))
+            rows[inc] = [-math.log(1.0 - uniform01()) for _ in range(int(inc.sum()))]
             total = rows.sum(axis=0)
             np.divide(rows, total, out=rows, where=total > 0.0)
             rows *= mu.mass
             assert random_division(mu, q, seed=seed).rows.tobytes() == rows.tobytes()
+
+    def test_pinned_draw(self):
+        # random.Random(0).random() begins 0.8444218515250481, 0.7579544029403025,
+        # 0.420571580830845, 0.25891675029296335 on every Python version
+        d = random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=0)
+        assert d.values == ((0.38660837142452725, 0.4128070510728489),
+                            (0.11339162857547275, 0.08719294892715114))
 
     def test_sampled_division_validates(self):
         rng = np.random.default_rng(13)
