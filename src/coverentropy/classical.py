@@ -118,17 +118,19 @@ class CoverEntropyResult:
     """Outcome of a cover-entropy search, classical or weighted.
 
     ``value is None`` tags the infinite case (no acceptable partition), which
-    always comes without a witness.  ``explored`` counts the DP transitions
-    the search evaluated, witness walk included.
+    always comes without a witness or an assignment.  ``assignment`` is the
+    optimal :class:`Assignment` that either witness is built from.  ``explored``
+    counts the DP transitions the search evaluated, witness walk included.
     """
 
     value: float | None
     witness: SetFamily | WeightedDivision | None
     explored: int
+    assignment: Assignment | None
 
     def __post_init__(self) -> None:
-        if (self.value is None) != (self.witness is None):
-            raise ValidationError("value and witness must be absent together")
+        if not (self.value is None) == (self.witness is None) == (self.assignment is None):
+            raise ValidationError("value, witness and assignment must be absent together")
 
     @property
     def is_infinite(self) -> bool:
@@ -299,11 +301,12 @@ def cover_entropy(
     check_integer(budget, 1, "budget")
     _check_operands(e, mu, q)
     if not is_mu_cover(q, mu):
-        return CoverEntropyResult(value=None, witness=None, explored=0)
+        return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = assignment_to_partition(assignment)
     return CoverEntropyResult(
         value=_g_sum_value(e, [mu.mass_of(block) for block in witness]),
         witness=witness,
         explored=explored,
+        assignment=assignment,
     )

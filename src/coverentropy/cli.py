@@ -148,52 +148,38 @@ def cmd_cover(args) -> int:
     mu, cover = load_instance(instance)
     e = parse_functional(args.functional)
     results: dict = {"functional": e.name, "mode": args.mode}
-    status = "ok"
-
-    classical = weighted = None
-    if args.mode in ("classical", "both"):
-        classical = cover_entropy(e, mu, cover, budget=args.budget)
+    # one search for every mode: the weighted optimum is the vertex division
+    # of the classical optimum's assignment
+    result = cover_entropy(e, mu, cover, budget=args.budget)
+    status = "infinite" if result.is_infinite else "ok"
+    if args.mode != "weighted":
         results["classical"] = {
-            "value": _extended(classical.value),
-            "explored": classical.explored,
-            "witness_partition": (
-                None if classical.witness is None else classical.witness.as_lists()
-            ),
+            "value": _extended(result.value),
+            "explored": result.explored,
+            "witness_partition": None if result.is_infinite else result.witness.as_lists(),
         }
-        if classical.is_infinite:
-            status = "infinite"
-    if args.mode in ("weighted", "both"):
-        from .weighted import (
-            cover_entropy_weighted, division_dict, random_division, weighted_entropy)
-        weighted = cover_entropy_weighted(e, mu, cover, budget=args.budget)
-        results["weighted"] = {
-            "value": _extended(weighted.value),
-            "explored": weighted.explored,
-            "witness_division": (
-                None if weighted.witness is None else division_dict(weighted.witness)
-            ),
+    if args.mode == "classical":
+        return _emit(args, status, results)
+    from .weighted import division_dict, division_from_assignment, random_division, weighted_entropy
+    witness = None if result.is_infinite else division_from_assignment(result.assignment, mu)
+    value = None if witness is None else weighted_entropy(e, witness)
+    results["weighted"] = {
+        "value": _extended(value),
+        "explored": result.explored,
+        "witness_division": None if witness is None else division_dict(witness),
+    }
+    if witness is not None and args.samples > 0:
+        violations = sum(weighted_entropy(e, random_division(mu, cover, seed=args.seed + i))
+                         < value - args.tol for i in range(args.samples))
+        results["weighted"]["sandwich"] = {
+            "samples": args.samples,
+            "violations": violations,
+            "seed": args.seed,
         }
-        if weighted.is_infinite:
-            status = "infinite"
-        if not weighted.is_infinite and args.samples > 0:
-            floor = weighted.value
-            violations = 0
-            for i in range(args.samples):
-                d = random_division(mu, cover, seed=args.seed + i)
-                if weighted_entropy(e, d) < floor - args.tol:
-                    violations += 1
-            results["weighted"]["sandwich"] = {
-                "samples": args.samples,
-                "violations": violations,
-                "seed": args.seed,
-            }
     if args.mode == "both":
-        # both sides run the same is_mu_cover check: both or neither is infinite
-        if classical.is_infinite:
-            results["equality"] = {"difference": "infinity", "within_tol": True}
-        else:
-            diff = abs(classical.value - weighted.value)
-            results["equality"] = {"difference": _extended(diff), "within_tol": diff <= args.tol}
+        diff = None if witness is None else abs(result.value - value)
+        results["equality"] = {"difference": _extended(diff),
+                               "within_tol": diff is None or diff <= args.tol}
     return _emit(args, status, results)
 
 

@@ -220,6 +220,19 @@ class StructureReport:
         return self.f_monotone and self.g_additive and self.g_curvature
 
 
+def _grid(lo: float, hi: float, size: int) -> list[float]:
+    """numpy's ``linspace(lo, hi, size)`` in plain Python: ``lo + i * step``,
+    the last point exactly ``hi``."""
+    step = (hi - lo) / (size - 1)
+    return [lo + i * step for i in range(size - 1)] + [hi]
+
+
+def _worst(violations: list[float], probes: list[float]) -> float:
+    """The largest violation (0 when none is positive), or infinity when a
+    probed value is not finite."""
+    return max([0.0, *violations]) if all(map(math.isfinite, probes)) else math.inf
+
+
 def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-9) -> StructureReport:
     """Check the declared composition case of ``e`` on an evenly spaced grid.
 
@@ -227,37 +240,30 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
     ``s + t <= 1`` and concavity/convexity via midpoint second differences.
     ``f`` is probed for monotonicity on the span of g-sums reachable with at
     most ``grid_size`` blocks (between ``g(1)`` and ``grid_size*g(1/grid_size)``);
-    ``f`` is never evaluated outside that span.
+    ``f`` is never evaluated outside that span.  A non-finite value of ``g``
+    or ``f`` makes its checks' violations infinite.
     """
-    import numpy as np
     check_integer(grid_size, 3, "grid_size")
     check_tolerance(tol)
-    ts = np.linspace(0.0, 1.0, grid_size)
-    gv = np.array([e.g(float(t)) for t in ts])
-
-    concave_like = e.case is CompositionCase.INCREASING_SUBADDITIVE_CONCAVE
+    ts = _grid(0.0, 1.0, grid_size)
+    gv = [float(e.g(t)) for t in ts]
+    # a positive violation breaks the concave case when sign is 1, the convex one when -1
+    sign = 1.0 if e.case is CompositionCase.INCREASING_SUBADDITIVE_CONCAVE else -1.0
 
     # Midpoint second differences on the grid interior.
-    second = gv[:-2] + gv[2:] - 2.0 * gv[1:-1]
-    if concave_like:
-        worst_curv = float(max(0.0, second.max(initial=0.0)))
-    else:
-        worst_curv = float(max(0.0, -second.min(initial=0.0)))
+    worst_curv = _worst([sign * (a + c - 2.0 * b) for a, b, c in zip(gv, gv[1:], gv[2:])], gv)
 
     # Additivity on grid pairs (s, t) with s + t <= 1.
-    worst_add = 0.0
+    sums, gaps = [], []
     for i in range(grid_size):
-        s = float(ts[i])
         for j in range(i, grid_size):
-            t = float(ts[j])
-            u = s + t
+            u = ts[i] + ts[j]
             if u > 1.0 + 1e-15:
                 break
-            gap = e.g(min(u, 1.0)) - (gv[i] + gv[j])
-            # subadditive wants gap <= 0; superadditive wants gap >= 0
-            violation = gap if concave_like else -gap
-            if violation > worst_add:
-                worst_add = float(violation)
+            sums.append(float(e.g(min(u, 1.0))))
+            # g(s + t) - (g(s) + g(t)): subadditive wants it <= 0, superadditive >= 0
+            gaps.append(sign * (sums[-1] - (gv[i] + gv[j])))
+    worst_add = _worst(gaps, gv + sums)
 
     # Monotonicity of f over the reachable span of g-sums.
     m = grid_size
@@ -266,13 +272,9 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-
     lo, hi = min(end_a, end_b), max(end_a, end_b)
     if hi - lo < 1e-15:
         lo, hi = lo - 0.5, hi + 0.5  # degenerate custom g; probe a unit span
-    xs = np.linspace(lo, hi, grid_size)
-    fv = np.array([e.f(float(x)) for x in xs])
-    steps = np.diff(fv)
-    if concave_like:  # f must increase
-        worst_f = float(max(0.0, -steps.min(initial=0.0)))
-    else:  # f must decrease
-        worst_f = float(max(0.0, steps.max(initial=0.0)))
+    fv = [float(e.f(x)) for x in _grid(lo, hi, grid_size)]
+    # f must increase (concave case) or decrease (convex case)
+    worst_f = _worst([sign * (a - b) for a, b in zip(fv, fv[1:])], fv)
 
     return StructureReport(
         case=e.case,

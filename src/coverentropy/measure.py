@@ -9,9 +9,9 @@ pure functions, so everything here is safe to share across threads.  The
 checks run on tuples, without numpy.  A family is read through its sets'
 ``members``, the sorted atom tuples: block containment, the assignment
 check and the weighted divisions, whose values are stored per membership,
-set by set in the order of each set's members.  A measure's ``mass``
-array and a family's derived structure are built on first use and are
-read-only; two threads that race to build them build the same values:
+set by set in the order of each set's members.  A family's derived
+structure is built on first use and is read-only; two threads that race to
+build it build the same values:
 
 * ``atom_signatures``, the atoms grouped by the sets that hold them, read
   by the search's Venn cells and candidate lists;
@@ -33,12 +33,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import SpaceMismatchError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Absolute tolerance for mu-null discrepancies.  Every total compared with
 #: it is ``math.fsum``, the exact sum rounded once, so rounding alone trips no
@@ -90,8 +87,7 @@ def real_list(values, what: str) -> tuple[float, ...]:
 class Measure:
     """Finite, nonnegative mass vector over a space; at most sub-probability total.
 
-    ``masses`` (:func:`real_list`) is kept as a tuple of floats; ``mass`` is
-    the same as a read-only float64 array, built on first use.
+    ``masses`` (:func:`real_list`) is kept as a tuple of floats.
     ``probability=True`` additionally pins the total mass to 1 (within
     ``MASS_TOL``).  Restrictions and the per-cover-set submeasures are plain
     sub-probability measures.
@@ -122,14 +118,6 @@ class Measure:
             raise ValidationError(f"total mass {total} exceeds 1 beyond tolerance")
         if self.probability and abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"probability measure must have total 1, got {total}")
-
-    @cached_property
-    def mass(self) -> np.ndarray:
-        """Read-only float64 array of ``masses``."""
-        import numpy as np
-        arr = np.array(self.masses, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
 
     @property
     def total(self) -> float:
@@ -214,18 +202,30 @@ class SetFamily:
 
     @cached_property
     def _signature_map(self):
-        held: list[list[int]] = [[] for _ in range(self.space.n)]
+        # one bitmask of holding sets per atom; each group's set indices are
+        # read from its mask's set bits, not by scanning every set
+        masks = [0] * self.space.n
         for idx, s in enumerate(self.sets):
+            bit = 1 << idx
             for atom in s.members:
-                held[atom].append(idx)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for atom, sets in enumerate(held):
-            groups.setdefault(tuple(sets), []).append(atom)
-        uncovered = tuple(groups.pop((), ()))
-        return tuple((sets, tuple(atoms)) for sets, atoms in groups.items()), uncovered
+                masks[atom] |= bit
+        groups: dict[int, list[int]] = {}
+        for atom, mask in enumerate(masks):
+            groups.setdefault(mask, []).append(atom)
+        uncovered = tuple(groups.pop(0, ()))
+        return tuple((_set_bits(mask), tuple(atoms)) for mask, atoms in groups.items()), uncovered
 
     def as_lists(self) -> list[list[int]]:
         return [list(s.members) for s in self.sets]
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of ``mask``."""
+    bits = []
+    while mask:
+        bits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(bits)
 
 
 def _require_shared_space(a, b) -> None:

@@ -233,7 +233,7 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
         mus = [random_probability(rng, n) for _ in range(parts)]
         carrier = Measure(
             DiscreteSpace(n),
-            np.mean([m.mass for m in mus], axis=0),
+            np.mean([m.masses for m in mus], axis=0),
             probability=True,
         )
         q = random_cover(rng, carrier, k)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -64,10 +63,10 @@ class WeightedDivision:
     """Per-cover-set submeasures, stored per membership: ``values[i][j]`` is
     set ``i``'s mass on its member atom ``cover[i].members[j]``.
 
-    ``values`` holds one row per cover set, kept as a tuple of floats.  A
-    row as long as its set lists the member values; a row of ``n`` entries
-    (or a ``(sets, atoms)`` array) is a dense row of atom masses and must be
-    zero outside the set.  For a set holding every atom the two agree.
+    ``values`` is a list or tuple of one row per cover set, each row a list,
+    tuple or 1-D array of numbers (:func:`~coverentropy.measure.real_list`)
+    exactly as long as its set; it is kept as a tuple of tuples of floats.
+    :func:`parse_division` reads dense rows of atom masses.
 
     Invariants (validated on construction): values are nonnegative, and
     each atom's values add back to its mass within ``MASS_TOL`` (as exact
@@ -90,24 +89,16 @@ class WeightedDivision:
         _require_shared_space(self.mu, self.cover)
         sets, n = self.cover.sets, self.mu.space.n
         raw = self.values
-        np = sys.modules.get("numpy")  # no array exists before numpy is loaded
-        if (np is not None and isinstance(raw, np.ndarray) and raw.shape == (len(sets), n)
-                and raw.dtype.kind in "iuf"):
-            raw = raw.astype(np.float64, copy=False).tolist()
         if not isinstance(raw, (list, tuple)) or len(raw) != len(sets):
-            raise ValidationError(f"division rows must be numbers of shape {(len(sets), n)} "
-                                  f"(cover size x atom count), as an array or a list of rows")
+            raise ValidationError(f"division rows must match the cover's shape: a list or "
+                                  f"tuple of {len(sets)} rows, one per cover set")
         values = []
         for i, (row, s) in enumerate(zip(raw, sets)):
-            members = s.members
             row = real_list(row, f"row {i} of the division rows")
-            if len(row) != len(members):  # a dense row: its nonzeros must all be members
-                if len(row) != n:
-                    raise ValidationError(f"row {i} of the division rows must list "
-                                          f"{len(members)} member values or {n} atom masses")
-                dense, row = row, tuple([row[atom] for atom in members])
-                if len(dense) - dense.count(0.0) != len(row) - row.count(0.0):
-                    raise ValidationError(f"row {i} carries mass outside its cover set")
+            if len(row) != len(s.members):
+                raise ValidationError(f"row {i} of the division rows must list the "
+                                      f"{len(s.members)} member values of cover set {i}, "
+                                      f"got {len(row)} entries")
             values.append(row)
         parts: list[list[float]] = [[] for _ in range(n)]
         for s, row in zip(sets, values):
@@ -271,18 +262,20 @@ def cover_entropy_weighted(
     sits at a vertex division induced by an assignment, so the same certified
     search as the classical side runs and the witness division is rebuilt
     from its optimal assignment into the :class:`WeightedDivision` witness;
-    the reported value is recomputed from the witness's row masses.
+    the reported value is recomputed from the witness's row masses.  The
+    result carries that assignment; the witness partition is not built.
     """
     check_integer(budget, 1, "budget")
     _check_operands(e, mu, q)
     if not is_mu_cover(q, mu):
-        return CoverEntropyResult(value=None, witness=None, explored=0)
+        return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
     assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
     witness = division_from_assignment(assignment, mu)
     return CoverEntropyResult(
         value=_g_sum_value(e, witness.row_masses),
         witness=witness,
         explored=explored,
+        assignment=assignment,
     )
 
 
@@ -326,8 +319,8 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
     """Validate ``{"cover_index_rows": [[...], ...]}`` against an instance.
 
     One dense row of ``n`` atom masses per cover set, in the instance's
-    cover order; misaligned shapes are rejected before the division
-    invariants run.
+    cover order and zero outside the set; misaligned shapes are rejected
+    before the division invariants run on the rows' member values.
     """
     check_type(mu, Measure, "measure")
     check_type(cover, SetFamily, "cover")
@@ -341,7 +334,16 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
     for i, row in enumerate(rows_raw):
         if not isinstance(row, list) or len(row) != mu.space.n:
             raise ValidationError(f"row {i} of the division rows must list {mu.space.n} atom masses")
-    return WeightedDivision(mu, cover, rows_raw)
+    _require_shared_space(mu, cover)
+    values = []
+    for i, (row, s) in enumerate(zip(rows_raw, cover.sets)):
+        dense = real_list(row, f"row {i} of the division rows")
+        members = tuple([dense[atom] for atom in s.members])
+        # its nonzeros must all be members
+        if len(dense) - dense.count(0.0) != len(members) - members.count(0.0):
+            raise ValidationError(f"row {i} carries mass outside its cover set")
+        values.append(members)
+    return WeightedDivision(mu, cover, values)
 
 
 def division_dict(d: WeightedDivision) -> dict:

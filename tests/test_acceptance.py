@@ -150,7 +150,7 @@ def test_criterion_05_mixture_containment_against_oracle():
         n = int(rng.integers(2, 7))
         parts = int(rng.integers(2, 4))
         mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
-        carrier = Measure(DiscreteSpace(n), np.mean([m.mass for m in mus], axis=0),
+        carrier = Measure(DiscreteSpace(n), np.mean([m.masses for m in mus], axis=0),
                           probability=True)
         from coverentropy.selftest import random_cover
         q = random_cover(rng, carrier, int(rng.integers(2, 5)))

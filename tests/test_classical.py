@@ -36,6 +36,7 @@ from coverentropy import (
 )
 from coverentropy.classical import (
     DEFAULT_BUDGET,
+    CoverEntropyResult,
     _searched_atoms,
     _venn_cells,
     minimizing_assignment,
@@ -195,7 +196,13 @@ class TestCoverEntropy:
         for e in builtin_functionals():
             r = cover_entropy(e, measure(0.5, 0.5), family(2, [0]))
             assert r.is_infinite
-            assert r.witness is None
+            assert r.witness is None and r.assignment is None
+        # value, witness and assignment are absent together
+        found = cover_entropy(shannon(), uniform(2), family(2, [0, 1]))
+        for missing in ("value", "witness", "assignment"):
+            fields = dict(vars(found), **{missing: None})
+            with pytest.raises(ValidationError, match="absent together"):
+                CoverEntropyResult(**fields)
 
     def test_minimizing_assignment_rejects_non_cover(self):
         # the search alone would drop atom 2 and its 0.5 of the mass
@@ -284,7 +291,7 @@ class TestSearchStructure:
     def test_cells_and_cover_check_agree_with_incidence(self, instance):
         mu, q = instance
         inc = incidence(q)
-        mass = mu.mass.tolist()
+        mass = list(mu.masses)
         searched = [a for a in range(mu.space.n) if mass[a] > 0.0 and inc[:, a].any()]
         cands = [np.flatnonzero(inc[:, a]).tolist() for a in searched]
         assert _searched_atoms(mu, q) == (searched, cands)
@@ -299,7 +306,7 @@ class TestSearchStructure:
         cells = [(sum(mass[a] for a in atoms), atoms, sets)
                  for sets, atoms in groups.items() if atoms]
         assert _venn_cells(mu, q) == cells
-        uncovered = float(mu.mass[~inc.any(axis=0)].sum())
+        uncovered = float(np.array(mu.masses)[~inc.any(axis=0)].sum())
         assert is_mu_cover(q, mu) is (uncovered <= MASS_TOL)
 
     @given(instances_with_gaps())
@@ -327,7 +334,7 @@ class TestSearchStructure:
             assert witness == SetFamily.of(mu.space, witness.as_lists())
             d = division_from_assignment(a, mu)
             assert not d.rows.flags.writeable
-            assert np.array_equal(WeightedDivision(mu, q, d.rows).rows, d.rows)
+            assert WeightedDivision(mu, q, d.values).values == d.values
 
     @pytest.mark.parametrize("search", [cover_entropy, cover_entropy_weighted])
     def test_cell_sent_outside_its_sets_is_rejected(self, monkeypatch, search):
@@ -620,7 +627,7 @@ class TestLargeInstances:
         inc = incidence(q)
         for a in range(mu.space.n):
             key = tuple(np.flatnonzero(inc[:, a]).tolist())
-            cells[key] = cells.get(key, 0.0) + float(mu.mass[a])
+            cells[key] = cells.get(key, 0.0) + mu.masses[a]
         keys = sorted(cells)
         space = DiscreteSpace(len(keys))
         blocks = [[i for i, key in enumerate(keys) if j in key] for j in range(len(q))]

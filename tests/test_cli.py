@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coverentropy
+from coverentropy import _kernels
 from coverentropy.cli import dumps_canonical, main
 
 from bad_values import BAD_SEEDS
@@ -77,6 +78,21 @@ class TestCoverCommand:
         assert res["equality"]["within_tol"] is True
         assert res["weighted"]["sandwich"] == {
             "samples": 25, "violations": 0, "seed": 3}
+
+    @pytest.mark.parametrize("mode", ["classical", "weighted", "both"])
+    def test_one_search_per_run(self, capsys, monkeypatch, instance_file, mode):
+        # both witnesses come from the one optimal assignment
+        calls = []
+        search = _kernels.ordering_dp
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(_kernels, "ordering_dp", counted)
+        code, _ = run_cli(capsys, "cover", instance_file, "--functional", "shannon",
+                          "--mode", mode, "--samples", "5")
+        assert code == 0 and len(calls) == 1
 
     def test_reports_are_reproducible(self, capsys, instance_file):
         argv = ("cover", instance_file, "--functional", "tsallis:2",
@@ -590,6 +606,13 @@ CLI_CHILD = (
     "print(code, 'numpy' in sys.modules)\n"
 )
 
+# the same for the grid check of a built-in functional: 0 when it passes
+STRUCTURE_CHILD = (
+    "import sys\n"
+    "from coverentropy import check_structure, shannon\n"
+    "print(int(not check_structure(shannon()).passed), 'numpy' in sys.modules)\n"
+)
+
 
 class TestLazyImports:
     def test_cli_import_leaves_weighted_mixture_and_selftest_unloaded(self):
@@ -607,7 +630,7 @@ class TestLazyImports:
                              "coverentropy.weighted", "numpy"}
 
     @pytest.mark.parametrize("case", ["cover-classical", "partition", "hlp",
-                                      "nan-literal", "missing-cover"])
+                                      "nan-literal", "missing-cover", "check-structure"])
     def test_classical_commands_never_load_numpy(self, tmp_path, case):
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps(INSTANCE))
@@ -626,8 +649,10 @@ class TestLazyImports:
             "nan-literal": (["cover", str(nan), "--functional", "shannon"], 1),
             "missing-cover": (["cover", str(missing), "--functional", "shannon",
                                "--mode", "classical"], 1),
+            "check-structure": ([], 0),
         }[case]
-        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
+        child = STRUCTURE_CHILD if case == "check-structure" else CLI_CHILD
+        assert run_fresh(child, *argv).split() == [str(expected), "False"]
 
     @pytest.mark.parametrize("case", ["mixture", "disjointify", "cover-weighted", "cover-both",
                                       "cover-both-sampled", "cover-weighted-sampled",

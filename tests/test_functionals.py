@@ -254,6 +254,22 @@ class TestStructureCheck:
         report = check_structure(planted, grid_size=101, tol=1e-9)
         assert report.worst_additive_violation > 0.1
         assert report.worst_curvature_violation > 0.0
+        # a non-finite probe is an infinite violation, not a false comparison
+        nan_g = EntropyFunctional(
+            name="nan-g", alpha=None, f=lambda x: x, g=lambda t: math.nan,
+            case=CompositionCase.INCREASING_SUBADDITIVE_CONCAVE,
+        )
+        report = check_structure(nan_g, grid_size=11, tol=1e-9)
+        assert not report.passed
+        assert report.worst_additive_violation == report.worst_curvature_violation == math.inf
+        inf_f = EntropyFunctional(
+            name="inf-f", alpha=None, f=lambda x: math.inf, g=shannon().g,
+            case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX,
+        )
+        report = check_structure(inf_f, grid_size=11, tol=1e-9)
+        assert not report.passed and not report.f_monotone
+        assert report.worst_f_violation == math.inf
+        assert report.g_additive and report.g_curvature
 
 
 class TestParseFunctional:

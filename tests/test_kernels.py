@@ -118,7 +118,7 @@ class TestScanAgreement:
         for _ in range(30):
             mu, q = random_instance(rng, n_range=(2, 7), k_range=(2, 5))
             atoms, cands = _searched_atoms(mu, q)
-            masses = [float(mu.mass[a]) for a in atoms]
+            masses = [mu.masses[a] for a in atoms]
             for e in builtin_functionals():
                 best, _, _ = _kernels.scan_assignments(
                     masses, cands, len(q), e.g, not e.minimizes_g_sum)

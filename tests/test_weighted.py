@@ -54,13 +54,14 @@ def uniform(n):
 class TestWeightedDivisionValidation:
     def test_support_violation(self):
         with pytest.raises(ValidationError, match="outside"):
-            WeightedDivision(measure(0.5, 0.5), family(2, [0], [1]),
-                             [[0.5, 0.1], [0.0, 0.4]])
+            parse_division({"cover_index_rows": [[0.5, 0.1], [0.0, 0.4]]},
+                           measure(0.5, 0.5), family(2, [0], [1]))
 
     def test_support_violation_names_first_row(self):
         with pytest.raises(ValidationError, match="row 1 carries"):
-            WeightedDivision(measure(0.2, 0.3, 0.5), family(3, [0, 1, 2], [0], [1]),
-                             [[0.1, 0.1, 0.5], [0.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
+            parse_division({"cover_index_rows": [[0.1, 0.1, 0.5], [0.0, 0.2, 0.0],
+                                                 [0.1, 0.0, 0.0]]},
+                           measure(0.2, 0.3, 0.5), family(3, [0, 1, 2], [0], [1]))
 
     def test_decomposition_violation(self):
         with pytest.raises(ValidationError, match="sum back"):
@@ -99,15 +100,22 @@ class TestWeightedDivisionValidation:
             WeightedDivision(measure(0.5, 0.5), [[0, 1]], [[0.5, 0.5]])
 
     def test_member_values_and_dense_rows_agree(self):
+        # the constructor takes member values; parse_division reads dense rows
         mu, q = measure(0.2, 0.3, 0.5), family(3, [0, 1], [1, 2])
         members = WeightedDivision(mu, q, [[0.2, 0.1], [0.2, 0.5]])
-        dense = WeightedDivision(mu, q, [[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]])
-        mixed = WeightedDivision(mu, q, ((0.2, 0.1), np.array([0.0, 0.2, 0.5])))
+        dense = parse_division({"cover_index_rows": [[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]]}, mu, q)
+        mixed = WeightedDivision(mu, q, ((0.2, 0.1), np.array([0.2, 0.5])))
         assert members.values == dense.values == mixed.values == ((0.2, 0.1), (0.2, 0.5))
         assert members.rows.tolist() == [[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]]
         assert members.row_masses == (math.fsum([0.2, 0.1]), 0.7)
-        with pytest.raises(ValidationError, match="2 member values or 3 atom masses"):
+        with pytest.raises(ValidationError, match="2 member values of cover set 1"):
             WeightedDivision(mu, q, [[0.2, 0.1], [0.7]])
+        # dense rows, as lists or as one array, are not member values
+        dense = [[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]]
+        with pytest.raises(ValidationError, match="row 0 .* 2 member values of cover set 0"):
+            WeightedDivision(mu, q, dense)
+        with pytest.raises(ValidationError, match="shape"):
+            WeightedDivision(mu, q, np.array(dense))
 
     def test_rows_readonly(self):
         d = random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=0)
@@ -128,7 +136,7 @@ class TestSharedDerivations:
         rng = np.random.default_rng(59)
         for i in range(40):
             mu, q = random_instance(rng)
-            rows = random_division(mu, q, seed=i).rows
+            rows = random_division(mu, q, seed=i).values
             first = WeightedDivision(mu, q, rows)
             p_first = disjointify(first)
             cert_first = disjointify_certificate(first)
@@ -247,7 +255,7 @@ class TestDisjointify:
     def test_mass_sorted_difference_chain(self):
         mu = uniform(3)
         q = family(3, [0, 1], [1, 2])
-        d = WeightedDivision(mu, q, [[1 / 3, 1 / 3, 0.0], [0.0, 0.0, 1 / 3]])
+        d = WeightedDivision(mu, q, [[1 / 3, 1 / 3], [0.0, 1 / 3]])
         assert disjointify(d).as_lists() == [[0, 1], [2]]
 
     def test_tie_breaks_by_cover_index(self):
@@ -260,10 +268,10 @@ class TestDisjointify:
     def test_requires_positive_rows_to_cover(self):
         mu = measure(0.5, 0.5)
         q = family(2, [0], [0, 1])
-        d = WeightedDivision(mu, q, [[0.5, 0.0], [0.0, 0.5]])
+        d = WeightedDivision(mu, q, [[0.5], [0.0, 0.5]])
         # fine here: both rows positive.  Now starve row 1 so coverage fails.
         bad_mu = measure(1.0, 0.0)
-        bad = WeightedDivision(bad_mu, family(2, [0], [1]), [[1.0, 0.0], [0.0, 0.0]])
+        bad = WeightedDivision(bad_mu, family(2, [0], [1]), [[1.0], [0.0]])
         assert disjointify(bad).as_lists() == [[0]]
         assert disjointify(d).as_lists() == [[0], [1]]
 
@@ -272,17 +280,16 @@ class TestDisjointify:
         # each passes the sum-back check, together they exceed MASS_TOL
         mu = Measure(DiscreteSpace(21), [1 - 2e-12] + [1e-13] * 20)
         q = family(21, [0], range(1, 21))
-        rows = np.zeros((2, 21))
-        rows[0, 0] = mu.mass[0]
+        rows = [mu.masses[:1], [0.0] * 20]
         with pytest.raises(ValidationError, match="do not cover"):
             disjointify(WeightedDivision(mu, q, rows))
-        rows[1, 1:] = mu.mass[1:]
+        rows[1] = mu.masses[1:]
         assert disjointify(WeightedDivision(mu, q, rows)).as_lists() == [[0], list(range(1, 21))]
 
     def test_small_rows_past_mass_tol_are_kept(self):
         # each small row is under MASS_TOL, but the two together are not
         mu = measure(1 - 1.8e-12, 9e-13, 9e-13)
-        d = WeightedDivision(mu, family(3, [0], [1], [2]), np.diag(mu.mass))
+        d = WeightedDivision(mu, family(3, [0], [1], [2]), [[m] for m in mu.masses])
         assert disjointify(d).as_lists() == [[0], [1], [2]]
         cert = disjointify_certificate(d)
         assert len(cert.x_seq) == len(cert.y_seq) == 3
@@ -397,7 +404,7 @@ class TestCoverEntropyWeighted:
 
     def test_empty_polytope_is_infinite(self):
         r = cover_entropy_weighted(shannon(), measure(0.5, 0.5), family(2, [0]))
-        assert r.is_infinite and r.witness is None
+        assert r.is_infinite and r.witness is None and r.assignment is None
 
     def test_witness_division_validates_and_attains_value(self):
         rng = np.random.default_rng(71)
@@ -414,7 +421,9 @@ class TestCoverEntropyWeighted:
             for e in builtin_functionals():
                 a = cover_entropy(e, mu, q)
                 b = cover_entropy_weighted(e, mu, q)
-                assert abs(a.value - b.value) <= 1e-9
+                # one search, one optimum: the README's bit-for-bit claim
+                assert (a.value, a.explored, a.assignment) == (b.value, b.explored, b.assignment)
+                assert division_from_assignment(a.assignment, mu).values == b.witness.values
                 # the value is the g-sum helper on the row masses, bit for bit
                 assert b.value == weighted_entropy(e, b.witness)
 
@@ -487,7 +496,7 @@ class TestRandomDivision:
             rows[inc] = [-math.log(1.0 - uniform01()) for _ in range(int(inc.sum()))]
             total = rows.sum(axis=0)
             np.divide(rows, total, out=rows, where=total > 0.0)
-            rows *= mu.mass
+            rows *= mu.masses
             assert random_division(mu, q, seed=seed).rows.tobytes() == rows.tobytes()
 
     def test_pinned_draw(self):
