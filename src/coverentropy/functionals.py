@@ -44,7 +44,9 @@ class EntropyFunctional:
     """An ``f(sum g(mass))`` functional with its declared composition case.
 
     The cover-entropy search calls ``g`` itself and relies on the declared
-    case; :func:`check_structure` probes it numerically.
+    case; :func:`check_structure` probes it numerically.  Construction checks
+    the field types: a ``str`` name, callable ``f`` and ``g``, a
+    :class:`CompositionCase`, and ``alpha`` ``None`` or a finite number.
     """
 
     name: str
@@ -52,6 +54,14 @@ class EntropyFunctional:
     f: Callable[[float], float]
     g: Callable[[float], float]
     case: CompositionCase
+
+    def __post_init__(self) -> None:
+        check_type(self.name, str, "name")
+        if not (callable(self.f) and callable(self.g)):
+            raise ValidationError(f"f and g must be callable, got {self.f!r} and {self.g!r}")
+        check_type(self.case, CompositionCase, "case")
+        if self.alpha is not None and not is_finite_number(self.alpha):
+            raise ValidationError(f"alpha must be None or a finite number, got {self.alpha!r}")
 
     @property
     def minimizes_g_sum(self) -> bool:
@@ -83,16 +93,25 @@ def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
     return _g_sum_value(e, values)
 
 
-def _g_sum_value(e: EntropyFunctional, masses: Sequence[float]) -> float:
-    """``f`` of the g-sum over the positive entries, added in list order: the
-    one definition of the value, unchecked.  :func:`evaluate` is its checks
-    plus this; the search's witness, whose block masses need no check, calls
-    it directly."""
+def _g_sum(e: EntropyFunctional, masses: Sequence[float]) -> float:
+    """The g-sum over the positive entries, added in list order."""
     s = 0.0
     for m in masses:
         if m > 0.0:
             s += e.g(m)
-    return float(e.f(s))
+    return s
+
+
+def _g_sum_value(e: EntropyFunctional, masses: Sequence[float]) -> float:
+    """``f`` of :func:`_g_sum`: the one definition of the value, its masses
+    unchecked; a value that is not finite is a ValidationError.
+    :func:`evaluate` is its checks plus this; the search's witness, whose
+    block masses need no check, calls it directly."""
+    s = _g_sum(e, masses)
+    value = float(e.f(s))
+    if not math.isfinite(value):
+        raise ValidationError(f"{e!r} is not finite at g-sum {s}: f gives {value}")
+    return value
 
 
 def _sum_in_order(values) -> float:

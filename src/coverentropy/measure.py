@@ -169,7 +169,11 @@ class SetFamily:
 
     @classmethod
     def of(cls, space: DiscreteSpace, blocks: Iterable[Iterable[int]]) -> "SetFamily":
-        return cls(space, tuple(AtomSet(space, tuple(b)) for b in blocks))
+        try:
+            return cls(space, tuple(AtomSet(space, tuple(b)) for b in blocks))
+        except TypeError:
+            raise ValidationError(
+                f"blocks must be iterables of atom indices, got {blocks!r}") from None
 
     def __len__(self) -> int:
         return len(self.sets)

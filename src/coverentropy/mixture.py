@@ -1,19 +1,23 @@
 """Mixtures of probability measures and sharp cover-entropy bounds.
 
-For a convex combination ``mu = sum a_k * mu_k`` and a cover ``q``, the
-Tsallis cover entropy of the mixture is squeezed between
-
-* ``lower = sum a_i * H_i`` and
-* ``upper = sum a_i**alpha * H_i + (sum a_k**alpha - 1) / (1 - alpha)``,
-
-where ``H_i`` is the Tsallis cover entropy of component ``i``.  The Shannon
-analogue replaces the additive term with the base-2 entropy of the
-coefficient vector.  Both ends are attained: point masses on disjoint atoms
-with a singleton cover hit the upper bound exactly, identical components hit
-the lower one.  An infinite weighted component entropy makes both bounds
-infinite, and they hold vacuously when the mixture's entropy is infinite
-too; :func:`verify_mixture_bounds` rejects the one other case, a mixture
-covered within ``MASS_TOL`` with a weighted component that is not.
+For a convex combination ``mu = sum a_i * mu_i``, a cover ``q`` and any
+admissible ``f(sum g(.))``, let ``m_ij`` be the block masses of component
+``i``'s optimal partition and ``s_i = sum_j g(m_ij)``.  The mixture's cover
+entropy lies between ``f(L)`` and ``f(U)``, where ``L = sum_i a_i * s_i`` and
+``U = sum_i sum_j g(a_i * m_ij)``.  Proof for concave ``g`` (convex flips
+every inequality, and ``f`` decreases): by concavity every partition's
+g-sum is at least ``L``; by subadditivity the mixed division ``a_i * m_ij``
+has a g-sum at most ``U``, and divisions attain the partition optimum.
+For Tsallis this is ``sum a_i * H_i`` and ``sum a_i**alpha * H_i + (sum
+a_i**alpha - 1) / (1 - alpha)``, for Shannon ``sum a_i * H_i`` plus the
+base-2 coefficient entropy: :func:`tsallis_mixture_bounds` and
+:func:`shannon_mixture_bounds`.  Both ends are attained: point masses on
+disjoint atoms with a singleton cover hit the upper bound exactly,
+identical components hit the lower one.  An infinite weighted component
+entropy makes both bounds infinite, and they hold vacuously when the
+mixture's entropy is infinite too; :func:`verify_mixture_bounds` rejects
+the one other case, a mixture covered within ``MASS_TOL`` with a weighted
+component that is not.
 
 Component entropies are computed with the exact classical search, so the
 containment checks here are exact at this scale rather than epsilon
@@ -29,7 +33,8 @@ from typing import Sequence
 
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import ValidationError
-from .functionals import EntropyFunctional, _check_alpha, _sum_in_order, parse_functional
+from .functionals import (
+    EntropyFunctional, _check_alpha, _g_sum, _sum_in_order, parse_functional)
 from .measure import (
     MASS_TOL,
     DiscreteSpace,
@@ -244,21 +249,12 @@ class MixtureBoundReport:
     alpha: float | None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "component_entropies", tuple(self.component_entropies)
-        )
+        object.__setattr__(self, "component_entropies", tuple(self.component_entropies))
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        finite = (
-            self.lower is not None
-            and self.upper is not None
-            and self.achieved is not None
-        )
-        if finite:
-            if not (self.lower - BOUND_TOL <= self.achieved <= self.upper + BOUND_TOL):
-                raise ValidationError(
-                    f"achieved entropy {self.achieved} escapes "
-                    f"[{self.lower}, {self.upper}]"
-                )
+        finite = None not in (self.lower, self.upper, self.achieved)
+        if finite and not (self.lower - BOUND_TOL <= self.achieved <= self.upper + BOUND_TOL):
+            raise ValidationError(
+                f"achieved entropy {self.achieved} escapes [{self.lower}, {self.upper}]")
 
     @property
     def is_infinite(self) -> bool:
@@ -273,38 +269,40 @@ def verify_mixture_bounds(
 ) -> MixtureBoundReport:
     """Compute component entropies, the achieved value, and check containment.
 
-    Supports the Shannon and Tsallis functionals (the bound formulas exist
-    for those two).  All cover entropies come from the exact classical
-    search; budget errors propagate to the caller.  A mixture covered within
-    ``MASS_TOL`` with a weighted component that is not has no valid bound
-    (the lower one is infinite, the achieved value finite): ValidationError.
+    For any admissible ``e`` the bounds are ``f(L)`` and ``f(U)``, read from
+    ``e.f``, ``e.g`` and the block masses ``m_ij`` of each component's
+    witness: ``L = sum a_i * sum_j g(m_ij)`` bounds every partition's g-sum
+    by the concavity of ``g``, and ``U = sum g(a_i * m_ij)`` bounds the
+    mixed division's by its subadditivity (flipped when convex).  All cover
+    entropies come from the exact classical search; budget errors propagate
+    to the caller.  A mixture covered within ``MASS_TOL`` with a weighted
+    component that is not has no valid bound (the lower one is infinite,
+    the achieved value finite): ValidationError.
     """
     check_integer(budget, 1, "budget")
     check_type(e, EntropyFunctional, "functional")
     check_type(spec, MixtureSpec, "spec")
     check_type(q, SetFamily, "cover")
-    base = e.name.split(":")[0]
-    if base not in ("shannon", "tsallis"):
-        raise ValidationError(
-            f"mixture bounds are defined for shannon/tsallis, not {e.name!r}"
-        )
-    alpha = _check_alpha(e.alpha) if base == "tsallis" else None
     spec = spec.drop_zero_coefficients()
     _require_shared_space(q, spec)
-    entropies = [
-        cover_entropy(e, m, q, budget=budget).value for m in spec.measures
-    ]
+    results = [cover_entropy(e, m, q, budget=budget) for m in spec.measures]
     achieved = cover_entropy(e, mix(spec), q, budget=budget).value
-    if any(h is None for h in entropies) and achieved is not None:
-        # the mixture leaves the weighted average of the uncovered masses
-        raise ValidationError(
-            "the mixture is covered within MASS_TOL but a weighted component is not")
-    lower, upper = _bounds(list(zip(spec.coefficients, entropies)), alpha)
+    lower = upper = None
+    if any(r.is_infinite for r in results):
+        if achieved is not None:  # the mixture averages the uncovered masses
+            raise ValidationError(
+                "the mixture is covered within MASS_TOL but a weighted component is not")
+    else:
+        coeffs = spec.coefficients
+        blocks = [[m.mass_of(b) for b in r.witness] for m, r in zip(spec.measures, results)]
+        low = _sum_in_order(a * _g_sum(e, ms) for a, ms in zip(coeffs, blocks))
+        high = _g_sum(e, [a * x for a, ms in zip(coeffs, blocks) for x in ms])
+        lower, upper = _finite("mixture bounds", float(e.f(low)), float(e.f(high)))
     return MixtureBoundReport(
         lower=lower,
         upper=upper,
         achieved=achieved,
-        component_entropies=tuple(entropies),
+        component_entropies=tuple(r.value for r in results),
         coefficients=spec.coefficients,
         alpha=e.alpha,
     )

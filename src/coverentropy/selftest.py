@@ -224,7 +224,7 @@ def prop_partition_to_division_dominates(rng, count, budget) -> Iterator[dict | 
 
 
 def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
-    """Random Tsallis mixtures stay inside their bounds."""
+    """Random mixtures stay inside their Tsallis and Renyi bounds."""
     alphas = (0.5, 2.0, 3.0)
     for i in range(count):
         n = int(rng.integers(2, 7))
@@ -239,22 +239,22 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
         q = random_cover(rng, carrier, k)
         coeffs = rng.dirichlet(np.ones(parts))
         spec = MixtureSpec(tuple((float(a), m) for a, m in zip(coeffs, mus)))
-        e = tsallis(alphas[i % len(alphas)])
-        try:
-            verify_mixture_bounds(e, spec, q, budget=budget)
-        except Exception as exc:
-            yield dict(
-                mixture=dict(
-                    n=n,
-                    coefficients=[float(a) for a in coeffs],
-                    measures=[list(m.masses) for m in mus],
-                    cover=q.as_lists(),
-                    functional=e.name,
-                ),
-                error=str(exc),
-            )
-        else:
-            yield None
+        for e in (tsallis(alphas[i % len(alphas)]), renyi(alphas[i % len(alphas)])):
+            try:
+                verify_mixture_bounds(e, spec, q, budget=budget)
+            except Exception as exc:
+                yield dict(
+                    mixture=dict(
+                        n=n,
+                        coefficients=[float(a) for a in coeffs],
+                        measures=[list(m.masses) for m in mus],
+                        cover=q.as_lists(),
+                        functional=e.name,
+                    ),
+                    error=str(exc),
+                )
+            else:
+                yield None
 
 
 def prop_sharpness_extremes(budget) -> Iterator[dict | None]:
@@ -267,17 +267,16 @@ def prop_sharpness_extremes(budget) -> Iterator[dict | None]:
     shared = Measure(space3, [0.2, 0.3, 0.5], probability=True)
     overlap = SetFamily.of(space3, [[0, 1], [1, 2]])
     for a1 in [x / 10 for x in range(1, 10)]:
-        for alpha in (0.5, 2.0, 3.0):
-            e = tsallis(alpha)
+        for e in (f(alpha) for alpha in (0.5, 2.0, 3.0) for f in (tsallis, renyi)):
             spec = MixtureSpec(((a1, delta0), (1.0 - a1, delta1)))
             report = verify_mixture_bounds(e, spec, singletons, budget=budget)
             yield None if not abs(report.achieved - report.upper) > SHARP_TOL else dict(
-                case="upper", a1=a1, alpha=alpha,
+                case="upper", a1=a1, functional=e.name,
                 achieved=report.achieved, upper=report.upper)
             spec_same = MixtureSpec(((a1, shared), (1.0 - a1, shared)))
             report = verify_mixture_bounds(e, spec_same, overlap, budget=budget)
             yield None if not abs(report.achieved - report.lower) > SHARP_TOL else dict(
-                case="lower", a1=a1, alpha=alpha,
+                case="lower", a1=a1, functional=e.name,
                 achieved=report.achieved, lower=report.lower)
 
 

@@ -34,6 +34,7 @@ from coverentropy import (
     enumerate_acceptable_partitions,
     hlp_compare,
     is_mu_cover,
+    mix,
     partition_entropy,
     partition_to_division,
     random_division,
@@ -42,6 +43,7 @@ from coverentropy import (
     shannon_mixture_bounds,
     tsallis,
     tsallis_mixture_bounds,
+    verify_mixture_bounds,
     weighted_entropy,
 )
 from coverentropy.selftest import (
@@ -159,14 +161,19 @@ def test_criterion_05_mixture_containment_against_oracle():
         e = tsallis(alpha)
         comp = [oracle_cover_entropy(e, m, q) for m in mus]
         spec = MixtureSpec(tuple((float(c), m) for c, m in zip(coeffs, mus)))
-        from coverentropy import mix
         achieved = oracle_cover_entropy(e, mix(spec), q)
         lower, upper = tsallis_mixture_bounds(comp, coeffs, alpha)
         assert lower is not None and achieved is not None
         if not (lower - TOL <= achieved <= upper + TOL):
             violations += 1
+        # Renyi has no closed form; its bounds come from the g-sum rule
+        e = renyi(alpha)
+        report = verify_mixture_bounds(e, spec, q)
+        achieved = oracle_cover_entropy(e, mix(spec), q)
+        if not (report.lower - TOL <= achieved <= report.upper + TOL):
+            violations += 1
     _report(5, "mixture entropy stays within its bounds (brute-force oracle)",
-            violations == 0, f"200 mixtures, {violations} violations")
+            violations == 0, f"200 mixtures x (tsallis, renyi), {violations} violations")
 
 
 def test_criterion_06_sharpness_of_both_bounds():
@@ -192,11 +199,18 @@ def test_criterion_06_sharpness_of_both_bounds():
                               abs(achieved - closed_form))
             # identical components: the lower bound is attained exactly
             spec = MixtureSpec(((a1, shared), (a2, shared)))
-            from coverentropy import mix
             achieved_same = cover_entropy(e, mix(spec), overlap).value
             h = cover_entropy(e, shared, overlap).value
             lower, _ = tsallis_mixture_bounds([h, h], [a1, a2], alpha)
             worst_lower = max(worst_lower, abs(achieved_same - lower))
+            # the same extremes for Renyi, whose bounds come from the g-sum rule
+            e = renyi(alpha)
+            closed_form = math.log2(a1 ** alpha + a2 ** alpha) / (1.0 - alpha)
+            report = verify_mixture_bounds(e, MixtureSpec(((a1, d0), (a2, d1))), singles)
+            worst_upper = max(worst_upper, abs(report.achieved - report.upper),
+                              abs(report.achieved - closed_form))
+            report = verify_mixture_bounds(e, spec, overlap)
+            worst_lower = max(worst_lower, abs(report.achieved - report.lower))
     ok = worst_upper <= SHARP_TOL and worst_lower <= SHARP_TOL
     _report(6, "both bounds are attained at the extreme mixtures",
             ok, f"upper gap {worst_upper:.2e}, lower gap {worst_lower:.2e}")

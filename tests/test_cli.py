@@ -392,6 +392,17 @@ class TestMixtureCommand:
         res = report["results"]
         assert res["achieved"] == pytest.approx(res["lower"], abs=1e-12)
 
+    @pytest.mark.parametrize("functional", ["renyi:0.5", "renyi:2"])
+    def test_renyi_mixture_is_bounded(self, capsys, tmp_path, functional):
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps(dict(MIXTURE, functional=functional)))
+        code, report = run_cli(capsys, "mixture", str(path))
+        assert (code, report["status"]) == (0, "ok")
+        res = report["results"]
+        # Renyi of the (0.5, 0.5) split is one bit at every order
+        assert res["achieved"] == pytest.approx(1.0, abs=1e-12)
+        assert res["achieved"] == pytest.approx(res["upper"], abs=1e-12)
+
     def test_bad_coefficients(self, capsys, tmp_path):
         data = dict(MIXTURE, coefficients=[0.5, 0.6])
         path = tmp_path / "mixture.json"

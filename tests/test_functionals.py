@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from coverentropy import (
     CompositionCase,
+    DiscreteSpace,
     EntropyFunctional,
     HlpInput,
+    Measure,
+    SetFamily,
     ValidationError,
     builtin_functionals,
     check_structure,
+    cover_entropy,
     evaluate,
     hlp_compare,
     parse_functional,
@@ -87,7 +91,49 @@ class TestAlphaValidation:
             ctor(1.0)
 
 
+def custom(**fields):
+    """A functional with tsallis(2)'s fields, some replaced by ``fields``."""
+    t = tsallis(2.0)
+    base = dict(name="custom", alpha=None, f=t.f, g=t.g, case=t.case)
+    return EntropyFunctional(**{**base, **fields})
+
+
+class TestFunctionalFields:
+    @pytest.mark.parametrize("fields, what", [
+        (dict(name=3), "name"),
+        (dict(name=None), "name"),
+        (dict(f=None), "callable"),
+        (dict(g=None), "callable"),
+        (dict(g=2.0), "callable"),
+        (dict(case="x"), "case"),
+        (dict(case="increasing-subadditive-concave"), "case"),
+        (dict(alpha=math.nan), "alpha"),
+        (dict(alpha=math.inf), "alpha"),
+        (dict(alpha=True), "alpha"),
+        (dict(alpha="2"), "alpha"),
+    ], ids=["int-name", "no-name", "no-f", "no-g", "number-g", "string-case",
+            "case-value", "nan-alpha", "inf-alpha", "bool-alpha", "string-alpha"])
+    def test_bad_field_rejected(self, fields, what):
+        with pytest.raises(ValidationError, match=what):
+            custom(**fields)
+
+    @pytest.mark.parametrize("alpha", [None, 2.0, 2, np.float64(0.5)])
+    def test_good_fields_accepted(self, alpha):
+        assert custom(alpha=alpha).alpha == alpha
+
+
 class TestEvaluateContract:
+    @pytest.mark.parametrize("g_value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, g_value):
+        # f is the identity, so f of the g-sum is g_value itself
+        e = custom(f=lambda s: s, g=lambda t: g_value)
+        with pytest.raises(ValidationError, match="not finite"):
+            evaluate(e, [0.5, 0.5])
+        space = DiscreteSpace(2)
+        mu = Measure(space, [0.5, 0.5], probability=True)
+        with pytest.raises(ValidationError, match="not finite"):
+            cover_entropy(e, mu, SetFamily.of(space, [[0], [1]]))
+
     def test_zero_masses_skipped(self):
         assert evaluate(shannon(), [0.5, 0.5, 0.0]) == pytest.approx(1.0, abs=1e-15)
 

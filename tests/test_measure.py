@@ -141,6 +141,11 @@ class TestTypes:
         with pytest.raises(ValidationError, match="mass"):
             Measure(DiscreteSpace(2), mass)
 
+    @pytest.mark.parametrize("blocks", [5, None, [5], [[0], 1], [None]])
+    def test_family_of_rejects_non_iterable_blocks(self, blocks):
+        with pytest.raises(ValidationError, match="blocks"):
+            SetFamily.of(DiscreteSpace(2), blocks)
+
     def test_family_requires_shared_space(self):
         a = AtomSet(DiscreteSpace(2), (0,))
         b = AtomSet(DiscreteSpace(3), (0,))

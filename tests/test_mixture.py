@@ -298,19 +298,62 @@ class TestVerifyMixtureBounds:
         assert report.upper == pytest.approx(1.0)
         assert report.lower == pytest.approx(0.0, abs=1e-15)
 
-    def test_renyi_rejected(self):
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    def test_renyi_attains_both_bounds(self, alpha):
         d0, d1, singles = delta_pair()
-        spec = MixtureSpec(((0.5, d0), (0.5, d1)))
-        with pytest.raises(ValidationError, match="shannon/tsallis"):
-            verify_mixture_bounds(renyi(2), spec, singles)
+        e = renyi(alpha)
+        report = verify_mixture_bounds(e, MixtureSpec(((0.3, d0), (0.7, d1))), singles)
+        closed_form = math.log2(0.3 ** alpha + 0.7 ** alpha) / (1 - alpha)
+        assert report.achieved == pytest.approx(report.upper, abs=1e-12)
+        assert report.achieved == pytest.approx(closed_form, abs=1e-12)
+        shared = measure(0.2, 0.3, 0.5)
+        spec = MixtureSpec(((0.3, shared), (0.7, shared)))
+        report = verify_mixture_bounds(e, spec, family(3, [0, 1], [1, 2]))
+        assert report.achieved == pytest.approx(report.lower, abs=1e-12)
+        assert report.alpha == alpha
 
-    def test_tsallis_without_alpha_rejected(self):
+    def test_tsallis_without_alpha_gets_bounds(self):
         d0, d1, singles = delta_pair()
         spec = MixtureSpec(((0.5, d0), (0.5, d1)))
         t = tsallis(2)
         custom = EntropyFunctional(name=t.name, alpha=None, f=t.f, g=t.g, case=t.case)
-        with pytest.raises(ValidationError, match="alpha"):
-            verify_mixture_bounds(custom, spec, singles)
+        report = verify_mixture_bounds(custom, spec, singles)
+        want = verify_mixture_bounds(t, spec, singles)
+        assert (report.lower, report.upper) == (want.lower, want.upper)
+        assert report.upper == pytest.approx(0.5, abs=1e-12)
+        assert report.alpha is None
+
+    def test_bounds_ignore_the_name(self):
+        d0, d1, singles = delta_pair()
+        spec = MixtureSpec(((0.5, d0), (0.5, d1)))
+        for alpha, name in ((2.0, "renamed"), (0.5, "tsallis:2")):
+            t = tsallis(alpha)
+            relabelled = EntropyFunctional(name=name, alpha=2.0, f=t.f, g=t.g, case=t.case)
+            got = verify_mixture_bounds(relabelled, spec, singles)
+            want = verify_mixture_bounds(t, spec, singles)
+            assert (got.lower, got.upper, got.achieved) == (want.lower, want.upper, want.achieved)
+
+    def test_bounds_match_the_closed_forms(self):
+        rng = np.random.default_rng(23)
+        for i in range(60):
+            n = int(rng.integers(2, 6))
+            parts = int(rng.integers(2, 4))
+            mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
+            q = family(n, *[
+                [int(a) for a in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+                for _ in range(3)
+            ] + [list(range(n))])
+            coeffs = [float(c) for c in rng.dirichlet(np.ones(parts))]
+            spec = MixtureSpec(tuple(zip(coeffs, mus)))
+            alpha = (None, 0.5, 2.0, 3.0)[i % 4]
+            if alpha is None:
+                report = verify_mixture_bounds(shannon(), spec, q)
+                want = shannon_mixture_bounds(report.component_entropies, coeffs)
+            else:
+                report = verify_mixture_bounds(tsallis(alpha), spec, q)
+                want = tsallis_mixture_bounds(report.component_entropies, coeffs, alpha)
+            assert report.lower == pytest.approx(want[0], abs=1e-12)
+            assert report.upper == pytest.approx(want[1], abs=1e-12)
 
     def test_infinite_component_propagates(self):
         d0, d1, _ = delta_pair()
