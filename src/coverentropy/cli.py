@@ -1,16 +1,16 @@
 """Batch CLI: parse instance files, dispatch computations, emit JSON reports.
 
 One command per invocation; the report is always written to stdout as
-canonical JSON (sorted keys, 17-significant-digit floats, infinities as the
-string ``"infinity"``), so identical inputs and flags reproduce the report
-byte for byte.  Exit code 0 means status ``ok``; other statuses map to
-distinct nonzero codes.
+canonical JSON (sorted keys, 17-significant-digit floats, zero without a
+sign, infinities as the string ``"infinity"``), so identical inputs and flags
+reproduce the report byte for byte.  Exit code 0 means status ``ok``; other
+statuses map to distinct nonzero codes.
 
 Each subcommand imports the modules it runs beyond the classical search
 (:mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
 :mod:`~coverentropy.selftest`) when it starts, so a child process loads and
-compiles only those.  numpy is loaded only by the self test; the division
-sampler behind ``cover --samples`` draws with the standard library.
+compiles only those.  No subcommand loads numpy: the division sampler and
+the self test draw with the standard library's ``random``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _write_canonical(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError("non-finite floats must be tagged upstream")
-        out.append(format(obj, ".17g"))
+        out.append(format(obj + 0.0, ".17g"))  # -0.0 + 0.0 is 0.0: no "-0" in a report
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):

@@ -140,7 +140,11 @@ class AtomSet:
 
     def __post_init__(self) -> None:
         check_type(self.space, DiscreteSpace, "space")
-        canon = tuple(sorted({check_integer(m, 0, "atom") for m in self.members}))
+        try:
+            canon = tuple(sorted({check_integer(m, 0, "atom") for m in self.members}))
+        except TypeError:  # check_integer raises none: the members are not iterable
+            raise ValidationError(
+                f"atom set members must be iterable, got {type(self.members).__name__}") from None
         if canon and canon[-1] >= self.space.n:
             raise ValidationError(f"atom {canon[-1]} outside space of size {self.space.n}")
         object.__setattr__(self, "members", canon)
@@ -162,7 +166,10 @@ class SetFamily:
 
     def __post_init__(self) -> None:
         check_type(self.space, DiscreteSpace, "space")
-        object.__setattr__(self, "sets", tuple(self.sets))
+        try:
+            object.__setattr__(self, "sets", tuple(self.sets))
+        except TypeError:
+            raise ValidationError(f"family sets must be iterable, got {type(self.sets).__name__}") from None
         for s in self.sets:
             check_type(s, AtomSet, "family entries")
             _require_shared_space(self, s)

@@ -3,18 +3,19 @@
 Each property is a generator that yields once per check: ``None`` when the
 check holds, or a counterexample dict when it fails.  ``_run`` counts the
 checks and failures and keeps the first counterexample.  Each property draws
-its own deterministic generator from the base seed, so a run is fully
-reproducible from ``(seed, scale)``.  The same instance generators back the
-heavier acceptance tests in ``tests/``.
+from its own ``random.Random``, seeded with a string of the base seed and the
+property's index, so a run is reproducible from ``(seed, scale)`` on every
+Python version; the suite, like the division sampler, never loads numpy.  The
+same instance generators, which take a ``random.Random``, back the heavier
+acceptance tests in ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .classical import (
     DEFAULT_BUDGET,
@@ -89,57 +90,57 @@ class PropertyOutcome:
 # Random generators (shared with the acceptance tests)
 # ---------------------------------------------------------------------------
 
-def random_probability(rng: np.random.Generator, n: int, zero_chance: float = 0.25) -> Measure:
-    """Dirichlet mass, occasionally zeroing one atom to exercise null atoms."""
-    mass = rng.dirichlet(np.ones(n))
+def random_probability(rng: random.Random, n: int, zero_chance: float = 0.25) -> Measure:
+    """Flat-Dirichlet mass (unit exponentials over their sum), occasionally
+    zeroing one atom to exercise null atoms."""
+    draws = [rng.expovariate(1.0) for _ in range(n)]
     if n >= 3 and rng.random() < zero_chance:
-        mass[int(rng.integers(n))] = 0.0
-        mass = mass / mass.sum()
-    return Measure(DiscreteSpace(n), mass, probability=True)
+        draws[rng.randrange(n)] = 0.0
+    total = math.fsum(draws)
+    return Measure(DiscreteSpace(n), [x / total for x in draws], probability=True)
 
 
-def random_cover(rng: np.random.Generator, mu: Measure, k: int) -> SetFamily:
+def random_cover(rng: random.Random, mu: Measure, k: int) -> SetFamily:
     """Random sets patched so every positive-mass atom is covered."""
     n = mu.space.n
     blocks = []
     for _ in range(k):
         members = [i for i in range(n) if rng.random() < rng.uniform(0.3, 0.8)]
         if not members:
-            members = [int(rng.integers(n))]
+            members = [rng.randrange(n)]
         blocks.append(members)
     covered = set().union(*map(set, blocks))
     for atom in range(n):
         if mu.masses[atom] > 0.0 and atom not in covered:
-            blocks[int(rng.integers(k))].append(atom)
+            blocks[rng.randrange(k)].append(atom)
     return SetFamily.of(mu.space, blocks)
 
 
 def random_instance(
-    rng: np.random.Generator,
+    rng: random.Random,
     n_range: tuple[int, int] = (2, 8),
     k_range: tuple[int, int] = (2, 5),
 ) -> tuple[Measure, SetFamily]:
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    k = int(rng.integers(k_range[0], k_range[1] + 1))
+    n = rng.randint(*n_range)
+    k = rng.randint(*k_range)
     mu = random_probability(rng, n)
     return mu, random_cover(rng, mu, k)
 
 
 def random_acceptable_partition(
-    rng: np.random.Generator, mu: Measure, q: SetFamily, split_chance: float = 0.5
+    rng: random.Random, mu: Measure, q: SetFamily, split_chance: float = 0.5
 ) -> SetFamily:
-    """A random partition finer than ``q``: one draw assigns atoms, then blocks may split."""
+    """A random partition finer than ``q``: each atom picks one of its sets, then blocks may split."""
     searched, cands = _searched_atoms(mu, q)
-    picks = rng.integers(0, [len(options) for options in cands]).tolist()
     blocks: dict[int, list[int]] = {}
-    for atom, options, pick in zip(searched, cands, picks):
-        blocks.setdefault(options[pick], []).append(atom)
+    for atom, options in zip(searched, cands):
+        blocks.setdefault(rng.choice(options), []).append(atom)
     out: list[tuple[int, ...]] = []
     for idx in sorted(blocks):
         atoms = blocks[idx]
         if len(atoms) >= 2 and rng.random() < split_chance:
-            cut = int(rng.integers(1, len(atoms)))
-            order = list(rng.permutation(atoms))
+            cut = rng.randrange(1, len(atoms))
+            order = rng.sample(atoms, len(atoms))
             out.append(tuple(sorted(order[:cut])))
             out.append(tuple(sorted(order[cut:])))
         else:
@@ -188,7 +189,7 @@ def prop_random_division_lower_bound(rng, shape, budget) -> Iterator[dict | None
         e = functionals[i % len(functionals)]
         floor = cover_entropy(e, mu, q, budget=budget).value
         for s in range(n_samples):
-            d = random_division(mu, q, seed=int(rng.integers(2 ** 31)))
+            d = random_division(mu, q, seed=rng.randrange(2 ** 31))
             value = weighted_entropy(e, d)
             yield None if not value < floor - TOL else dict(
                 instance=instance_dict(mu, q), functional=e.name,
@@ -201,7 +202,7 @@ def prop_disjointify_dominates(rng, count, budget) -> Iterator[dict | None]:
     for i in range(count):
         mu, q = random_instance(rng)
         e = functionals[i % len(functionals)]
-        d = random_division(mu, q, seed=int(rng.integers(2 ** 31)))
+        d = random_division(mu, q, seed=rng.randrange(2 ** 31))
         p = disjointify(d)
         ok = partition_entropy(e, mu, p) <= weighted_entropy(e, d) + TOL
         try:
@@ -227,18 +228,14 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
     """Random mixtures stay inside their Tsallis and Renyi bounds."""
     alphas = (0.5, 2.0, 3.0)
     for i in range(count):
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(2, 5))
-        parts = int(rng.integers(2, 4))
+        n = rng.randint(2, 6)
+        k = rng.randint(2, 4)
+        parts = rng.randint(2, 3)
         mus = [random_probability(rng, n) for _ in range(parts)]
-        carrier = Measure(
-            DiscreteSpace(n),
-            np.mean([m.masses for m in mus], axis=0),
-            probability=True,
-        )
-        q = random_cover(rng, carrier, k)
-        coeffs = rng.dirichlet(np.ones(parts))
-        spec = MixtureSpec(tuple((float(a), m) for a, m in zip(coeffs, mus)))
+        mean = [math.fsum(column) / parts for column in zip(*(m.masses for m in mus))]
+        q = random_cover(rng, Measure(DiscreteSpace(n), mean, probability=True), k)
+        coeffs = random_probability(rng, parts, zero_chance=0.0).masses
+        spec = MixtureSpec(tuple(zip(coeffs, mus)))
         for e in (tsallis(alphas[i % len(alphas)]), renyi(alphas[i % len(alphas)])):
             try:
                 verify_mixture_bounds(e, spec, q, budget=budget)
@@ -246,7 +243,7 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
                 yield dict(
                     mixture=dict(
                         n=n,
-                        coefficients=[float(a) for a in coeffs],
+                        coefficients=list(coeffs),
                         measures=[list(m.masses) for m in mus],
                         cover=q.as_lists(),
                         functional=e.name,
@@ -300,12 +297,12 @@ def prop_structure_checks() -> Iterator[dict | None]:
     yield None if not passed else dict(functional=planted.name, note="should have failed")
 
 
-def random_hlp_input(rng: np.random.Generator, length: int, transfers: int) -> HlpInput:
+def random_hlp_input(rng: random.Random, length: int, transfers: int) -> HlpInput:
     """Start from y = x and push mass toward earlier positions of y."""
-    x = np.sort(rng.uniform(0.0, 1.0, size=length))[::-1]
-    y = x.copy()
+    x = sorted((rng.random() for _ in range(length)), reverse=True)
+    y = list(x)
     for _ in range(transfers):
-        i, j = sorted(rng.choice(length, size=2, replace=False))
+        i, j = sorted(rng.sample(range(length), 2))
         room = min(y[j], 1.0 - y[i])
         delta = rng.uniform(0.0, room)
         y[i] += delta
@@ -321,8 +318,8 @@ def prop_hlp_comparison(rng, count) -> Iterator[dict | None]:
         ("square", lambda t: t * t, "convex"),
     )
     for i in range(count):
-        length = int(rng.integers(2, 9))
-        inp = random_hlp_input(rng, length, transfers=int(rng.integers(1, 6)))
+        length = rng.randint(2, 8)
+        inp = random_hlp_input(rng, length, transfers=rng.randint(1, 5))
         for name, phi, shape in phis:
             report = hlp_compare(inp, phi, shape, tol=TOL)
             yield None if report.confirmed else dict(
@@ -352,8 +349,8 @@ def run_selftest(scale: str = "default", seed: int = 0, budget: int = DEFAULT_BU
     check_integer(seed, 0, "seed")
     check_integer(budget, 1, "budget")
     sizes = SCALES[scale]
-    seq = np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(s) for s in seq.spawn(8)]
+    # a str seed is hashed by SHA-512, the same on every Python version
+    rngs = [random.Random(f"{seed}:{i}") for i in range(7)]
     outcomes = [
         _run("classical-weighted-agreement",
              prop_classical_weighted_agreement(rngs[0], sizes["agree"], budget)),

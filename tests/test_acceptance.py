@@ -13,11 +13,11 @@ covered in tests/test_mixture.py::TestLimitBridge.
 
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from coverentropy import (
@@ -48,6 +48,7 @@ from coverentropy import (
 )
 from coverentropy.selftest import (
     random_acceptable_partition,
+    random_cover,
     random_hlp_input,
     random_instance,
     random_probability,
@@ -70,7 +71,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def instance_pool():
-    rng = np.random.default_rng(POOL_SEED)
+    rng = random.Random(POOL_SEED)
     return [random_instance(rng, n_range=(2, 8), k_range=(2, 5)) for _ in range(500)]
 
 
@@ -131,7 +132,7 @@ def test_criterion_03_disjointify_inequality(instance_pool):
 
 
 def test_criterion_04_partition_to_division_inequality(instance_pool):
-    rng = np.random.default_rng(POOL_SEED + 4)
+    rng = random.Random(POOL_SEED + 4)
     violations = 0
     for k in range(10000):
         mu, q = instance_pool[k % len(instance_pool)]
@@ -145,18 +146,17 @@ def test_criterion_04_partition_to_division_inequality(instance_pool):
 
 
 def test_criterion_05_mixture_containment_against_oracle():
-    rng = np.random.default_rng(POOL_SEED + 5)
+    rng = random.Random(POOL_SEED + 5)
     alphas = (0.5, 2.0, 3.0)
     violations = 0
     for k in range(200):
-        n = int(rng.integers(2, 7))
-        parts = int(rng.integers(2, 4))
+        n = rng.randint(2, 6)
+        parts = rng.randint(2, 3)
         mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
-        carrier = Measure(DiscreteSpace(n), np.mean([m.masses for m in mus], axis=0),
-                          probability=True)
-        from coverentropy.selftest import random_cover
-        q = random_cover(rng, carrier, int(rng.integers(2, 5)))
-        coeffs = rng.dirichlet(np.ones(parts))
+        mean = [math.fsum(column) / parts for column in zip(*(m.masses for m in mus))]
+        carrier = Measure(DiscreteSpace(n), mean, probability=True)
+        q = random_cover(rng, carrier, rng.randint(2, 4))
+        coeffs = random_probability(rng, parts, zero_chance=0.0).masses
         alpha = alphas[k % 3]
         e = tsallis(alpha)
         comp = [oracle_cover_entropy(e, m, q) for m in mus]
@@ -257,7 +257,7 @@ def test_criterion_08_structure_validator():
 
 
 def test_criterion_09_hlp_comparator():
-    rng = np.random.default_rng(POOL_SEED + 9)
+    rng = random.Random(POOL_SEED + 9)
     phis = (
         (lambda t: -t * math.log2(t) if t > 0 else 0.0, "concave"),
         (lambda t: math.sqrt(t), "concave"),
@@ -265,8 +265,7 @@ def test_criterion_09_hlp_comparator():
     )
     violations = 0
     for _ in range(10000):
-        inp = random_hlp_input(rng, int(rng.integers(2, 9)),
-                               transfers=int(rng.integers(1, 6)))
+        inp = random_hlp_input(rng, rng.randint(2, 8), transfers=rng.randint(1, 5))
         for phi, shape in phis:
             if not hlp_compare(inp, phi, shape, tol=TOL).confirmed:
                 violations += 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 
 import numpy as np
@@ -239,7 +240,7 @@ class TestCoverEntropy:
                 assert r.value == pytest.approx(partition_entropy(e, mu, q), abs=1e-12)
 
     def test_witness_is_acceptable_partition(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         for _ in range(40):
             mu, q = random_instance(rng)
             for e in (shannon(), tsallis(0.5)):
@@ -251,12 +252,10 @@ class TestCoverEntropy:
 
     def test_monotone_in_the_cover(self):
         # widening the family can only lower the minimum
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         for _ in range(30):
             mu, q1 = random_instance(rng)
-            extra = [
-                [int(a) for a in rng.choice(mu.space.n, size=int(rng.integers(1, mu.space.n + 1)), replace=False)]
-            ]
+            extra = [rng.sample(range(mu.space.n), rng.randint(1, mu.space.n))]
             q2 = SetFamily.of(mu.space, q1.as_lists() + extra)
             for e in (shannon(), renyi(2)):
                 assert (
@@ -265,7 +264,7 @@ class TestCoverEntropy:
                 )
 
     def test_deterministic_witness(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for _ in range(10):
             mu, q = random_instance(rng)
             a = cover_entropy(shannon(), mu, q)
@@ -400,7 +399,7 @@ class TestOracleAgreement:
     """The compiled search must match the naive enumeration minimum."""
 
     def test_search_equals_enumeration_minimum(self):
-        rng = np.random.default_rng(101)
+        rng = random.Random(101)
         for _ in range(200):
             mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 4))
             for e in builtin_functionals():
@@ -413,7 +412,7 @@ class TestOracleAgreement:
 
     def test_enumeration_minimum_beats_arbitrary_refinements(self):
         # any finer partition (even one splitting within a block) does no better
-        rng = np.random.default_rng(202)
+        rng = random.Random(202)
         for _ in range(60):
             mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 4))
             refined = random_acceptable_partition(rng, mu, q, split_chance=0.9)
@@ -426,15 +425,15 @@ class TestRandomAcceptablePartition:
     def test_uniform_set_choice_law(self):
         # each atom picks one of three identical sets: they share one w.p. 1/3
         mu, q = uniform(2), family(2, [0, 1], [0, 1], [0, 1])
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         draws = [random_acceptable_partition(rng, mu, q, split_chance=0.0)
                  for _ in range(4000)]
-        shared = np.mean([len(p) == 1 for p in draws])
+        shared = sum(len(p) == 1 for p in draws) / len(draws)
         assert abs(shared - 1 / 3) < 0.03
 
     def test_no_searched_atoms(self):
         mu = Measure(DiscreteSpace(2), [0.0, 0.0])
-        p = random_acceptable_partition(np.random.default_rng(0), mu, family(2, [0, 1]))
+        p = random_acceptable_partition(random.Random(0), mu, family(2, [0, 1]))
         assert len(p) == 0
 
 
@@ -484,10 +483,10 @@ class TestBudget:
     def test_search_matches_enumeration_on_thousand_instances(self):
         # exactness of the cell search: the enumeration minimum everywhere,
         # attained by the witness
-        rng = np.random.default_rng(404)
+        rng = random.Random(404)
         for _ in range(1000):
             mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 5))
-            e = builtin_functionals()[int(rng.integers(5))]
+            e = builtin_functionals()[rng.randrange(5)]
             a, _ = minimizing_assignment(e, mu, q)
             value = partition_entropy(e, mu, assignment_to_partition(a))
             assert value == pytest.approx(_enumeration_minimum(e, mu, q), abs=1e-12)
@@ -653,12 +652,12 @@ class TestLargeInstances:
     def test_ten_thousand_atoms_over_eight_sets(self):
         # beyond any enumeration: the witness is checked, and no random
         # acceptable partition does better
-        rng = np.random.default_rng(0)
-        mu, q = _dense_instance(rng, 10_000, 8)
+        mu, q = _dense_instance(np.random.default_rng(0), 10_000, 8)
         r = cover_entropy(shannon(), mu, q, budget=DEFAULT_BUDGET)
         assert is_mu_partition(r.witness, mu) and finer_than(r.witness, q)
         assert partition_entropy(shannon(), mu, r.witness) == r.value
         assert r.explored == 1048  # 8 * 2**7 DP transitions, 24 walked
+        rng = random.Random(0)
         for _ in range(50):
             p = random_acceptable_partition(rng, mu, q)
             assert r.value <= partition_entropy(shannon(), mu, p)

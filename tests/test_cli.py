@@ -63,8 +63,19 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             dumps_canonical({"v": float("inf")})
 
+    def test_negative_zero_written_as_zero(self):
+        assert dumps_canonical({"v": -0.0}) == '{"v":0}'
+
 
 class TestCoverCommand:
+    def test_zero_entropy_is_written_without_sign(self, capsys, tmp_path):
+        # shannon's f(0) is -0.0
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"n": 2, "mu": [1.0, 0.0], "cover": [[0], [1]]}))
+        assert main(["cover", str(path), "--functional", "shannon"]) == 0
+        out = capsys.readouterr().out
+        assert out.count('"value":0,') == 2 and "-0" not in out
+
     def test_both_mode_report(self, capsys, instance_file):
         code, report = run_cli(capsys, "cover", instance_file,
                                "--functional", "shannon", "--mode", "both",
@@ -335,9 +346,7 @@ def test_mutated_inputs_give_one_report_line(tmp_path, data):
     assert "Traceback" not in err.getvalue()
     stdout = out.getvalue()
     assert stdout.endswith("\n") and stdout.count("\n") == 1
-    # the package writes the float -0.0 as "-0", which json reads as int 0
-    report = json.loads(stdout, parse_int=lambda t: -0.0 if t == "-0" else int(t))
-    assert dumps_canonical(report) + "\n" == stdout
+    assert dumps_canonical(json.loads(stdout)) + "\n" == stdout
 
 
 class TestPartitionCommand:
@@ -561,6 +570,23 @@ class TestSelftestDiagnostics:
         assert (empty.checks, empty.failures, empty.passed) == (0, 0, True)
         assert empty.counterexample is None
 
+    def test_generators_draw_the_pinned_stdlib_stream(self):
+        # the selftest seeds a random.Random per property with a str, the tests
+        # with an int; a Python whose random module draws differently fails here
+        import random
+
+        from coverentropy.measure import instance_dict
+        from coverentropy.selftest import random_instance
+
+        assert instance_dict(*random_instance(random.Random(1))) == {
+            "n": 3, "mu": [0.18690951630637503, 0.4342032253746781, 0.37888725831894693],
+            "cover": [[1, 2], [0]]}
+        assert instance_dict(*random_instance(random.Random("1:0"))) == {
+            "n": 7, "mu": [0.04795870138494865, 0.1356421834749445, 0.2247718945748016,
+                           0.08327547172238199, 0.07544578890796669, 0.4066385607822237,
+                           0.02626739915273291],
+            "cover": [[1, 5, 6], [0, 3, 4, 5, 6], [0, 1, 2, 4, 6], [1, 3, 4], [1, 4, 6]]}
+
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_bad_seed_rejected(self, seed):
         from coverentropy import ValidationError
@@ -667,7 +693,7 @@ class TestLazyImports:
 
     @pytest.mark.parametrize("case", ["mixture", "disjointify", "cover-weighted", "cover-both",
                                       "cover-both-sampled", "cover-weighted-sampled",
-                                      "nan-literal"])
+                                      "nan-literal", "selftest"])
     def test_weighted_and_mixture_commands_never_load_numpy(self, tmp_path, case):
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps(INSTANCE))
@@ -692,6 +718,8 @@ class TestLazyImports:
             # the benchmark's invalid input: a NaN literal under --mode both
             "nan-literal": (["cover", str(nan), "--functional", "shannon", "--mode", "both",
                              "--samples", "100"], 1),
+            # every property draws from random.Random
+            "selftest": (["selftest", "--scale", "quick", "--seed", "3"], 0),
         }[case]
         assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
 
@@ -700,10 +728,15 @@ class TestLazyImports:
                 "print('numpy' in sys.modules)\n")
         assert run_fresh(code).split() == ["False"]
 
-    def test_selftest_command_loads_numpy(self):
-        # the control: the child does see numpy when a command uses it
-        argv = ["selftest", "--scale", "quick", "--seed", "3"]
-        assert run_fresh(CLI_CHILD, *argv).split() == ["0", "True"]
+    def test_division_rows_load_numpy(self):
+        # the control: the child does see numpy when the dense view is read
+        code = ("import sys\n"
+                "from coverentropy import DiscreteSpace, Measure, SetFamily, random_division\n"
+                "space = DiscreteSpace(2)\n"
+                "mu = Measure(space, [0.5, 0.5], probability=True)\n"
+                "rows = random_division(mu, SetFamily.of(space, [[0, 1], [1]]), seed=0).rows\n"
+                "print(rows.shape, 'numpy' in sys.modules)\n")
+        assert run_fresh(code).split() == ["(2,", "2)", "True"]
 
     def test_every_exported_name_resolves(self):
         from coverentropy import mixture, weighted

@@ -146,6 +146,12 @@ class TestTypes:
         with pytest.raises(ValidationError, match="blocks"):
             SetFamily.of(DiscreteSpace(2), blocks)
 
+    @pytest.mark.parametrize("build", [AtomSet, SetFamily])
+    @pytest.mark.parametrize("members", [5, None, 0.5])
+    def test_constructors_reject_non_iterable_members(self, build, members):
+        with pytest.raises(ValidationError, match="must be iterable"):
+            build(DiscreteSpace(2), members)
+
     def test_family_requires_shared_space(self):
         a = AtomSet(DiscreteSpace(2), (0,))
         b = AtomSet(DiscreteSpace(3), (0,))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -130,13 +131,13 @@ class TestMixDivision:
         assert out.rows.tolist() == [[0.25, 0.0], [0.0, 0.75]]
 
     def test_output_always_validates(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for i in range(30):
-            n = int(rng.integers(2, 6))
+            n = rng.randint(2, 5)
             mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(2)]
             q = family(n, list(range(n)), list(range(n)))
             divs = [random_division(m, q, seed=i * 2 + j) for j, m in enumerate(mus)]
-            a = float(rng.uniform(0.1, 0.9))
+            a = rng.uniform(0.1, 0.9)
             out = mix_division(MixtureSpec(((a, mus[0]), (1 - a, mus[1]))), divs)
             assert math.fsum(out.row_masses) == pytest.approx(1.0, abs=1e-9)
 
@@ -334,16 +335,14 @@ class TestVerifyMixtureBounds:
             assert (got.lower, got.upper, got.achieved) == (want.lower, want.upper, want.achieved)
 
     def test_bounds_match_the_closed_forms(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for i in range(60):
-            n = int(rng.integers(2, 6))
-            parts = int(rng.integers(2, 4))
+            n = rng.randint(2, 5)
+            parts = rng.randint(2, 3)
             mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
-            q = family(n, *[
-                [int(a) for a in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
-                for _ in range(3)
-            ] + [list(range(n))])
-            coeffs = [float(c) for c in rng.dirichlet(np.ones(parts))]
+            q = family(n, *[rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
+                       + [list(range(n))])
+            coeffs = random_probability(rng, parts, zero_chance=0.0).masses
             spec = MixtureSpec(tuple(zip(coeffs, mus)))
             alpha = (None, 0.5, 2.0, 3.0)[i % 4]
             if alpha is None:
@@ -373,18 +372,15 @@ class TestVerifyMixtureBounds:
             verify_mixture_bounds(tsallis(2), spec, family(2, [0]))
 
     def test_random_containment(self):
-        rng = np.random.default_rng(19)
+        rng = random.Random(19)
         for i in range(40):
-            n = int(rng.integers(2, 6))
-            parts = int(rng.integers(2, 4))
+            n = rng.randint(2, 5)
+            parts = rng.randint(2, 3)
             mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
-            q_carrier = mus[0]
-            q = family(n, *[
-                [int(a) for a in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
-                for _ in range(3)
-            ] + [list(range(n))])  # final full set guarantees coverage
-            coeffs = rng.dirichlet(np.ones(parts))
-            spec = MixtureSpec(tuple((float(c), m) for c, m in zip(coeffs, mus)))
+            q = family(n, *[rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
+                       + [list(range(n))])  # final full set guarantees coverage
+            coeffs = random_probability(rng, parts, zero_chance=0.0).masses
+            spec = MixtureSpec(tuple(zip(coeffs, mus)))
             alpha = (0.5, 2.0, 3.0)[i % 3]
             report = verify_mixture_bounds(tsallis(alpha), spec, q)
             assert report.lower - 1e-9 <= report.achieved <= report.upper + 1e-9
@@ -401,13 +397,13 @@ class TestComponentwiseInequalities:
     def test_partition_level_superadditivity(self):
         # Tsallis entropy of the mixture under a fixed partition dominates the
         # coefficient-weighted component entropies
-        rng = np.random.default_rng(29)
+        rng = random.Random(29)
         for i in range(50):
-            n = int(rng.integers(2, 7))
-            parts = int(rng.integers(2, 4))
+            n = rng.randint(2, 6)
+            parts = rng.randint(2, 3)
             mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
-            coeffs = rng.dirichlet(np.ones(parts))
-            spec = MixtureSpec(tuple((float(c), m) for c, m in zip(coeffs, mus)))
+            coeffs = random_probability(rng, parts, zero_chance=0.0).masses
+            spec = MixtureSpec(tuple(zip(coeffs, mus)))
             mixed = mix(spec)
             q = family(n, list(range(n)), list(range(n)))
             p = random_acceptable_partition(rng, mixed, q, split_chance=0.5)
@@ -420,15 +416,15 @@ class TestComponentwiseInequalities:
     def test_division_level_upper_bound(self):
         # mixing divisions: entropy of the blend stays below the power-weighted
         # component entropies plus the additive term
-        rng = np.random.default_rng(37)
+        rng = random.Random(37)
         for i in range(50):
-            n = int(rng.integers(2, 6))
+            n = rng.randint(2, 5)
             parts = 2
             mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
             q = family(n, list(range(n)), list(range(n)), list(range(n)))
             divs = [random_division(m, q, seed=i * 7 + j) for j, m in enumerate(mus)]
-            coeffs = rng.dirichlet(np.ones(parts))
-            spec = MixtureSpec(tuple((float(c), m) for c, m in zip(coeffs, mus)))
+            coeffs = random_probability(rng, parts, zero_chance=0.0).masses
+            spec = MixtureSpec(tuple(zip(coeffs, mus)))
             blend = mix_division(spec, divs)
             alpha = (0.5, 2.0, 3.0)[i % 3]
             e = tsallis(alpha)

@@ -133,7 +133,7 @@ class TestSharedDerivations:
         assert masses == tuple(math.fsum(row) for row in d.rows.tolist())
 
     def test_call_order_does_not_change_results(self):
-        rng = np.random.default_rng(59)
+        rng = random.Random(59)
         for i in range(40):
             mu, q = random_instance(rng)
             rows = random_division(mu, q, seed=i).values
@@ -227,7 +227,7 @@ class TestPartitionToDivision:
             partition_to_division(uniform(2), family(2, [0, 1], [1]), family(2, [0, 1]))
 
     def test_never_increases_entropy(self):
-        rng = np.random.default_rng(31)
+        rng = random.Random(31)
         for _ in range(60):
             mu, q = random_instance(rng)
             p = random_acceptable_partition(rng, mu, q)
@@ -295,7 +295,7 @@ class TestDisjointify:
         assert len(cert.x_seq) == len(cert.y_seq) == 3
 
     def test_never_beats_division(self):
-        rng = np.random.default_rng(47)
+        rng = random.Random(47)
         for i in range(120):
             mu, q = random_instance(rng)
             d = random_division(mu, q, seed=i)
@@ -307,7 +307,7 @@ class TestDisjointify:
                 )
 
     def test_certificate_is_valid_and_prefix_dominated(self):
-        rng = np.random.default_rng(53)
+        rng = random.Random(53)
         for i in range(60):
             mu, q = random_instance(rng)
             d = random_division(mu, q, seed=1000 + i)
@@ -407,7 +407,7 @@ class TestCoverEntropyWeighted:
         assert r.is_infinite and r.witness is None and r.assignment is None
 
     def test_witness_division_validates_and_attains_value(self):
-        rng = np.random.default_rng(71)
+        rng = random.Random(71)
         for _ in range(30):
             mu, q = random_instance(rng)
             for e in (shannon(), tsallis(2)):
@@ -415,7 +415,7 @@ class TestCoverEntropyWeighted:
                 assert weighted_entropy(e, r.witness) == r.value
 
     def test_equals_classical_on_random_instances(self):
-        rng = np.random.default_rng(83)
+        rng = random.Random(83)
         for _ in range(60):
             mu, q = random_instance(rng)
             for e in builtin_functionals():
@@ -429,7 +429,7 @@ class TestCoverEntropyWeighted:
 
     def test_round_trip_domination(self):
         # partition -> division -> disjointify never increases entropy
-        rng = np.random.default_rng(97)
+        rng = random.Random(97)
         for _ in range(50):
             mu, q = random_instance(rng)
             p = random_acceptable_partition(rng, mu, q)
@@ -482,8 +482,9 @@ class TestRandomDivision:
         # per membership in row-major order, u from random.Random(seed), each
         # atom's draws added over the sets, each draw divided by its atom's
         # total and scaled by the atom's mass
+        instances = random.Random(43)
+        cases = [random_instance(instances) for _ in range(60)]
         rng = np.random.default_rng(43)
-        cases = [random_instance(rng) for _ in range(60)]
         n = 2000
         member = rng.random((8, n)) < 0.4
         member[0] |= ~member.any(axis=0)
@@ -507,7 +508,7 @@ class TestRandomDivision:
                             (0.11339162857547275, 0.08719294892715114))
 
     def test_sampled_division_validates(self):
-        rng = np.random.default_rng(13)
+        rng = random.Random(13)
         for i in range(40):
             mu, q = random_instance(rng)
             d = random_division(mu, q, seed=i)  # validator runs in constructor
