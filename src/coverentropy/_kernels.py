@@ -12,10 +12,10 @@ positive groups in set order.  ``g`` is never called on an empty group, so
 a custom ``g`` need not define ``g(0)``.  The scan returns the
 lexicographically smallest optimal choice vector (first unit slowest,
 candidates ascending), moving only on strict improvement.
-:func:`ordering_dp` returns the choice induced by the lexicographically
-first ordering of the sets whose g-sum lies within ``_PRUNE_SLACK``
-(relative) of the optimum, so its g-sum is within that slack of the scan's
-and never beats it.
+:func:`ordering_dp` returns its own optimum and the choice induced by the
+lexicographically first ordering of the sets whose g-sum lies within
+``_PRUNE_SLACK`` (relative) of the optimum; that choice's g-sum is within
+the slack of the scan's and never beats it.
 """
 
 from __future__ import annotations
@@ -23,12 +23,17 @@ from __future__ import annotations
 import itertools
 import math
 
+from .errors import BudgetExceededError, ValidationError
+from .measure import is_finite_number
+
 #: Name of the search implementation; recorded in benchmark metadata.
 BACKEND = "python"
 
 # Relative slack within which a move, or an ordering, counts as optimal:
 # DP values add the set-order sum's g terms in another order.
 _PRUNE_SLACK = 1e-12
+_INF = math.inf
+_SPENT = "the search evaluated {} transitions without certifying an optimum"
 
 
 def scan_assignments(masses, cand_lists, n_sets, g, maximize):
@@ -73,13 +78,13 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
     the full mask: each residual ``R`` takes its first move (sets
     ascending, or the one collapsed move) whose value lies within
     ``_PRUNE_SLACK`` (relative to ``V`` of the full mask) of ``V(R)``.  That
-    is the first ordering of the sets within the slack; its choice's g-sum
-    is then added as the scan adds it.
+    is the first ordering of the sets within the slack, and the walk writes
+    its choice as it goes.
 
     ``budget`` caps the transitions (one per set a move places) that the
-    expansion and the walk evaluate together.  Returns (best g-sum, chosen
-    set per unit, transitions evaluated, completed flag); when the flag is
-    false the budget ran out, the g-sum is NaN and the choice is empty.
+    expansion and the walk evaluate together.  Returns (``V`` of the full
+    mask, chosen set per unit, transitions evaluated).  A spent budget raises
+    BudgetExceededError, and a ``g`` value not a finite real ValidationError.
     """
     # phase 1: each set's units, and the units with more than one candidate
     holders = [0] * n_sets
@@ -125,7 +130,10 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
                         low = bits & -bits
                         m += masses[low.bit_length() - 1]
                         bits ^= low
-                    gp = gvals[part] = -g(m) if maximize else g(m)
+                    gp = g(m)
+                    if not (-_INF < gp < _INF if gp.__class__ is float else is_finite_number(gp)):
+                        raise ValidationError(f"g is not finite at mass {m!r}: it gives {gp!r}")
+                    gp = gvals[part] = -gp if maximize else gp
                 out.append((gp, move))
                 if not part & shared:
                     n_alone += 1
@@ -141,7 +149,7 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
             placed = n_alone
         count += placed
         if count > budget:
-            return math.nan, [], budget, False
+            raise BudgetExceededError(_SPENT.format(budget))
         succ[r] = out
         for _, (keep, _) in out:
             rest = r & keep
@@ -162,35 +170,24 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
     # phase 4: the witness walk, one greedy descent.  A residual's least move
     # is within the slack, so every residual on the way takes some move
     slack = _PRUNE_SLACK * (1.0 + abs(memo[full]))
-    groups = []
+    choice = [0] * n
     r = full
     while r:
-        mr = memo[r]
         for s, (keep, placed) in succ[r]:
             count += len(placed)
             if count > budget:
-                return math.nan, [], budget, False
+                raise BudgetExceededError(_SPENT.format(budget))
             rest = r & keep
-            if abs(memo[rest] + s - mr) <= slack:
+            if abs(memo[rest] + s - memo[r]) <= slack:
                 break
-        groups.extend((i, r & holders[i]) for i in placed)
+        for i in placed:
+            part = r & holders[i]
+            while part:
+                low = part & -part
+                choice[low.bit_length() - 1] = i
+                part ^= low
         r = rest
-    # groups in set order with masses added in unit order give the scan's
-    # g-sum of this choice bit for bit (subtracting a negated term adds the
-    # term exactly)
-    groups.sort()
-    choice = [0] * n
-    best = 0.0
-    for i, part in groups:
-        if maximize:
-            best -= gvals[part]
-        else:
-            best += gvals[part]
-        while part:
-            low = part & -part
-            choice[low.bit_length() - 1] = i
-            part ^= low
-    return best, choice, count, True
+    return (-memo[full] if maximize else memo[full]), choice, count
 
 
 # The benchmark harness traces the search under this name.

@@ -235,8 +235,7 @@ def minimizing_assignment(
     some optimum never splits a cell; by the same condition some optimum
     puts every cell in its heaviest candidate group, which ordering the
     sets by group mass induces (README, "Search").  Custom functionals take
-    the same path, and the result is exact whenever their declared case
-    holds.
+    the same path, exact whenever their declared case holds.
 
     Witness tie-break: the assignment induced by the lexicographically
     first ordering of the cover sets whose g-sum lies within
@@ -245,10 +244,11 @@ def minimizing_assignment(
     their first atoms).  The cell order fixes only these additions.
 
     ``budget`` caps the DP transitions evaluated, witness walk included
-    (README, "Search", bounds them), and the returned count is the
-    transitions evaluated.  Raises :class:`BudgetExceededError` when no
-    certified optimum fits the budget, and :class:`ValidationError` when
-    ``q`` is not a mu-cover or ``budget`` is not an integer of at least 1.
+    (README, "Search", bounds them), and the count returned is theirs.
+    Raises :class:`BudgetExceededError` when no certified optimum fits the
+    budget, and :class:`ValidationError` when ``q`` is not a mu-cover,
+    ``budget`` is not an integer of at least 1, or a ``g`` value is not a
+    finite real; an exception raised inside ``g`` propagates unchanged.
     The DP's choice is checked per Venn cell (one set, one of the cell's
     candidates); the cells partition the searched atoms, so this implies
     every per-atom check of :class:`Assignment`, which is built unchecked.
@@ -260,14 +260,9 @@ def minimizing_assignment(
     # the cells hold every positive atom unless some atom lies in no cover set
     if q.uncovered_atoms and not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
-    _, choice, explored, completed = _kernels.ordering_dp(
+    _, choice, explored = _kernels.ordering_dp(
         [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,
         not e.minimizes_g_sum, budget)
-    if not completed:
-        raise BudgetExceededError(
-            f"the search evaluated {budget} transitions without certifying "
-            "an optimum"
-        )
     if len(choice) != len(cells):
         raise ValidationError("the search left a Venn cell without a cover set")
     chosen: list[int | None] = [None] * mu.space.n

@@ -26,6 +26,7 @@ from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
 from .errors import BudgetExceededError, ValidationError
 from .functionals import HlpInput, hlp_compare, parse_functional
 from .measure import (
+    CHECK_TOL,
     SetFamily,
     check_integer,
     check_tolerance,
@@ -281,7 +282,7 @@ _TUNING = {
                           "witness walk included (default 10^6)"),
     "--seed": dict(type=_checked(int, check_integer, least=0, what="seed"), default=0,
                    help="base seed for seeded sampling (default 0)"),
-    "--tol": dict(type=_checked(float, check_tolerance), default=1e-9,
+    "--tol": dict(type=_checked(float, check_tolerance), default=CHECK_TOL,
                   help="numeric tolerance for report checks (default 1e-9)"),
 }
 

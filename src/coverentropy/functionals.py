@@ -24,6 +24,7 @@ from typing import Callable, Literal, Sequence
 
 from .errors import ValidationError
 from .measure import (
+    CHECK_TOL,
     MASS_TOL,
     check_integer,
     check_tolerance,
@@ -252,7 +253,7 @@ def _worst(violations: list[float], probes: list[float]) -> float:
     return max([0.0, *violations]) if all(map(math.isfinite, probes)) else math.inf
 
 
-def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = 1e-9) -> StructureReport:
+def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = CHECK_TOL) -> StructureReport:
     """Check the declared composition case of ``e`` on an evenly spaced grid.
 
     ``g`` is probed on ``[0, 1]``: sub/superadditivity on all grid pairs with
@@ -367,7 +368,7 @@ def hlp_compare(
     inp: HlpInput,
     phi: Callable[[float], float],
     shape: Literal["concave", "convex"],
-    tol: float = 1e-9,
+    tol: float = CHECK_TOL,
 ) -> ComparisonReport:
     """Compare ``sum phi(x)`` against ``sum phi(y)``.
 

@@ -43,6 +43,9 @@ from .errors import SpaceMismatchError, ValidationError
 #: most 1 can be off by (n - 1) * 2**-53, which is 1e-12 at n = 9,008.
 MASS_TOL = 1e-12
 
+#: The package-wide numeric tolerance of checks that compare entropies.
+CHECK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DiscreteSpace:

@@ -36,6 +36,7 @@ from .errors import ValidationError
 from .functionals import (
     EntropyFunctional, _check_alpha, _g_sum, _sum_in_order, parse_functional)
 from .measure import (
+    CHECK_TOL,
     MASS_TOL,
     DiscreteSpace,
     Measure,
@@ -48,9 +49,6 @@ from .measure import (
     real_list,
 )
 from .weighted import WeightedDivision
-
-#: Containment checks use the package-wide numeric tolerance.
-BOUND_TOL = 1e-9
 
 
 def _listed(values, what: str) -> list:
@@ -252,7 +250,7 @@ class MixtureBoundReport:
         object.__setattr__(self, "component_entropies", tuple(self.component_entropies))
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         finite = None not in (self.lower, self.upper, self.achieved)
-        if finite and not (self.lower - BOUND_TOL <= self.achieved <= self.upper + BOUND_TOL):
+        if finite and not (self.lower - CHECK_TOL <= self.achieved <= self.upper + CHECK_TOL):
             raise ValidationError(
                 f"achieved entropy {self.achieved} escapes [{self.lower}, {self.upper}]")
 

@@ -38,7 +38,8 @@ from .functionals import (
     shannon,
     tsallis,
 )
-from .measure import AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, instance_dict
+from .measure import (
+    CHECK_TOL, AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, instance_dict)
 from .mixture import MixtureSpec, verify_mixture_bounds
 from .weighted import (
     cover_entropy_weighted,
@@ -49,7 +50,6 @@ from .weighted import (
     weighted_entropy,
 )
 
-TOL = 1e-9
 SHARP_TOL = 1e-12
 
 #: Per-property workload by scale.
@@ -166,7 +166,7 @@ def _run(name: str, checks: Iterator[dict | None]) -> PropertyOutcome:
 
 
 def prop_classical_weighted_agreement(rng, count, budget) -> Iterator[dict | None]:
-    """Classical and weighted cover entropies agree within TOL."""
+    """Classical and weighted cover entropies agree within CHECK_TOL."""
     functionals = builtin_functionals()
     for _ in range(count):
         mu, q = random_instance(rng)
@@ -174,7 +174,7 @@ def prop_classical_weighted_agreement(rng, count, budget) -> Iterator[dict | Non
             a = cover_entropy(e, mu, q, budget=budget)
             b = cover_entropy_weighted(e, mu, q, budget=budget)
             ok = a.is_infinite == b.is_infinite and (
-                a.is_infinite or abs(a.value - b.value) <= TOL)
+                a.is_infinite or abs(a.value - b.value) <= CHECK_TOL)
             yield None if ok else dict(
                 instance=instance_dict(mu, q), functional=e.name,
                 classical=a.value, weighted=b.value)
@@ -191,7 +191,7 @@ def prop_random_division_lower_bound(rng, shape, budget) -> Iterator[dict | None
         for s in range(n_samples):
             d = random_division(mu, q, seed=rng.randrange(2 ** 31))
             value = weighted_entropy(e, d)
-            yield None if not value < floor - TOL else dict(
+            yield None if not value < floor - CHECK_TOL else dict(
                 instance=instance_dict(mu, q), functional=e.name,
                 sample=s, value=value, floor=floor)
 
@@ -204,7 +204,7 @@ def prop_disjointify_dominates(rng, count, budget) -> Iterator[dict | None]:
         e = functionals[i % len(functionals)]
         d = random_division(mu, q, seed=rng.randrange(2 ** 31))
         p = disjointify(d)
-        ok = partition_entropy(e, mu, p) <= weighted_entropy(e, d) + TOL
+        ok = partition_entropy(e, mu, p) <= weighted_entropy(e, d) + CHECK_TOL
         try:
             disjointify_certificate(d)
         except Exception:
@@ -220,7 +220,7 @@ def prop_partition_to_division_dominates(rng, count, budget) -> Iterator[dict | 
         p = random_acceptable_partition(rng, mu, q)
         e = functionals[i % len(functionals)]
         value = weighted_entropy(e, partition_to_division(mu, p, q))
-        yield None if not value > partition_entropy(e, mu, p) + TOL else dict(
+        yield None if not value > partition_entropy(e, mu, p) + CHECK_TOL else dict(
             instance=instance_dict(mu, q), functional=e.name, partition=p.as_lists())
 
 
@@ -284,7 +284,7 @@ def prop_structure_checks() -> Iterator[dict | None]:
         probes.append(renyi(alpha))
         probes.append(tsallis(alpha))
     for e in probes:
-        passed = check_structure(e, grid_size=201, tol=TOL).passed
+        passed = check_structure(e, grid_size=201, tol=CHECK_TOL).passed
         yield None if passed else dict(functional=e.name)
     planted = EntropyFunctional(
         name="planted-square",
@@ -293,7 +293,7 @@ def prop_structure_checks() -> Iterator[dict | None]:
         g=lambda t: t * t,
         case=CompositionCase.INCREASING_SUBADDITIVE_CONCAVE,
     )
-    passed = check_structure(planted, grid_size=201, tol=TOL).passed
+    passed = check_structure(planted, grid_size=201, tol=CHECK_TOL).passed
     yield None if not passed else dict(functional=planted.name, note="should have failed")
 
 
@@ -321,7 +321,7 @@ def prop_hlp_comparison(rng, count) -> Iterator[dict | None]:
         length = rng.randint(2, 8)
         inp = random_hlp_input(rng, length, transfers=rng.randint(1, 5))
         for name, phi, shape in phis:
-            report = hlp_compare(inp, phi, shape, tol=TOL)
+            report = hlp_compare(inp, phi, shape, tol=CHECK_TOL)
             yield None if report.confirmed else dict(
                 phi=name, x=list(inp.x_seq), y=list(inp.y_seq))
 

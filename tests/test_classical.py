@@ -12,7 +12,9 @@ from coverentropy import _kernels
 from coverentropy import (
     Assignment,
     BudgetExceededError,
+    CompositionCase,
     DiscreteSpace,
+    EntropyFunctional,
     Measure,
     MixtureSpec,
     SetFamily,
@@ -340,9 +342,9 @@ class TestSearchStructure:
         search_dp = _kernels.ordering_dp
 
         def misplacing_dp(masses, cands, n_sets, *rest):
-            best, choice, explored, done = search_dp(masses, cands, n_sets, *rest)
+            best, choice, explored = search_dp(masses, cands, n_sets, *rest)
             outside = next(i for i in range(n_sets) if i not in cands[0])
-            return best, [outside, *choice[1:]], explored, done
+            return best, [outside, *choice[1:]], explored
 
         monkeypatch.setattr(_kernels, "ordering_dp", misplacing_dp)
         with pytest.raises(ValidationError, match="not a member"):
@@ -353,12 +355,60 @@ class TestSearchStructure:
         search_dp = _kernels.ordering_dp
 
         def short_dp(*args):
-            best, choice, explored, done = search_dp(*args)
-            return best, choice[:-1], explored, done
+            best, choice, explored = search_dp(*args)
+            return best, choice[:-1], explored
 
         monkeypatch.setattr(_kernels, "ordering_dp", short_dp)
         with pytest.raises(ValidationError, match="without a cover set"):
             search(shannon(), measure(0.5, 0.25, 0.25), family(3, [0, 1], [1, 2]))
+
+
+
+def _shannon_except_at_one(value, case):
+    """Shannon in the shape of ``case``, except that ``g(1.0)`` is ``value``."""
+    sign = 1.0 if case is CompositionCase.DECREASING_SUPERADDITIVE_CONVEX else -1.0
+
+    def g(t):
+        return value if t == 1.0 else sign * t * math.log2(t)
+
+    return EntropyFunctional(name="odd-shannon", alpha=None, f=lambda x: -sign * x,
+                             g=g, case=case)
+
+
+class TestSearchReadsOnlyFiniteG:
+    """The search raises on a ``g`` value that is not a finite real instead of
+    comparing it: with both atoms in one cover set, the merged block's mass
+    is 1.0, so its term is the odd value."""
+
+    @pytest.mark.parametrize("case", list(CompositionCase))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "0.0"],
+                             ids=["nan", "inf", "-inf", "none", "str"])
+    def test_non_finite_or_non_number_g_is_rejected(self, value, case):
+        e = _shannon_except_at_one(value, case)
+        q = family(2, [0, 1], [0], [1])
+        with pytest.raises(ValidationError, match="g is not finite at mass 1.0"):
+            cover_entropy(e, measure(0.5, 0.5), q)
+
+    @pytest.mark.parametrize("case", list(CompositionCase))
+    @pytest.mark.parametrize("value", [0.0, 0, np.float64(0.0)], ids=["float", "int", "np"])
+    def test_finite_g_value_is_searched(self, value, case):
+        # with Shannon's own g(1.0) = 0, of any real type, the merged block is
+        # the optimum
+        e = _shannon_except_at_one(value, case)
+        result = cover_entropy(e, measure(0.5, 0.5), family(2, [0, 1], [0], [1]))
+        assert result.value == 0.0 and result.witness.as_lists() == [[0, 1]]
+
+    def test_exception_inside_g_propagates(self):
+        class Boom(Exception):
+            pass
+
+        def g(t):
+            raise Boom(t)
+
+        e = EntropyFunctional(name="boom", alpha=None, f=lambda x: -x, g=g,
+                              case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX)
+        with pytest.raises(Boom):
+            cover_entropy(e, measure(0.5, 0.5), family(2, [0, 1], [0], [1]))
 
 
 class TestEnumeration:

@@ -691,7 +691,8 @@ class TestLazyImports:
         child = STRUCTURE_CHILD if case == "check-structure" else CLI_CHILD
         assert run_fresh(child, *argv).split() == [str(expected), "False"]
 
-    @pytest.mark.parametrize("case", ["mixture", "disjointify", "cover-weighted", "cover-both",
+    @pytest.mark.parametrize("case", ["mixture", "mixture-renyi", "disjointify",
+                                      "cover-weighted", "cover-both",
                                       "cover-both-sampled", "cover-weighted-sampled",
                                       "nan-literal", "selftest"])
     def test_weighted_and_mixture_commands_never_load_numpy(self, tmp_path, case):
@@ -699,12 +700,18 @@ class TestLazyImports:
         instance.write_text(json.dumps(INSTANCE))
         mixture = tmp_path / "mixture.json"
         mixture.write_text(json.dumps(MIXTURE))
+        renyi = tmp_path / "renyi.json"
+        renyi.write_text(json.dumps({
+            "n": 3, "coefficients": [0.25, 0.75], "measures": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+            "cover": [[0, 1], [1, 2]], "functional": "renyi:2"}))
         division = tmp_path / "division.json"
         division.write_text(json.dumps(DIVISION))
         nan = tmp_path / "nan.json"
         nan.write_text(json.dumps({**INSTANCE, "mu": [math.nan, 0.5, 0.5]}))
         argv, expected = {
             "mixture": (["mixture", str(mixture)], 0),
+            # a Renyi functional too; exit code 0 means status ok
+            "mixture-renyi": (["mixture", str(renyi)], 0),
             "disjointify": (["disjointify", str(instance), str(division),
                              "--functional", "shannon"], 0),
             "cover-weighted": (["cover", str(instance), "--functional", "shannon",

@@ -4,10 +4,12 @@ orderings oracle and the exhaustive reference scan.
 The DP's witness is defined as the choice induced by the lexicographically
 first ordering of the sets whose g-sum, scored as the scan scores it, lies
 within ``_PRUNE_SLACK`` (relative) of the optimum; the oracle tries every
-ordering in that order, so the DP's value and choice must equal the
-oracle's exactly.  Against the scan the value is within the slack of its
-optimum and never beats it.  Inputs are packed as the package packs them:
-one unit per Venn cell, cells in the order of their first atom.
+ordering in that order, so the DP's choice, and that choice's score, must
+equal the oracle's exactly.  Against the scan the choice's score is within
+the slack of its optimum and never beats it, and the DP's own value (the
+same terms added in another order) is within the slack.  Inputs are packed
+as the package packs them: one unit per Venn cell, cells in the order of
+their first atom.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverentropy import (
+    BudgetExceededError,
     CompositionCase,
     EntropyFunctional,
     _kernels,
@@ -58,13 +61,25 @@ def _dyadic_cases(seed, count):
         yield masses, cands, n_sets, e.g, not e.minimizes_g_sum
 
 
+def _score(masses, choice, n_sets, g):
+    """The g-sum of a choice as the scan scores it: groups in set order, each
+    adding its units in unit order."""
+    group = [0.0] * n_sets
+    for m, c in zip(masses, choice):
+        group[c] += m
+    s = 0.0
+    for m in group:
+        if m > 0.0:
+            s += g(m)
+    return s
+
+
 def _ordering_oracle(masses, cands, n_sets, g, maximize):
     """(g-sum, choice) of the first ordering of the sets, in lexicographic
     order, whose g-sum lies within the slack of the best ordering's.
 
     An ordering sends each unit to its lowest-ranked candidate set, and its
-    g-sum is scored as the scan scores a choice: groups in set order, each
-    adding its units in unit order.
+    g-sum is :func:`_score` of that choice.
     """
     scored = []
     for order in itertools.permutations(range(n_sets)):
@@ -72,30 +87,26 @@ def _ordering_oracle(masses, cands, n_sets, g, maximize):
         for pos, i in enumerate(order):
             rank[i] = pos
         choice = [min(c, key=rank.__getitem__) for c in cands]
-        group = [0.0] * n_sets
-        for m, c in zip(masses, choice):
-            group[c] += m
-        s = 0.0
-        for m in group:
-            if m > 0.0:
-                s += g(m)
-        scored.append((s, choice))
+        scored.append((_score(masses, choice, n_sets, g), choice))
     best = (max if maximize else min)(s for s, _ in scored)
     slack = _kernels._PRUNE_SLACK * (1.0 + abs(best))
     return next((s, c) for s, c in scored if abs(s - best) <= slack)
 
 
 def _check_against_oracle_and_scan(masses, cands, n_sets, g, maximize):
-    """Assert the DP's result is the oracle's, and within the slack of the
-    scan's optimum without beating it; return the DP's result."""
-    value, choice, explored, done = _kernels.ordering_dp(
+    """Assert the DP's choice and its score are the oracle's, the score is
+    within the slack of the scan's optimum without beating it, and the DP's
+    value is within the slack too; return (score, choice, transitions)."""
+    value, choice, explored = _kernels.ordering_dp(
         masses, cands, n_sets, g, maximize, 10 ** 7)
-    assert done
-    assert (value, choice) == _ordering_oracle(masses, cands, n_sets, g, maximize)
+    score = _score(masses, choice, n_sets, g)
+    assert (score, choice) == _ordering_oracle(masses, cands, n_sets, g, maximize)
     best, _, _ = _kernels.scan_assignments(masses, cands, n_sets, g, maximize)
-    assert abs(value - best) <= _kernels._PRUNE_SLACK * (1.0 + abs(best))
-    assert (value <= best) if maximize else (value >= best)
-    return value, choice, explored
+    slack = _kernels._PRUNE_SLACK * (1.0 + abs(best))
+    assert abs(score - best) <= slack
+    assert (score <= best) if maximize else (score >= best)
+    assert abs(value - best) <= slack
+    return score, choice, explored
 
 
 class TestScanAgreement:
@@ -163,8 +174,7 @@ class TestScanAgreement:
         g = builtin_functionals()[0].g
         best, choice, total = _kernels.scan_assignments([], [], 3, g, True)
         assert best == 0.0 and total == 1 and choice == []
-        best, choice, explored, done = _kernels.ordering_dp([], [], 3, g, True, 1)
-        assert best == 0.0 and choice == [] and explored == 0 and done
+        assert _kernels.ordering_dp([], [], 3, g, True, 1) == (0.0, [], 0)
 
 
 class TestTieBreak:
@@ -242,15 +252,15 @@ class TestBudgetGuard:
     def test_budget_of_exactly_explored_completes(self):
         for case in _guard_cases():
             full = _kernels.ordering_dp(*case, 10 ** 7)
-            assert full[3]
             assert _kernels.ordering_dp(*case, full[2]) == full
 
     def test_budget_one_short_fails_with_that_count(self):
         for case in _guard_cases():
             explored = _kernels.ordering_dp(*case, 10 ** 7)[2]
-            value, choice, count, done = _kernels.ordering_dp(*case, explored - 1)
-            assert math.isnan(value)
-            assert (choice, count, done) == ([], explored - 1, False)
+            with pytest.raises(BudgetExceededError) as info:
+                _kernels.ordering_dp(*case, explored - 1)
+            assert str(info.value) == (f"the search evaluated {explored - 1} transitions "
+                                       "without certifying an optimum")
 
     def test_total_explored_is_pinned(self):
         total = sum(_kernels.ordering_dp(*case, 10 ** 7)[2] for case in _guard_cases())
