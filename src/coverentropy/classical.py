@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import _kernels
@@ -31,6 +30,7 @@ from .measure import (
     _unchecked,
     check_integer,
     check_type,
+    frozen,
     is_integer,
     is_mu_cover,
     is_mu_partition,
@@ -46,7 +46,7 @@ DEFAULT_BUDGET = 10 ** 6
 ENUMERATION_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
+@frozen
 class Assignment:
     """A choice of one containing cover set per assigned atom.
 
@@ -113,7 +113,7 @@ def assignment_to_partition(a: Assignment) -> SetFamily:
     return _unchecked(SetFamily, space=a.space, sets=ordered)
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverEntropyResult:
     """Outcome of a cover-entropy search, classical or weighted.
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 from .errors import ValidationError
@@ -29,6 +28,7 @@ from .measure import (
     check_integer,
     check_tolerance,
     check_type,
+    frozen,
     is_finite_number,
     real_list,
 )
@@ -40,7 +40,7 @@ class CompositionCase(enum.Enum):
     DECREASING_SUPERADDITIVE_CONVEX = "decreasing-superadditive-convex"
 
 
-@dataclass(frozen=True)
+@frozen
 class EntropyFunctional:
     """An ``f(sum g(mass))`` functional with its declared composition case.
 
@@ -95,24 +95,33 @@ def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
 
 
 def _g_sum(e: EntropyFunctional, masses: Sequence[float]) -> float:
-    """The g-sum over the positive entries, added in list order."""
-    s = 0.0
+    """The g-sum over the positive entries, added in list order; a ``g``
+    term that is not a finite real (:func:`is_finite_number`) is a
+    ValidationError."""
+    g, inf, s = e.g, math.inf, 0.0
     for m in masses:
         if m > 0.0:
-            s += e.g(m)
+            t = g(m)
+            # a float is tested inline, without a call per term
+            if not (-inf < t < inf if t.__class__ is float else is_finite_number(t)):
+                raise ValidationError(f"g is not finite at mass {m!r}: it gives {t!r}")
+            s += t
     return s
+
+
+def _f_value(e: EntropyFunctional, s: float) -> float:
+    """``f(s)`` as a float; a value that is not a finite real is a ValidationError."""
+    value = e.f(s)
+    if not (-math.inf < value < math.inf if value.__class__ is float else is_finite_number(value)):
+        raise ValidationError(f"{e!r} is not finite at g-sum {s}: f gives {value!r}")
+    return float(value)
 
 
 def _g_sum_value(e: EntropyFunctional, masses: Sequence[float]) -> float:
     """``f`` of :func:`_g_sum`: the one definition of the value, its masses
-    unchecked; a value that is not finite is a ValidationError.
-    :func:`evaluate` is its checks plus this; the search's witness, whose
-    block masses need no check, calls it directly."""
-    s = _g_sum(e, masses)
-    value = float(e.f(s))
-    if not math.isfinite(value):
-        raise ValidationError(f"{e!r} is not finite at g-sum {s}: f gives {value}")
-    return value
+    unchecked.  :func:`evaluate` is its checks plus this; the search's
+    witness, whose block masses need no check, calls it directly."""
+    return _f_value(e, _g_sum(e, masses))
 
 
 def _sum_in_order(values) -> float:
@@ -217,7 +226,7 @@ def parse_functional(spec: str) -> EntropyFunctional:
 # Numerical structure check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class StructureReport:
     """Grid-based verdicts for the three conditions of the declared case.
 
@@ -313,7 +322,7 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = CHE
 # Hardy-Littlewood-Polya comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class HlpInput:
     """Equal-total sequences with ``x`` nonincreasing and prefix-dominated by ``y``.
 
@@ -354,7 +363,7 @@ class HlpInput:
                 )
 
 
-@dataclass(frozen=True)
+@frozen
 class ComparisonReport:
     """Both transformed sums plus whether the predicted direction held."""
 

@@ -29,9 +29,9 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,7 +47,67 @@ MASS_TOL = 1e-12
 CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def frozen(cls: type | None = None, *, eq: bool = True):
+    """Make ``cls`` an immutable value type over its annotated fields, in
+    annotation order; a field's class attribute, if any, is its default.
+
+    The class gets a generated ``__init__(self, field, ...)`` that stores
+    each argument and then calls ``__post_init__`` if the class defines
+    one, which may replace a field with ``object.__setattr__``.  Assigning
+    or deleting an attribute raises AttributeError.  Unless the class
+    defines its own, ``repr`` reads ``Name(field=value, ...)``.  With ``eq``
+    (the default), two instances of the same class are equal when their
+    fields are, and hash alike; without it they compare by identity.
+    Instances keep a ``__dict__``, which ``cached_property`` and
+    :func:`_unchecked` write to.
+    """
+    if cls is None:
+        return lambda c: frozen(c, eq=eq)
+    names = tuple(cls.__dict__["__annotations__"])
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name
+                       for name in names)
+    body = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    scope = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):\n{body}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__setattr__ = cls.__delattr__ = _read_only
+    if "__repr__" not in cls.__dict__:
+        def __repr__(self):
+            fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+            return f"{type(self).__qualname__}({fields})"
+
+        cls.__repr__ = __repr__
+    if eq:
+        key = attrgetter(*names)  # one field's value, or a tuple of several
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(key(self))
+    return cls
+
+
+def _read_only(self, name: str, *value) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def _unchecked(cls: type, **fields):
+    """A :func:`frozen` value ``cls`` holding ``fields``, built without its
+    ``__post_init__``: only for values whose invariants the caller has
+    already checked, each call site naming that check."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+@frozen
 class DiscreteSpace:
     """Atom set ``{0, ..., n-1}`` with the full power set as sigma-algebra."""
 
@@ -86,7 +146,7 @@ def real_list(values, what: str) -> tuple[float, ...]:
         f"{what} must be a list, tuple or 1-D array of numbers, got {type(values).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class Measure:
     """Finite, nonnegative mass vector over a space; at most sub-probability total.
 
@@ -134,7 +194,7 @@ class Measure:
         return math.fsum([masses[atom] for atom in a.members])
 
 
-@dataclass(frozen=True)
+@frozen
 class AtomSet:
     """A subset of atoms, stored canonically (sorted, deduplicated)."""
 
@@ -160,7 +220,7 @@ class AtomSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@frozen
 class SetFamily:
     """An indexed list of atom sets; the index is the tie-break everywhere."""
 
@@ -360,15 +420,6 @@ def check_type(value, cls: type, what: str) -> None:
     if not isinstance(value, cls):
         raise ValidationError(
             f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
-
-
-def _unchecked(cls: type, **fields):
-    """A frozen dataclass ``cls`` holding ``fields``, built without its
-    ``__post_init__``: only for values whose invariants the caller has
-    already checked, each call site naming that check."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
 
 
 def check_integer(value, least: int, what: str) -> int:

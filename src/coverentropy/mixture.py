@@ -28,13 +28,12 @@ concurrently without changing any reported value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import ValidationError
 from .functionals import (
-    EntropyFunctional, _check_alpha, _g_sum, _sum_in_order, parse_functional)
+    EntropyFunctional, _check_alpha, _f_value, _g_sum, _sum_in_order, parse_functional)
 from .measure import (
     CHECK_TOL,
     MASS_TOL,
@@ -44,6 +43,7 @@ from .measure import (
     _require_shared_space,
     check_integer,
     check_type,
+    frozen,
     is_finite_number,
     parse_blocks,
     real_list,
@@ -72,7 +72,7 @@ def _coefficients(values) -> tuple[float, ...]:
     return coeffs
 
 
-@dataclass(frozen=True)
+@frozen
 class MixtureSpec:
     """Coefficients and probability measures of a mixture, on one space."""
 
@@ -230,7 +230,7 @@ def shannon_mixture_bounds(
 # Verified report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class MixtureBoundReport:
     """Bounds, achieved mixture entropy, and the per-component entropies.
 
@@ -295,7 +295,7 @@ def verify_mixture_bounds(
         blocks = [[m.mass_of(b) for b in r.witness] for m, r in zip(spec.measures, results)]
         low = _sum_in_order(a * _g_sum(e, ms) for a, ms in zip(coeffs, blocks))
         high = _g_sum(e, [a * x for a, ms in zip(coeffs, blocks) for x in ms])
-        lower, upper = _finite("mixture bounds", float(e.f(low)), float(e.f(high)))
+        lower, upper = _f_value(e, low), _f_value(e, high)
     return MixtureBoundReport(
         lower=lower,
         upper=upper,
@@ -310,7 +310,7 @@ def verify_mixture_bounds(
 # Bounds as alpha approaches 1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class LimitBridgeRow:
     """One alpha sample: both bounds plus deviations from the Shannon bounds."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .classical import (
@@ -39,7 +38,8 @@ from .functionals import (
     tsallis,
 )
 from .measure import (
-    CHECK_TOL, AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, instance_dict)
+    CHECK_TOL, AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, frozen,
+    instance_dict)
 from .mixture import MixtureSpec, verify_mixture_bounds
 from .weighted import (
     cover_entropy_weighted,
@@ -63,7 +63,7 @@ SCALES = {
 }
 
 
-@dataclass
+@frozen
 class PropertyOutcome:
     name: str
     checks: int

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -49,6 +48,7 @@ from .measure import (
     _unchecked,
     check_integer,
     check_type,
+    frozen,
     is_mu_cover,
     is_mu_partition,
     real_list,
@@ -58,7 +58,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class WeightedDivision:
     """Per-cover-set submeasures, stored per membership: ``values[i][j]`` is
     set ``i``'s mass on its member atom ``cover[i].members[j]``.

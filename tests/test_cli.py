@@ -634,37 +634,39 @@ def run_fresh(code: str, *argv: str) -> str:
 
 
 # a child that runs cli.main on its arguments and prints the exit code and
-# whether numpy got loaded
+# whether numpy, dataclasses and inspect (which dataclasses loads) got loaded
 CLI_CHILD = (
     "import contextlib, io, sys\n"
     "from coverentropy.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(code, 'numpy' in sys.modules)\n"
+    "print(code, *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n"
 )
 
 # the same for the grid check of a built-in functional: 0 when it passes
 STRUCTURE_CHILD = (
     "import sys\n"
     "from coverentropy import check_structure, shannon\n"
-    "print(int(not check_structure(shannon()).passed), 'numpy' in sys.modules)\n"
+    "print(int(not check_structure(shannon()).passed),\n"
+    "      *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n"
 )
 
 
 class TestLazyImports:
     def test_cli_import_leaves_weighted_mixture_and_selftest_unloaded(self):
-        # numpy too; loaded modules are listed before any name of __all__ is
-        # resolved, and a name that does not resolve fails the child
+        # numpy, dataclasses and inspect too; loaded modules are listed before
+        # any name of __all__ is resolved, and a name that does not resolve
+        # fails the child
         code = (
             "import sys, coverentropy.cli, coverentropy\n"
-            "print(' '.join(m for m in sys.modules\n"
-            "               if m.startswith('coverentropy.') or m == 'numpy'))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('coverentropy.')\n"
+            "               or m in ('numpy', 'dataclasses', 'inspect')))\n"
             "[getattr(coverentropy, name) for name in coverentropy.__all__]\n"
         )
         loaded = set(run_fresh(code).split())
         assert "coverentropy.cli" in loaded
         assert not loaded & {"coverentropy.selftest", "coverentropy.mixture",
-                             "coverentropy.weighted", "numpy"}
+                             "coverentropy.weighted", "numpy", "dataclasses", "inspect"}
 
     @pytest.mark.parametrize("case", ["cover-classical", "partition", "hlp",
                                       "nan-literal", "missing-cover", "check-structure"])
@@ -689,7 +691,7 @@ class TestLazyImports:
             "check-structure": ([], 0),
         }[case]
         child = STRUCTURE_CHILD if case == "check-structure" else CLI_CHILD
-        assert run_fresh(child, *argv).split() == [str(expected), "False"]
+        assert run_fresh(child, *argv).split() == [str(expected), "False", "False", "False"]
 
     @pytest.mark.parametrize("case", ["mixture", "mixture-renyi", "disjointify",
                                       "cover-weighted", "cover-both",
@@ -728,7 +730,7 @@ class TestLazyImports:
             # every property draws from random.Random
             "selftest": (["selftest", "--scale", "quick", "--seed", "3"], 0),
         }[case]
-        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False"]
+        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False", "False", "False"]
 
     def test_weighted_and_mixture_imports_leave_numpy_unloaded(self):
         code = ("import sys, coverentropy.weighted, coverentropy.mixture\n"

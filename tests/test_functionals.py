@@ -21,6 +21,7 @@ from coverentropy import (
     evaluate,
     hlp_compare,
     parse_functional,
+    partition_entropy,
     renyi,
     shannon,
     tsallis,
@@ -133,6 +134,22 @@ class TestEvaluateContract:
         mu = Measure(space, [0.5, 0.5], probability=True)
         with pytest.raises(ValidationError, match="not finite"):
             cover_entropy(e, mu, SetFamily.of(space, [[0], [1]]))
+
+    @pytest.mark.parametrize("fields", [
+        dict(g=lambda t: None),
+        dict(f=lambda s: None),
+        dict(f=lambda s: "a"),
+        # a string that float() would read is no number either
+        dict(f=lambda s: "0.5"),
+    ], ids=["g-none", "f-none", "f-letter", "f-numeric-string"])
+    def test_value_that_is_no_real_rejected(self, fields):
+        e = custom(**fields)
+        with pytest.raises(ValidationError, match="not finite"):
+            evaluate(e, [0.5, 0.5])
+        space = DiscreteSpace(2)
+        mu = Measure(space, [0.5, 0.5], probability=True)
+        with pytest.raises(ValidationError, match="not finite"):
+            partition_entropy(e, mu, SetFamily.of(space, [[0], [1]]))
 
     def test_zero_masses_skipped(self):
         assert evaluate(shannon(), [0.5, 0.5, 0.0]) == pytest.approx(1.0, abs=1e-15)
