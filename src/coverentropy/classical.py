@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
-from .functionals import EntropyFunctional, _g_sum_value, evaluate
+from .functionals import EntropyFunctional, _g_sum_value
 from .measure import (
     AtomSet,
     DiscreteSpace,
@@ -148,7 +148,8 @@ def partition_entropy(e: EntropyFunctional, mu: Measure, p: SetFamily) -> float:
     _check_operands(e, mu, p)
     if not is_mu_partition(p, mu):
         raise ValidationError("family is not a mu-partition (overlap or uncovered mass)")
-    return evaluate(e, [mu.mass_of(block) for block in p])
+    # disjoint blocks of a checked measure: their masses form a mass vector
+    return _g_sum_value(e, [mu.mass_of(block) for block in p])
 
 
 def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int]]]:

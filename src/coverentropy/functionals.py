@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .measure import (
     CHECK_TOL,
     MASS_TOL,
+    _mass_vector,
     check_integer,
     check_tolerance,
     check_type,
@@ -79,19 +80,13 @@ class EntropyFunctional:
 def evaluate(e: EntropyFunctional, masses: Sequence[float]) -> float:
     """Apply ``f`` to the g-sum over the strictly positive entries.
 
-    Entries must be numbers in ``[0, 1]`` that sum to at most 1, both within
-    ``MASS_TOL``, so a NaN or a string is rejected; zero entries contribute
-    nothing (the ``g(0) = 0`` convention built into every ``g`` here).
+    The checked entry for a caller's list: ``masses`` must be a mass vector
+    (:func:`~coverentropy.measure._mass_vector`), so a NaN, a negative entry
+    or a string is rejected; zero entries contribute nothing (the ``g(0) =
+    0`` convention built into every ``g`` here).
     """
     check_type(e, EntropyFunctional, "functional")
-    values = real_list(masses, "masses")
-    # a NaN fails both comparisons
-    if not all(0.0 <= m <= 1.0 + MASS_TOL for m in values):
-        raise ValidationError("masses must lie in [0, 1]")
-    total = math.fsum(values)
-    if total > 1.0 + MASS_TOL:
-        raise ValidationError(f"masses sum to {total}, beyond 1")
-    return _g_sum_value(e, values)
+    return _g_sum_value(e, _mass_vector(masses, "masses"))
 
 
 def _g_sum(e: EntropyFunctional, masses: Sequence[float]) -> float:

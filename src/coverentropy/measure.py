@@ -146,15 +146,34 @@ def real_list(values, what: str) -> tuple[float, ...]:
         f"{what} must be a list, tuple or 1-D array of numbers, got {type(values).__name__}")
 
 
+def _mass_vector(values, what: str, probability: bool = False) -> tuple[float, ...]:
+    """``values`` by :func:`real_list` if each is finite and at least 0 and
+    their exact ``math.fsum`` total is at most ``1 + MASS_TOL`` (within
+    ``MASS_TOL`` of 1 if ``probability``), else a ValidationError: the one
+    rule for a measure, :func:`evaluate`'s masses and mixture coefficients."""
+    masses = real_list(values, what)
+    try:
+        total = math.fsum(masses)
+    except (OverflowError, ValueError):  # a sum beyond float range, or inf - inf
+        total = math.inf
+    # a finite total has no non-finite entry to find
+    if not math.isfinite(total) and not all(map(math.isfinite, masses)):
+        raise ValidationError("mass vector has a non-finite entry")
+    worst = min(masses, default=0.0)
+    if worst < 0.0:
+        raise ValidationError(f"mass vector has a negative entry ({worst})")
+    if total > 1.0 + MASS_TOL:
+        raise ValidationError(f"total mass {total} exceeds 1 beyond tolerance")
+    if probability and abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"probability measure must have total 1, got {total}")
+    return masses
+
+
 @frozen(eq=False)
 class Measure:
-    """Finite, nonnegative mass vector over a space; at most sub-probability total.
-
-    ``masses`` (:func:`real_list`) is kept as a tuple of floats.
-    ``probability=True`` additionally pins the total mass to 1 (within
-    ``MASS_TOL``).  Restrictions and the per-cover-set submeasures are plain
-    sub-probability measures.
-    """
+    """A mass vector (:func:`_mass_vector`) over a space, kept as the tuple
+    of floats ``masses``; ``probability=True`` pins its total to 1 within
+    ``MASS_TOL``.  Restrictions and per-cover-set submeasures need not."""
 
     space: DiscreteSpace
     masses: tuple[float, ...]
@@ -162,25 +181,11 @@ class Measure:
 
     def __post_init__(self) -> None:
         check_type(self.space, DiscreteSpace, "space")
-        masses = real_list(self.masses, "mass")
+        masses = _mass_vector(self.masses, "mass", self.probability)
         if len(masses) != self.space.n:
             raise ValidationError(
                 f"mass must be a length-{self.space.n} vector, got {len(masses)} entries")
         object.__setattr__(self, "masses", masses)
-        try:
-            total = math.fsum(masses)
-        except (OverflowError, ValueError):  # a sum beyond float range, or inf - inf
-            total = math.inf
-        # a finite total has no non-finite entry to find
-        if not math.isfinite(total) and not all(map(math.isfinite, masses)):
-            raise ValidationError("mass vector has a non-finite entry")
-        worst = min(masses)
-        if worst < 0.0:
-            raise ValidationError(f"mass vector has a negative entry ({worst})")
-        if total > 1.0 + MASS_TOL:
-            raise ValidationError(f"total mass {total} exceeds 1 beyond tolerance")
-        if self.probability and abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"probability measure must have total 1, got {total}")
 
     @property
     def total(self) -> float:

@@ -40,6 +40,7 @@ from .measure import (
     DiscreteSpace,
     Measure,
     SetFamily,
+    _mass_vector,
     _require_shared_space,
     check_integer,
     check_type,
@@ -60,16 +61,9 @@ def _listed(values, what: str) -> list:
 
 
 def _coefficients(values) -> tuple[float, ...]:
-    """``values`` as floats if they are finite numbers in [0, 1] that sum to 1
-    within ``MASS_TOL``, else a ValidationError."""
-    coeffs = real_list(_listed(values, "coefficients"), "coefficients")
-    for c in coeffs:
-        if not 0.0 <= c <= 1.0:  # false for NaN too
-            raise ValidationError(f"coefficients must be finite numbers in [0, 1], got {c!r}")
-    total = math.fsum(coeffs)
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(f"coefficients sum to {total}, not 1")
-    return coeffs
+    """``values`` as floats if they form a probability vector
+    (:func:`~coverentropy.measure._mass_vector`), else a ValidationError."""
+    return _mass_vector(_listed(values, "coefficients"), "coefficients", probability=True)
 
 
 @frozen

@@ -37,7 +37,7 @@ from .classical import (
     minimizing_assignment,
 )
 from .errors import ValidationError
-from .functionals import EntropyFunctional, HlpInput, _g_sum_value, evaluate
+from .functionals import EntropyFunctional, HlpInput, _g_sum_value
 from .measure import (
     MASS_TOL,
     AtomSet,
@@ -68,9 +68,10 @@ class WeightedDivision:
     exactly as long as its set; it is kept as a tuple of tuples of floats.
     :func:`parse_division` reads dense rows of atom masses.
 
-    Invariants (validated on construction): values are nonnegative, and
-    each atom's values add back to its mass within ``MASS_TOL`` (as exact
-    ``math.fsum`` totals).
+    Invariants (validated on construction): values are finite and
+    nonnegative, and the gaps between each atom's mass and the ``math.fsum``
+    of its values total at most ``MASS_TOL`` (an exact ``math.fsum`` too), so
+    every division that passes is valued and certified with no mass check.
 
     Quantities derived from the values are computed on first use and kept on
     the division, so every reader shares one copy: ``row_masses`` (the
@@ -109,11 +110,7 @@ class WeightedDivision:
                 if not 0.0 <= v <= 2.0:
                     raise ValidationError("division rows must be finite, nonnegative and at most 1")
                 parts[atom].append(v)
-        gaps = [abs(math.fsum(p) - m) for p, m in zip(parts, self.mu.masses)]
-        worst = max(gaps)
-        if worst > MASS_TOL:
-            raise ValidationError(f"rows do not sum back to the measure at atom "
-                                  f"{gaps.index(worst)} (off by {worst})")
+        _check_sum_back([abs(math.fsum(p) - m) for p, m in zip(parts, self.mu.masses)])
         object.__setattr__(self, "values", tuple(values))
 
     @cached_property
@@ -151,6 +148,16 @@ class WeightedDivision:
         return tuple(order), tuple(blocks), tuple(self.mu.mass_of(b) for b in blocks)
 
 
+def _check_sum_back(gaps: list[float]) -> None:
+    """A ValidationError naming the worst atom unless the per-atom gaps
+    total at most ``MASS_TOL``, an exact ``math.fsum`` as in ``is_mu_cover``."""
+    total = math.fsum(gaps)
+    if total > MASS_TOL:
+        worst = max(gaps)
+        raise ValidationError(f"rows do not sum back to the measure at atom {gaps.index(worst)} "
+                              f"(off by {worst}, {total} over all atoms)")
+
+
 def _dense_rows(d: WeightedDivision) -> list[list[float]]:
     """One list of ``n`` atom masses per cover set, zero outside the set."""
     rows = []
@@ -166,14 +173,15 @@ def weighted_entropy(e: EntropyFunctional, d: WeightedDivision) -> float:
     """Apply the functional to the submeasure totals (zero rows drop out)."""
     check_type(e, EntropyFunctional, "functional")
     check_type(d, WeightedDivision, "division")
-    return evaluate(e, d.row_masses)
+    # the row masses of a checked division need no mass check of their own
+    return _g_sum_value(e, d.row_masses)
 
 
 def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
     """Vertex division: each atom's full mass goes to its assigned set's row.
 
     A valid ``Assignment`` implies every division invariant but one, which
-    alone is checked: no unassigned atom carries more than ``MASS_TOL``.
+    alone is checked: the unassigned atoms carry at most ``MASS_TOL`` in all.
     """
     check_type(a, Assignment, "assignment")
     check_type(mu, Measure, "measure")
@@ -183,10 +191,7 @@ def division_from_assignment(a: Assignment, mu: Measure) -> WeightedDivision:
     for atom, idx in a.choice:
         placed[idx][atom] = unplaced[atom]
         unplaced[atom] = 0.0
-    worst = max(unplaced)
-    if worst > MASS_TOL:
-        raise ValidationError(f"rows do not sum back to the measure at atom "
-                              f"{unplaced.index(worst)} (off by {worst})")
+    _check_sum_back(unplaced)
     values = tuple(tuple([got.get(atom, 0.0) for atom in s.members])
                    for got, s in zip(placed, a.cover.sets))
     # checked by Assignment (each atom once, inside its set) and above
@@ -219,17 +224,14 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     Sort the rows of positive mass by submeasure mass (descending, cover index
     breaks ties), peel each set by everything taken before it, and drop mu-null
     blocks.  The result is a mu-partition finer than the cover whose entropy
-    never exceeds the division's weighted entropy.
+    never exceeds the division's weighted entropy.  The blocks need no
+    coverage check: an atom in no row of positive mass has all-zero values,
+    so its whole mass is part of the sum-back gap, which totals at most
+    ``MASS_TOL``.
     """
     check_type(d, WeightedDivision, "division")
     _, blocks, block_masses = d._chain
-    partition = SetFamily(d.mu.space, tuple(b for b, m in zip(blocks, block_masses) if m > 0.0))
-    # the blocks are disjoint, so this checks that they miss only mu-null mass
-    if not is_mu_partition(partition, d.mu):
-        raise ValidationError(
-            "rows of positive mass do not cover the measure's support"
-        )
-    return partition
+    return SetFamily(d.mu.space, tuple(b for b, m in zip(blocks, block_masses) if m > 0.0))
 
 
 def disjointify_certificate(d: WeightedDivision) -> HlpInput:

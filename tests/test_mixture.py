@@ -53,7 +53,7 @@ def delta_pair():
 
 class TestMixtureSpec:
     def test_coefficients_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="sum"):
+        with pytest.raises(ValidationError, match="must have total 1"):
             MixtureSpec(((0.5, measure(1.0)), (0.4, measure(1.0))))
 
     def test_components_must_be_probability(self):
@@ -220,7 +220,7 @@ class TestBoundInputValidation:
     @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
     def test_nan_coefficient_rejected(self, bounds):
         # NaN passes both range checks, so it must be caught before them
-        with pytest.raises(ValidationError, match="finite numbers"):
+        with pytest.raises(ValidationError, match="non-finite"):
             bounds([1.0, 1.0], [NAN, 1.0])
 
     @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)

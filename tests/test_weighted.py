@@ -20,6 +20,7 @@ from coverentropy import (
     disjointify_certificate,
     division_dict,
     division_from_assignment,
+    evaluate,
     hlp_compare,
     parse_division,
     partition_entropy,
@@ -175,6 +176,31 @@ class TestWeightedEntropy:
             assert weighted_entropy(e, d) == pytest.approx(0.0, abs=1e-15)
 
 
+class TestSumBackTotal:
+    """MASS_TOL bounds the total of the per-atom sum-back gaps, so every
+    division the constructor accepts is also valued and certified."""
+
+    @staticmethod
+    def rows_missing(gap):
+        # uniform mu on 1,000 atoms over the full set twice: each atom's two
+        # values of 1/2000 + gap / 2 miss its mass by about ``gap``
+        n = 1000
+        mu = Measure(DiscreteSpace(n), [1 / n] * n, probability=True)
+        return mu, family(n, range(n), range(n)), [[1 / (2 * n) + gap / 2] * n] * 2
+
+    def test_mass_tol_bounds_the_total_gap(self):
+        # 9e-13 at each atom, 9e-10 in all: each gap passes, the total does not
+        with pytest.raises(ValidationError, match="do not sum back"):
+            WeightedDivision(*self.rows_missing(9e-13))
+        # 9e-16 at each atom, 9e-13 in all
+        d = WeightedDivision(*self.rows_missing(9e-16))
+        for e in builtin_functionals():
+            assert weighted_entropy(e, d) == pytest.approx(evaluate(e, [0.5, 0.5]))
+        assert disjointify(d).as_lists() == [list(range(1000))]
+        cert = disjointify_certificate(d)
+        assert hlp_compare(cert, lambda t: t * t, "convex").confirmed
+
+
 class TestDivisionFromAssignment:
     """The vertex division checks only what a valid Assignment leaves open."""
 
@@ -183,6 +209,15 @@ class TestDivisionFromAssignment:
         a = Assignment.from_mapping(q, {0: 0, 2: 1})
         with pytest.raises(ValidationError, match="rows do not sum back .* atom 1 "):
             division_from_assignment(a, measure(0.5, 0.25, 0.25))
+
+    def test_unplaced_mass_is_bounded_in_all(self):
+        # 20 unplaced atoms of mass 1e-13: each under MASS_TOL, together over
+        mu = Measure(DiscreteSpace(21), [1 - 2e-12] + [1e-13] * 20)
+        q = family(21, [0], range(1, 21))
+        with pytest.raises(ValidationError, match=r"atom 1 \(off by 1e-13, 2e-12 over all atoms\)"):
+            division_from_assignment(Assignment.from_mapping(q, {0: 0}), mu)
+        a = Assignment.from_mapping(q, {0: 0, **{atom: 1 for atom in range(11, 21)}})
+        assert division_from_assignment(a, mu).values[1][10:] == mu.masses[11:]
 
     def test_measure_on_another_space_is_rejected(self):
         q = family(2, [0, 1])
@@ -277,12 +312,13 @@ class TestDisjointify:
 
     def test_zero_rows_missing_mass_past_tol_rejected(self):
         # 20 atoms of mass 1e-13 sit only in set 1, whose row is all zero:
-        # each passes the sum-back check, together they exceed MASS_TOL
+        # each atom misses less than MASS_TOL, together they miss more, and
+        # the sum-back check compares their total
         mu = Measure(DiscreteSpace(21), [1 - 2e-12] + [1e-13] * 20)
         q = family(21, [0], range(1, 21))
         rows = [mu.masses[:1], [0.0] * 20]
-        with pytest.raises(ValidationError, match="do not cover"):
-            disjointify(WeightedDivision(mu, q, rows))
+        with pytest.raises(ValidationError, match="do not sum back .* atom 1 "):
+            WeightedDivision(mu, q, rows)
         rows[1] = mu.masses[1:]
         assert disjointify(WeightedDivision(mu, q, rows)).as_lists() == [[0], list(range(1, 21))]
 
