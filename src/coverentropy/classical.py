@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterator, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Iterator
 
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
@@ -26,6 +27,7 @@ from .measure import (
     DiscreteSpace,
     Measure,
     SetFamily,
+    _check_family_and_measure,
     _require_shared_space,
     _unchecked,
     check_integer,
@@ -86,6 +88,8 @@ class Assignment:
 
     @classmethod
     def from_mapping(cls, cover: SetFamily, mapping: Mapping[int, int]) -> "Assignment":
+        check_type(cover, SetFamily, "cover")
+        check_type(mapping, Mapping, "mapping")
         return cls(cover.space, cover, tuple(mapping.items()))
 
     def as_dict(self) -> dict[int, int]:
@@ -167,6 +171,7 @@ def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int
 
 def search_space_size(mu: Measure, q: SetFamily) -> int:
     """Number of atom-to-set assignments for this instance (Python int)."""
+    _check_family_and_measure(q, mu)
     _, cands = _searched_atoms(mu, q)
     return math.prod(map(len, cands))
 
@@ -290,8 +295,8 @@ def cover_entropy(
     minimum over an empty set).  The witness is an optimal mu-partition finer
     than ``q`` and attains the reported value exactly: the value is
     :func:`partition_entropy` of the witness, the same g-sum helper on the
-    same block masses without the partition and mass checks, which the
-    search has already made (:func:`minimizing_assignment` checks coverage
+    same block masses without the partition check, which the search has
+    already made (:func:`minimizing_assignment` checks coverage
     and places each atom once, inside its set).
     """
     check_integer(budget, 1, "budget")

@@ -18,6 +18,7 @@ Hardy-Littlewood-Polya comparison :func:`hlp_compare` lives here too.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Callable, Literal, Sequence
 
@@ -31,6 +32,7 @@ from .measure import (
     check_type,
     frozen,
     is_finite_number,
+    is_real,
     real_list,
 )
 
@@ -114,8 +116,9 @@ def _f_value(e: EntropyFunctional, s: float) -> float:
 
 def _g_sum_value(e: EntropyFunctional, masses: Sequence[float]) -> float:
     """``f`` of :func:`_g_sum`: the one definition of the value, its masses
-    unchecked.  :func:`evaluate` is its checks plus this; the search's
-    witness, whose block masses need no check, calls it directly."""
+    unchecked.  :func:`evaluate` is the mass-vector rule plus this; masses
+    derived from an already valid object (a witness, a checked partition, a
+    division) are valued by this directly."""
     return _f_value(e, _g_sum(e, masses))
 
 
@@ -136,16 +139,20 @@ def _g_shannon(t: float) -> float:
     return t * math.log2(t) if t > 0.0 else 0.0
 
 
+_SHANNON = EntropyFunctional(
+    name="shannon",
+    alpha=None,
+    f=lambda x: -x,
+    g=_g_shannon,
+    # f is decreasing; t*log2(t) is convex and, with g(0)=0, superadditive.
+    case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX,
+)
+
+
 def shannon() -> EntropyFunctional:
-    """Base-2 Shannon entropy: ``f(x) = -x``, ``g(t) = t*log2(t)``."""
-    return EntropyFunctional(
-        name="shannon",
-        alpha=None,
-        f=lambda x: -x,
-        g=_g_shannon,
-        # f is decreasing; t*log2(t) is convex and, with g(0)=0, superadditive.
-        case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX,
-    )
+    """Base-2 Shannon entropy: ``f(x) = -x``, ``g(t) = t*log2(t)``; one
+    value, so every call returns an equal functional."""
+    return _SHANNON
 
 
 def _check_alpha(alpha) -> float:
@@ -158,8 +165,14 @@ def _check_alpha(alpha) -> float:
 
 def _power_functional(family: str, alpha, f) -> EntropyFunctional:
     """The ``family:alpha`` functional with ``g(t) = t**alpha`` and outer map
-    ``f(s, alpha)``; the one place the power families check ``alpha``."""
-    alpha = _check_alpha(alpha)
+    ``f(s, alpha)``; the one place the power families check ``alpha``.  Each
+    ``(family, alpha)`` is built once and kept while the process runs, so
+    equal orders give one value, equal and with one hash."""
+    return _power_of(family, _check_alpha(alpha), f)
+
+
+@functools.cache
+def _power_of(family: str, alpha: float, f) -> EntropyFunctional:
     # t**alpha is concave and subadditive for alpha < 1, convex and
     # superadditive for alpha > 1; the outer map's direction flips with the
     # sign of 1/(1-alpha) so both regimes stay admissible.
@@ -180,6 +193,10 @@ def _renyi_f(s: float, alpha: float) -> float:
     return math.log2(s) / (1.0 - alpha)
 
 
+def _tsallis_f(s: float, alpha: float) -> float:
+    return (s - 1.0) / (1.0 - alpha)
+
+
 def renyi(alpha: float) -> EntropyFunctional:
     """Renyi entropy of order alpha: ``f(s) = log2(s)/(1-alpha)``, ``g(t) = t**alpha``.
 
@@ -189,7 +206,7 @@ def renyi(alpha: float) -> EntropyFunctional:
 
 def tsallis(alpha: float) -> EntropyFunctional:
     """Tsallis entropy of order alpha: ``f(s) = (s-1)/(1-alpha)``, ``g(t) = t**alpha``."""
-    return _power_functional("tsallis", alpha, lambda s, a: (s - 1.0) / (1.0 - a))
+    return _power_functional("tsallis", alpha, _tsallis_f)
 
 
 def builtin_functionals() -> tuple[EntropyFunctional, ...]:
@@ -244,6 +261,15 @@ class StructureReport:
         return self.f_monotone and self.g_additive and self.g_curvature
 
 
+def _real(fn, x, what: str):
+    """``fn(x)`` if it is a real (:func:`~coverentropy.measure.is_real`), NaN
+    and infinity included, else a ValidationError naming ``what``."""
+    value = fn(x)
+    if not is_real(value):
+        raise ValidationError(f"{what} gives {value!r} at {x!r}, not a real number")
+    return value
+
+
 def _grid(lo: float, hi: float, size: int) -> list[float]:
     """numpy's ``linspace(lo, hi, size)`` in plain Python: ``lo + i * step``,
     the last point exactly ``hi``."""
@@ -265,12 +291,13 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = CHE
     ``f`` is probed for monotonicity on the span of g-sums reachable with at
     most ``grid_size`` blocks (between ``g(1)`` and ``grid_size*g(1/grid_size)``);
     ``f`` is never evaluated outside that span.  A non-finite value of ``g``
-    or ``f`` makes its checks' violations infinite.
+    or ``f`` makes its checks' violations infinite; one that is not a real
+    number (:func:`_real`) is a ValidationError.
     """
     check_integer(grid_size, 3, "grid_size")
     check_tolerance(tol)
     ts = _grid(0.0, 1.0, grid_size)
-    gv = [float(e.g(t)) for t in ts]
+    gv = [float(_real(e.g, t, "g")) for t in ts]
     # a positive violation breaks the concave case when sign is 1, the convex one when -1
     sign = 1.0 if e.case is CompositionCase.INCREASING_SUBADDITIVE_CONCAVE else -1.0
 
@@ -284,19 +311,19 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = CHE
             u = ts[i] + ts[j]
             if u > 1.0 + 1e-15:
                 break
-            sums.append(float(e.g(min(u, 1.0))))
+            sums.append(float(_real(e.g, min(u, 1.0), "g")))
             # g(s + t) - (g(s) + g(t)): subadditive wants it <= 0, superadditive >= 0
             gaps.append(sign * (sums[-1] - (gv[i] + gv[j])))
     worst_add = _worst(gaps, gv + sums)
 
     # Monotonicity of f over the reachable span of g-sums.
     m = grid_size
-    end_a = e.g(1.0)
-    end_b = m * e.g(1.0 / m)
+    end_a = gv[-1]  # g(1.0): the grid ends exactly at 1
+    end_b = m * float(_real(e.g, 1.0 / m, "g"))
     lo, hi = min(end_a, end_b), max(end_a, end_b)
     if hi - lo < 1e-15:
         lo, hi = lo - 0.5, hi + 0.5  # degenerate custom g; probe a unit span
-    fv = [float(e.f(x)) for x in _grid(lo, hi, grid_size)]
+    fv = [float(_real(e.f, x, "f")) for x in _grid(lo, hi, grid_size)]
     # f must increase (concave case) or decrease (convex case)
     worst_f = _worst([sign * (a - b) for a, b in zip(fv, fv[1:])], fv)
 
@@ -379,14 +406,16 @@ def hlp_compare(
     For a continuous ``phi`` with ``phi(0) = 0``, prefix dominance of the
     nonincreasing ``x`` by ``y`` (equal totals) forces ``sum phi(x) >= sum
     phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
-    reports that direction within ``tol``.  Each sum adds left to right, and
-    one beyond float range is a ValidationError."""
+    reports that direction within ``tol``.  Each sum adds left to right; a
+    ``phi`` value that is not a real number (:func:`_real`), or a sum
+    beyond float range, is a ValidationError."""
     check_type(inp, HlpInput, "comparison input")
     if shape not in ("concave", "convex"):
         raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
     check_tolerance(tol)
     try:
-        sum_x, sum_y = _sum_in_order(map(phi, inp.x_seq)), _sum_in_order(map(phi, inp.y_seq))
+        sum_x, sum_y = (_sum_in_order([_real(phi, v, "phi") for v in seq])
+                        for seq in (inp.x_seq, inp.y_seq))
     except OverflowError:
         raise ValidationError("phi of an entry exceeds float range") from None
     if not (math.isfinite(sum_x) and math.isfinite(sum_y)):

@@ -149,8 +149,8 @@ def real_list(values, what: str) -> tuple[float, ...]:
 def _mass_vector(values, what: str, probability: bool = False) -> tuple[float, ...]:
     """``values`` by :func:`real_list` if each is finite and at least 0 and
     their exact ``math.fsum`` total is at most ``1 + MASS_TOL`` (within
-    ``MASS_TOL`` of 1 if ``probability``), else a ValidationError: the one
-    rule for a measure, :func:`evaluate`'s masses and mixture coefficients."""
+    ``MASS_TOL`` of 1 if ``probability``), else a ValidationError: the one rule
+    for a measure, ``evaluate``'s masses and mixture coefficients."""
     masses = real_list(values, what)
     try:
         total = math.fsum(masses)
@@ -172,8 +172,8 @@ def _mass_vector(values, what: str, probability: bool = False) -> tuple[float, .
 @frozen(eq=False)
 class Measure:
     """A mass vector (:func:`_mass_vector`) over a space, kept as the tuple
-    of floats ``masses``; ``probability=True`` pins its total to 1 within
-    ``MASS_TOL``.  Restrictions and per-cover-set submeasures need not."""
+    of floats ``masses``; ``probability=True`` also pins its total to 1
+    within ``MASS_TOL``, which restrictions and submeasures need not meet."""
 
     space: DiscreteSpace
     masses: tuple[float, ...]
@@ -462,6 +462,9 @@ def load_json(source: str | Path | bytes, what: str):
     too many digits to read and nesting too deep to parse all raise
     :class:`ValidationError` naming ``what``.
     """
+    if not isinstance(source, (str, Path, bytes)):
+        raise ValidationError(
+            f"{what} must be of type str, Path or bytes, got {type(source).__name__}")
     try:
         text = source if isinstance(source, bytes) else Path(source).read_bytes()
         return json.loads(text)
@@ -477,6 +480,7 @@ def load_instance(source: str | Path | bytes) -> tuple[Measure, SetFamily]:
 
 def instance_dict(mu: Measure, cover: SetFamily) -> dict:
     """Inverse of :func:`parse_instance`, handy for tests and reports."""
+    _check_family_and_measure(cover, mu)
     return {
         "n": mu.space.n,
         "mu": list(mu.masses),

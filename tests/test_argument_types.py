@@ -1,5 +1,5 @@
 """A package-object argument of the wrong type raises ValidationError, not a
-bare AttributeError from reading a field it does not have."""
+bare AttributeError from reading a field it does not have, or a TypeError."""
 
 import pytest
 
@@ -30,10 +30,12 @@ from coverentropy import (
     partition_to_division,
     random_division,
     restrict,
+    search_space_size,
     shannon,
     verify_mixture_bounds,
     weighted_entropy,
 )
+from coverentropy.measure import instance_dict, load_instance
 
 SPACE = DiscreteSpace(2)
 MU = Measure(SPACE, [0.5, 0.5], probability=True)
@@ -87,6 +89,11 @@ CALLS = {
     "Measure space": lambda: Measure(5, [1.0]),
     "AtomSet space": lambda: AtomSet(5, (0,)),
     "SetFamily space": lambda: SetFamily(5, ()),
+    "Assignment.from_mapping mapping": lambda: Assignment.from_mapping(Q, [1, 2]),
+    "Assignment.from_mapping cover": lambda: Assignment.from_mapping(5, {}),
+    "instance_dict measure": lambda: instance_dict(5, Q),
+    "search_space_size measure": lambda: search_space_size(5, Q),
+    "load_instance source": lambda: load_instance(5),
 }
 
 

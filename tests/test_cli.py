@@ -760,6 +760,43 @@ class TestLazyImports:
             coverentropy.no_such_name
 
 
+# cli.main in an isolated interpreter: -I drops PYTHONPATH and the user
+# site, -S the site-packages where numpy lives, and numpy is marked
+# unimportable too, as in an install without the numpy extra; the first
+# argument is the source directory to put on sys.path
+NO_NUMPY_CHILD = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv.pop(1))\n"
+    "sys.modules['numpy'] = None\n"
+    "from coverentropy.cli import main\n"
+    "raise SystemExit(main(sys.argv[1:]))\n"
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "inputs"
+
+WITHOUT_NUMPY = {
+    "partition": ["partition", "s1-0-instance.json", "--functional", "renyi:2",
+                  "--blocks", "[[0, 1, 2, 3], [4, 5, 6, 7]]"],
+    "cover": ["cover", "s1-0-instance.json", "--functional", "shannon"],
+    "mixture": ["mixture", "s1-1-mixture.json"],
+    "hlp": ["hlp", "s1-0-hlp.json"],
+    "disjointify": ["disjointify", "s1-0-instance.json", "s1-0-division.json",
+                    "--functional", "tsallis:0.5"],
+    "selftest": ["selftest", "--scale", "quick"],
+}
+
+
+@pytest.mark.parametrize("argv", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY.keys())
+def test_every_subcommand_runs_without_numpy(argv):
+    src = str(Path(coverentropy.__file__).resolve().parent.parent)
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", NO_NUMPY_CHILD, src, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert dumps_canonical(json.loads(line)) == line and json.loads(line)["status"] == "ok"
+
+
 def test_weighted_name_leaves_mixture_unloaded():
     # a fresh interpreter; lazy names are looked up in weighted first
     code = (

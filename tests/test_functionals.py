@@ -364,6 +364,39 @@ class TestParseFunctional:
         with pytest.raises(ValidationError, match="string"):
             parse_functional(spec)
 
+    def test_equal_orders_give_equal_functionals(self):
+        assert shannon() == shannon() and hash(shannon()) == hash(parse_functional("shannon"))
+        assert renyi(2) == renyi(2.0) and hash(renyi(2)) == hash(renyi(2.0))
+        assert tsallis(0.5) == parse_functional("tsallis:0.5")
+        assert hash(tsallis(0.5)) == hash(parse_functional(" Tsallis:0.50 "))
+        for e in builtin_functionals():
+            assert e == parse_functional(e.name) and hash(e) == hash(parse_functional(e.name))
+        assert renyi(2) != tsallis(2) and renyi(2) != renyi(3) and shannon() != tsallis(2)
+
+
+def _custom(f=lambda x: -x, g=shannon().g):
+    return EntropyFunctional(name="custom", alpha=None, f=f, g=g,
+                             case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX)
+
+
+_HLP = HlpInput((0.5, 0.5), (0.7, 0.3))
+
+# a caller's f, g or phi that returns something other than a real number
+NOT_REAL = {
+    "check_structure f str": (lambda: check_structure(_custom(f=str)), "f"),
+    "check_structure g None": (lambda: check_structure(_custom(g=lambda t: None)), "g"),
+    "check_structure g str": (lambda: check_structure(_custom(g=lambda t: str(t * t))), "g"),
+    "check_structure g bool": (lambda: check_structure(_custom(g=lambda t: t > 0.5)), "g"),
+    "hlp_compare phi None": (lambda: hlp_compare(_HLP, lambda t: None, "convex"), "phi"),
+    "hlp_compare phi str": (lambda: hlp_compare(_HLP, lambda t: "0.1", "convex"), "phi"),
+}
+
+
+@pytest.mark.parametrize("call, what", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_caller_function_values_must_be_real(call, what):
+    with pytest.raises(ValidationError, match=f"^{what} gives .* not a real number"):
+        call()
+
 
 def test_reported_sums_add_left_to_right():
     # builtin sum compensates from Python 3.12 on; a report added left to

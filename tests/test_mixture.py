@@ -219,7 +219,7 @@ BOUND_FUNCTIONS = {
 class TestBoundInputValidation:
     @pytest.mark.parametrize("bounds", BOUND_FUNCTIONS.values(), ids=BOUND_FUNCTIONS)
     def test_nan_coefficient_rejected(self, bounds):
-        # NaN passes both range checks, so it must be caught before them
+        # NaN is neither negative nor beyond the total, so the rule names it non-finite
         with pytest.raises(ValidationError, match="non-finite"):
             bounds([1.0, 1.0], [NAN, 1.0])
 
