@@ -23,6 +23,7 @@ from . import _kernels
 from .errors import BudgetExceededError, ValidationError
 from .functionals import EntropyFunctional, _g_sum_value
 from .measure import (
+    DEFAULT_BUDGET,
     AtomSet,
     DiscreteSpace,
     Measure,
@@ -40,9 +41,6 @@ from .measure import (
 
 if TYPE_CHECKING:
     from .weighted import WeightedDivision
-
-#: Default cap on the DP transitions (witness walk included) of one search.
-DEFAULT_BUDGET = 10 ** 6
 
 #: Hard cap for the exhaustive partition generator.
 ENUMERATION_CAP = 10 ** 7

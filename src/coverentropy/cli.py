@@ -6,27 +6,36 @@ sign, infinities as the string ``"infinity"``), so identical inputs and flags
 reproduce the report byte for byte.  Exit code 0 means status ``ok``; other
 statuses map to distinct nonzero codes.
 
-Each subcommand imports the modules it runs beyond the classical search
-(:mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
-:mod:`~coverentropy.selftest`) when it starts, so a child process loads and
-compiles only those.  No subcommand loads numpy: the division sampler and
-the self test draw with the standard library's ``random``.
+This module loads only argument parsing, the input readers and the
+functionals; each subcommand imports the modules it runs
+(:mod:`~coverentropy.classical` once its input has loaded,
+:mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
+:mod:`~coverentropy.probes`, :mod:`~coverentropy.selftest`), so a child
+process compiles only those.  No subcommand loads numpy: the division
+sampler and the self test draw with the standard library's ``random``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
-from .classical import DEFAULT_BUDGET, cover_entropy, partition_entropy
+try:  # the interpreter's own sha256 (_sha2 from Python 3.12 on): hashlib loads OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from .errors import BudgetExceededError, ValidationError
-from .functionals import HlpInput, hlp_compare, parse_functional
+from .functionals import HlpInput, parse_functional
 from .measure import (
     CHECK_TOL,
+    DEFAULT_BUDGET,
     SetFamily,
     check_integer,
     check_tolerance,
@@ -105,7 +114,7 @@ def _read_inputs(args, *paths: str) -> list[bytes]:
             data.append(Path(p).read_bytes())
         except OSError as exc:
             raise ValidationError(f"cannot read {p}: {exc.strerror}") from exc
-    args.digest = hashlib.sha256(b"".join(data)).hexdigest()
+    args.digest = sha256(b"".join(data)).hexdigest()
     return data
 
 
@@ -136,6 +145,7 @@ def cmd_partition(args) -> int:
     mu, cover = load_instance(instance)
     e = parse_functional(args.functional)
     blocks = SetFamily.of(mu.space, _load_blocks(args.blocks))
+    from .classical import partition_entropy
     value = partition_entropy(e, mu, blocks)
     return _emit(args, "ok", {
         "functional": e.name,
@@ -149,6 +159,7 @@ def cmd_cover(args) -> int:
     mu, cover = load_instance(instance)
     e = parse_functional(args.functional)
     results: dict = {"functional": e.name, "mode": args.mode}
+    from .classical import cover_entropy
     # one search for every mode: the weighted optimum is the vertex division
     # of the classical optimum's assignment
     result = cover_entropy(e, mu, cover, budget=args.budget)
@@ -209,6 +220,7 @@ def cmd_hlp(args) -> int:
     e = parse_functional(str(data["functional"]))
     inp = HlpInput(x_seq=data["x"], y_seq=data["y"])
     shape = "concave" if e.minimizes_g_sum else "convex"
+    from .probes import hlp_compare
     report = hlp_compare(inp, e.g, shape, tol=args.tol)
     return _emit(args, "ok", {
         "functional": e.name,
@@ -220,9 +232,10 @@ def cmd_hlp(args) -> int:
 
 
 def cmd_disjointify(args) -> int:
-    from .weighted import disjointify, parse_division, weighted_entropy
     instance, division = _read_inputs(args, args.instance, args.division)
     mu, cover = load_instance(instance)
+    from .classical import partition_entropy
+    from .weighted import disjointify, parse_division, weighted_entropy
     d = parse_division(load_json(division, "division file"), mu, cover)
     e = parse_functional(args.functional)
     partition = disjointify(d)
@@ -237,7 +250,7 @@ def cmd_disjointify(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
     config = {"scale": args.scale, "seed": args.seed, "budget": args.budget}
-    args.digest = hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
+    args.digest = sha256(dumps_canonical(config).encode()).hexdigest()
     outcomes, ok = run_selftest(scale=args.scale, seed=args.seed, budget=args.budget)
     results = {
         "scale": args.scale,

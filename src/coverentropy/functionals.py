@@ -9,10 +9,12 @@ Under either case, merging two positive masses never increases the value,
 which is what makes the cover-entropy search over merged assignments exact.
 Shannon, Renyi-alpha and Tsallis-alpha (base-2 logs, ``alpha`` in
 ``(0, inf) \\ {1}``) are provided as built-ins; arbitrary ``(f, g)`` pairs can
-be wrapped and checked numerically with :func:`check_structure`.
+be wrapped and checked numerically with
+:func:`~coverentropy.probes.check_structure`.
 
 Functionals are immutable value objects; :func:`evaluate` is pure.  The
-Hardy-Littlewood-Polya comparison :func:`hlp_compare` lives here too.
+input of the Hardy-Littlewood-Polya comparison, :class:`HlpInput`, lives
+here too; the comparison itself is :func:`~coverentropy.probes.hlp_compare`.
 """
 
 from __future__ import annotations
@@ -20,19 +22,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .measure import (
-    CHECK_TOL,
     MASS_TOL,
     _mass_vector,
-    check_integer,
-    check_tolerance,
     check_type,
     frozen,
     is_finite_number,
-    is_real,
     real_list,
 )
 
@@ -48,9 +46,10 @@ class EntropyFunctional:
     """An ``f(sum g(mass))`` functional with its declared composition case.
 
     The cover-entropy search calls ``g`` itself and relies on the declared
-    case; :func:`check_structure` probes it numerically.  Construction checks
-    the field types: a ``str`` name, callable ``f`` and ``g``, a
-    :class:`CompositionCase`, and ``alpha`` ``None`` or a finite number.
+    case; :func:`~coverentropy.probes.check_structure` probes it
+    numerically.  Construction checks the field types: a ``str`` name,
+    callable ``f`` and ``g``, a :class:`CompositionCase`, and ``alpha``
+    ``None`` or a finite number.
     """
 
     name: str
@@ -235,113 +234,7 @@ def parse_functional(spec: str) -> EntropyFunctional:
 
 
 # ---------------------------------------------------------------------------
-# Numerical structure check
-# ---------------------------------------------------------------------------
-
-@frozen
-class StructureReport:
-    """Grid-based verdicts for the three conditions of the declared case.
-
-    ``worst_*`` fields record the largest violation found (0 when clean);
-    a check passes when its violation stays within ``tol``.
-    """
-
-    case: CompositionCase
-    grid_size: int
-    tol: float
-    f_monotone: bool
-    g_additive: bool
-    g_curvature: bool
-    worst_f_violation: float
-    worst_additive_violation: float
-    worst_curvature_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.f_monotone and self.g_additive and self.g_curvature
-
-
-def _real(fn, x, what: str):
-    """``fn(x)`` if it is a real (:func:`~coverentropy.measure.is_real`), NaN
-    and infinity included, else a ValidationError naming ``what``."""
-    value = fn(x)
-    if not is_real(value):
-        raise ValidationError(f"{what} gives {value!r} at {x!r}, not a real number")
-    return value
-
-
-def _grid(lo: float, hi: float, size: int) -> list[float]:
-    """numpy's ``linspace(lo, hi, size)`` in plain Python: ``lo + i * step``,
-    the last point exactly ``hi``."""
-    step = (hi - lo) / (size - 1)
-    return [lo + i * step for i in range(size - 1)] + [hi]
-
-
-def _worst(violations: list[float], probes: list[float]) -> float:
-    """The largest violation (0 when none is positive), or infinity when a
-    probed value is not finite."""
-    return max([0.0, *violations]) if all(map(math.isfinite, probes)) else math.inf
-
-
-def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = CHECK_TOL) -> StructureReport:
-    """Check the declared composition case of ``e`` on an evenly spaced grid.
-
-    ``g`` is probed on ``[0, 1]``: sub/superadditivity on all grid pairs with
-    ``s + t <= 1`` and concavity/convexity via midpoint second differences.
-    ``f`` is probed for monotonicity on the span of g-sums reachable with at
-    most ``grid_size`` blocks (between ``g(1)`` and ``grid_size*g(1/grid_size)``);
-    ``f`` is never evaluated outside that span.  A non-finite value of ``g``
-    or ``f`` makes its checks' violations infinite; one that is not a real
-    number (:func:`_real`) is a ValidationError.
-    """
-    check_integer(grid_size, 3, "grid_size")
-    check_tolerance(tol)
-    ts = _grid(0.0, 1.0, grid_size)
-    gv = [float(_real(e.g, t, "g")) for t in ts]
-    # a positive violation breaks the concave case when sign is 1, the convex one when -1
-    sign = 1.0 if e.case is CompositionCase.INCREASING_SUBADDITIVE_CONCAVE else -1.0
-
-    # Midpoint second differences on the grid interior.
-    worst_curv = _worst([sign * (a + c - 2.0 * b) for a, b, c in zip(gv, gv[1:], gv[2:])], gv)
-
-    # Additivity on grid pairs (s, t) with s + t <= 1.
-    sums, gaps = [], []
-    for i in range(grid_size):
-        for j in range(i, grid_size):
-            u = ts[i] + ts[j]
-            if u > 1.0 + 1e-15:
-                break
-            sums.append(float(_real(e.g, min(u, 1.0), "g")))
-            # g(s + t) - (g(s) + g(t)): subadditive wants it <= 0, superadditive >= 0
-            gaps.append(sign * (sums[-1] - (gv[i] + gv[j])))
-    worst_add = _worst(gaps, gv + sums)
-
-    # Monotonicity of f over the reachable span of g-sums.
-    m = grid_size
-    end_a = gv[-1]  # g(1.0): the grid ends exactly at 1
-    end_b = m * float(_real(e.g, 1.0 / m, "g"))
-    lo, hi = min(end_a, end_b), max(end_a, end_b)
-    if hi - lo < 1e-15:
-        lo, hi = lo - 0.5, hi + 0.5  # degenerate custom g; probe a unit span
-    fv = [float(_real(e.f, x, "f")) for x in _grid(lo, hi, grid_size)]
-    # f must increase (concave case) or decrease (convex case)
-    worst_f = _worst([sign * (a - b) for a, b in zip(fv, fv[1:])], fv)
-
-    return StructureReport(
-        case=e.case,
-        grid_size=grid_size,
-        tol=tol,
-        f_monotone=worst_f <= tol,
-        g_additive=worst_add <= tol,
-        g_curvature=worst_curv <= tol,
-        worst_f_violation=worst_f,
-        worst_additive_violation=worst_add,
-        worst_curvature_violation=worst_curv,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hardy-Littlewood-Polya comparison
+# Hardy-Littlewood-Polya input
 # ---------------------------------------------------------------------------
 
 @frozen
@@ -379,49 +272,12 @@ class HlpInput:
         for i in range(len(x)):
             px += x[i]
             py += y[i]
+            # running sums drift by rounding, past MASS_TOL at large totals: a
+            # prefix they flag is decided on its exact totals, which the
+            # running sums then restart from
             if px > py + MASS_TOL:
-                raise ValidationError(
-                    f"prefix dominance fails at position {i}: {px} > {py}"
-                )
-
-
-@frozen
-class ComparisonReport:
-    """Both transformed sums plus whether the predicted direction held."""
-
-    sum_x: float
-    sum_y: float
-    shape: str
-    confirmed: bool
-
-
-def hlp_compare(
-    inp: HlpInput,
-    phi: Callable[[float], float],
-    shape: Literal["concave", "convex"],
-    tol: float = CHECK_TOL,
-) -> ComparisonReport:
-    """Compare ``sum phi(x)`` against ``sum phi(y)``.
-
-    For a continuous ``phi`` with ``phi(0) = 0``, prefix dominance of the
-    nonincreasing ``x`` by ``y`` (equal totals) forces ``sum phi(x) >= sum
-    phi(y)`` when ``phi`` is concave and ``<=`` when convex; ``confirmed``
-    reports that direction within ``tol``.  Each sum adds left to right; a
-    ``phi`` value that is not a real number (:func:`_real`), or a sum
-    beyond float range, is a ValidationError."""
-    check_type(inp, HlpInput, "comparison input")
-    if shape not in ("concave", "convex"):
-        raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
-    check_tolerance(tol)
-    try:
-        sum_x, sum_y = (_sum_in_order([_real(phi, v, "phi") for v in seq])
-                        for seq in (inp.x_seq, inp.y_seq))
-    except OverflowError:
-        raise ValidationError("phi of an entry exceeds float range") from None
-    if not (math.isfinite(sum_x) and math.isfinite(sum_y)):
-        raise ValidationError(f"the phi sums are not finite: {sum_x} and {sum_y}")
-    if shape == "concave":
-        confirmed = sum_x >= sum_y - tol
-    else:
-        confirmed = sum_x <= sum_y + tol
-    return ComparisonReport(sum_x=sum_x, sum_y=sum_y, shape=shape, confirmed=confirmed)
+                px, py = math.fsum(x[:i + 1]), math.fsum(y[:i + 1])
+                if px > py + MASS_TOL:
+                    raise ValidationError(
+                        f"prefix dominance fails at position {i}: {px} > {py}"
+                    )

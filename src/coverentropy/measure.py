@@ -46,6 +46,9 @@ MASS_TOL = 1e-12
 #: The package-wide numeric tolerance of checks that compare entropies.
 CHECK_TOL = 1e-9
 
+#: Default cap on the DP transitions (witness walk included) of one search.
+DEFAULT_BUDGET = 10 ** 6
+
 
 def frozen(cls: type | None = None, *, eq: bool = True):
     """Make ``cls`` an immutable value type over its annotated fields, in

@@ -28,7 +28,7 @@ concurrently without changing any reported value.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .classical import DEFAULT_BUDGET, cover_entropy
 from .errors import ValidationError
@@ -49,7 +49,9 @@ from .measure import (
     parse_blocks,
     real_list,
 )
-from .weighted import WeightedDivision
+
+if TYPE_CHECKING:
+    from .weighted import WeightedDivision
 
 
 def _listed(values, what: str) -> list:
@@ -135,6 +137,8 @@ def mix_division(
     against the mixed measure (both divided by the same total when
     :func:`mix` divides).
     """
+    from .weighted import WeightedDivision  # the bounds themselves never load weighted
+
     check_type(spec, MixtureSpec, "spec")
     divisions = _listed(divisions, "divisions")
     if len(divisions) != len(spec.components):

@@ -31,8 +31,6 @@ from .functionals import (
     EntropyFunctional,
     HlpInput,
     builtin_functionals,
-    check_structure,
-    hlp_compare,
     renyi,
     shannon,
     tsallis,
@@ -41,6 +39,7 @@ from .measure import (
     CHECK_TOL, AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, frozen,
     instance_dict)
 from .mixture import MixtureSpec, verify_mixture_bounds
+from .probes import check_structure, hlp_compare
 from .weighted import (
     cover_entropy_weighted,
     disjointify,

@@ -652,7 +652,52 @@ STRUCTURE_CHILD = (
 )
 
 
+# CLI_CHILD, then the package modules the child loaded and whether it loaded
+# OpenSSL's _hashlib (the digest uses the built-in sha256)
+GRAPH_CHILD = CLI_CHILD + (
+    "print(*sorted(m for m in sys.modules if m.startswith('coverentropy.')),\n"
+    "      '_hashlib' in sys.modules)\n"
+)
+
+_BASE = {"cli", "errors", "functionals", "measure"}
+_CLASSICAL = _BASE | {"classical", "_kernels"}
+
+#: The package modules of each subcommand's child, inputs from tests/golden/inputs,
+#: and its exit code: the search loads once an input has, and each probe, weighted
+#: or mixture module only where the subcommand runs it.
+IMPORT_GRAPH = {
+    "partition": (["partition", "s1-0-instance.json", "--functional", "renyi:2",
+                   "--blocks", "[[0, 1, 2, 3], [4, 5, 6, 7]]"], 0, _CLASSICAL),
+    "cover-classical": (["cover", "s1-0-instance.json", "--functional", "shannon",
+                         "--mode", "classical"], 0, _CLASSICAL),
+    "cover": (["cover", "s1-0-instance.json", "--functional", "shannon", "--samples", "5"],
+              0, _CLASSICAL | {"weighted"}),
+    "mixture": (["mixture", "s1-1-mixture.json"], 0, _CLASSICAL | {"mixture"}),
+    "hlp": (["hlp", "s1-0-hlp.json"], 0, _BASE | {"probes"}),
+    "disjointify": (["disjointify", "s1-0-instance.json", "s1-0-division.json",
+                     "--functional", "tsallis:0.5"], 0, _CLASSICAL | {"weighted"}),
+    "selftest": (["selftest", "--scale", "quick"], 0,
+                 _CLASSICAL | {"weighted", "mixture", "probes", "selftest"}),
+    "missing-cover": (["cover", "missing-cover.json", "--functional", "shannon"], 1, _BASE),
+    "nan-mass": (["cover", "nan-instance.json", "--functional", "shannon"], 1, _BASE),
+}
+
+
 class TestLazyImports:
+    @pytest.mark.parametrize("case", IMPORT_GRAPH)
+    def test_each_subcommand_loads_exactly_its_modules(self, case):
+        argv, code, modules = IMPORT_GRAPH[case]
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        status, graph = run_fresh(GRAPH_CHILD, *argv).splitlines()
+        assert status.split() == [str(code), "False", "False", "False"]
+        assert graph.split() == [*sorted(f"coverentropy.{m}" for m in modules), "False"]
+
+    def test_bare_import_loads_no_submodule(self):
+        code = ("import sys, coverentropy\n"
+                "print(sum(m.startswith('coverentropy.') for m in sys.modules),\n"
+                "      coverentropy._kernels.BACKEND)\n")
+        assert run_fresh(code).split() == ["0", _kernels.BACKEND]
+
     def test_cli_import_leaves_weighted_mixture_and_selftest_unloaded(self):
         # numpy, dataclasses and inspect too; loaded modules are listed before
         # any name of __all__ is resolved, and a name that does not resolve
@@ -754,7 +799,7 @@ class TestLazyImports:
             assert getattr(coverentropy, name) is not None
         assert coverentropy.cover_entropy_weighted is weighted.cover_entropy_weighted
         assert coverentropy.MixtureSpec is mixture.MixtureSpec
-        assert coverentropy.hlp_compare is coverentropy.functionals.hlp_compare
+        assert coverentropy.hlp_compare is coverentropy.probes.hlp_compare
         assert set(coverentropy.__all__) <= set(dir(coverentropy))
         with pytest.raises(AttributeError):
             coverentropy.no_such_name
@@ -798,7 +843,7 @@ def test_every_subcommand_runs_without_numpy(argv):
 
 
 def test_weighted_name_leaves_mixture_unloaded():
-    # a fresh interpreter; lazy names are looked up in weighted first
+    # a fresh interpreter; a weighted name loads weighted, not mixture
     code = (
         "import sys, coverentropy\n"
         "coverentropy.WeightedDivision\n"

@@ -334,6 +334,25 @@ class TestStructureCheck:
         assert report.worst_f_violation == math.inf
         assert report.g_additive and report.g_curvature
 
+    @pytest.mark.parametrize("big", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+    def test_integer_beyond_float_range_is_an_infinite_violation(self, big):
+        # float(10**400) raises OverflowError; the probe counts it as an
+        # infinity of its sign, so the check reports it rather than raising
+        huge_g = EntropyFunctional(
+            name="huge-g", alpha=None, f=lambda x: x, g=lambda t: big if t > 0.5 else t,
+            case=CompositionCase.INCREASING_SUBADDITIVE_CONCAVE,
+        )
+        report = check_structure(huge_g, grid_size=11, tol=1e-9)
+        assert not report.passed
+        assert report.worst_additive_violation == report.worst_curvature_violation == math.inf
+        huge_f = EntropyFunctional(
+            name="huge-f", alpha=None, f=lambda x: big, g=shannon().g,
+            case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX,
+        )
+        report = check_structure(huge_f, grid_size=11, tol=1e-9)
+        assert report.worst_f_violation == math.inf and not report.f_monotone
+        assert report.g_additive and report.g_curvature
+
 
 class TestParseFunctional:
     def test_shannon(self):

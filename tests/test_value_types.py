@@ -16,9 +16,9 @@ from coverentropy import (
     shannon,
 )
 from coverentropy.classical import Assignment, CoverEntropyResult
-from coverentropy.functionals import ComparisonReport, StructureReport
 from coverentropy.measure import _unchecked
 from coverentropy.mixture import LimitBridgeRow, MixtureBoundReport, MixtureSpec
+from coverentropy.probes import ComparisonReport, StructureReport
 from coverentropy.selftest import PropertyOutcome
 from coverentropy.weighted import WeightedDivision
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,19 @@ class TestHlpCompare:
     def test_prefix_dominance_enforced(self):
         with pytest.raises(ValidationError, match="prefix"):
             HlpInput((0.7, 0.3), (0.5, 0.5))
+
+    def test_prefix_dominance_decided_on_exact_totals(self):
+        # every exact prefix gap y - x is at least 0, but left-to-right sums
+        # of the first three entries round 5.8e-11 apart, past MASS_TOL
+        x = [343342.47127859795, 45.47016300456639, 23.634577631987064,
+             0.49649365599282835, 0.18803930475131292]
+        y = [343342.47127859795, 68.29084892583037, 0.8138917107230803,
+             0.49649365599282835, 0.18803930475131292]
+        assert all(sum(map(Fraction, y[:i])) >= sum(map(Fraction, x[:i])) for i in range(6))
+        assert HlpInput(x, y).x_seq == tuple(x)
+        # a real failure at that scale is still one
+        with pytest.raises(ValidationError, match="position 1"):
+            HlpInput((343342.0, 2.0, 1.0), (343342.0, 1.5, 1.5))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="length"):
