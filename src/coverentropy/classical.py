@@ -19,7 +19,8 @@ import math
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator
 
-from . import _kernels
+# by name, not through the package root's __getattr__, so -X importtime logs it
+import coverentropy._kernels as _kernels
 from .errors import BudgetExceededError, ValidationError
 from .functionals import EntropyFunctional, _g_sum_value
 from .measure import (
@@ -62,6 +63,7 @@ class Assignment:
     choice: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        check_type(self.space, DiscreteSpace, "space")
         check_type(self.cover, SetFamily, "cover")
         _require_shared_space(self, self.cover)
         try:

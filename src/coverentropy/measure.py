@@ -175,8 +175,9 @@ def _mass_vector(values, what: str, probability: bool = False) -> tuple[float, .
 @frozen(eq=False)
 class Measure:
     """A mass vector (:func:`_mass_vector`) over a space, kept as the tuple
-    of floats ``masses``; ``probability=True`` also pins its total to 1
-    within ``MASS_TOL``, which restrictions and submeasures need not meet."""
+    of floats ``masses``; ``probability`` is a bool, and ``True`` also pins
+    its total to 1 within ``MASS_TOL``, which restrictions and submeasures
+    need not meet."""
 
     space: DiscreteSpace
     masses: tuple[float, ...]
@@ -184,6 +185,7 @@ class Measure:
 
     def __post_init__(self) -> None:
         check_type(self.space, DiscreteSpace, "space")
+        check_type(self.probability, bool, "probability")
         masses = _mass_vector(self.masses, "mass", self.probability)
         if len(masses) != self.space.n:
             raise ValidationError(

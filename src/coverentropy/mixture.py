@@ -233,8 +233,9 @@ class MixtureBoundReport:
     """Bounds, achieved mixture entropy, and the per-component entropies.
 
     ``None`` tags infinite values.  Construction raises ValidationError
-    unless ``lower - tol <= achieved <= upper + tol`` whenever everything is
-    finite, so holding a report is already the verification.
+    unless each value is ``None`` or a finite number and ``lower - tol <=
+    achieved <= upper + tol`` whenever all three are finite, so holding a
+    report is already the verification.
     """
 
     lower: float | None
@@ -245,8 +246,17 @@ class MixtureBoundReport:
     alpha: float | None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "component_entropies", tuple(self.component_entropies))
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        entropies = self.component_entropies
+        if not isinstance(entropies, (list, tuple)):
+            raise ValidationError(
+                f"component_entropies must be of type list or tuple, got {type(entropies).__name__}")
+        for what, value in (("lower", self.lower), ("upper", self.upper),
+                            ("achieved", self.achieved), ("alpha", self.alpha),
+                            *(("component entropy", h) for h in entropies)):
+            if value is not None and not is_finite_number(value):
+                raise ValidationError(f"{what} must be None or a finite number, got {value!r}")
+        object.__setattr__(self, "component_entropies", tuple(entropies))
+        object.__setattr__(self, "coefficients", real_list(self.coefficients, "coefficients"))
         finite = None not in (self.lower, self.upper, self.achieved)
         if finite and not (self.lower - CHECK_TOL <= self.achieved <= self.upper + CHECK_TOL):
             raise ValidationError(

@@ -21,6 +21,10 @@ from .measure import CHECK_TOL, check_integer, check_tolerance, check_type, froz
 # Numerical structure check
 # ---------------------------------------------------------------------------
 
+#: Largest grid of :func:`check_structure`: about a million pairs, a second.
+MAX_GRID_SIZE = 2001
+
+
 @frozen
 class StructureReport:
     """Grid-based verdicts for the three conditions of the declared case.
@@ -80,9 +84,13 @@ def check_structure(e: EntropyFunctional, grid_size: int = 201, tol: float = CHE
     most ``grid_size`` blocks (between ``g(1)`` and ``grid_size*g(1/grid_size)``);
     ``f`` is never evaluated outside that span.  A non-finite value of ``g``
     or ``f`` makes its checks' violations infinite; one that is not a real
-    number (:func:`_real`) is a ValidationError.
+    number (:func:`_real`) is a ValidationError.  ``grid_size`` is at most
+    ``MAX_GRID_SIZE``: the additivity check calls ``g`` on about
+    ``grid_size**2 / 4`` pairs.
     """
-    check_integer(grid_size, 3, "grid_size")
+    check_type(e, EntropyFunctional, "functional")
+    if check_integer(grid_size, 3, "grid_size") > MAX_GRID_SIZE:
+        raise ValidationError(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size!r}")
     check_tolerance(tol)
     ts = _grid(0.0, 1.0, grid_size)
     gv = [_real(e.g, t, "g") for t in ts]
@@ -157,7 +165,9 @@ def hlp_compare(
     ``phi`` value that is not a real number (:func:`_real`), or a sum
     beyond float range, is a ValidationError."""
     check_type(inp, HlpInput, "comparison input")
-    if shape not in ("concave", "convex"):
+    if not callable(phi):
+        raise ValidationError(f"phi must be callable, got {phi!r}")
+    if not isinstance(shape, str) or shape not in ("concave", "convex"):
         raise ValidationError(f"shape must be 'concave' or 'convex', got {shape!r}")
     check_tolerance(tol)
     try:

@@ -13,7 +13,7 @@ picture to partitions:
 
 The second direction is certified by prefix-sum dominance between the sorted
 row masses and the block masses (a Hardy-Littlewood-Polya comparison, see
-:func:`~coverentropy.functionals.hlp_compare`).  Minimising the weighted
+:func:`~coverentropy.probes.hlp_compare`).  Minimising the weighted
 entropy over the whole division polytope therefore matches the classical
 cover entropy; the minimum is attained at an assignment-induced (vertex)
 division, which is how :func:`cover_entropy_weighted` computes it.  All
@@ -350,4 +350,5 @@ def parse_division(data: dict, mu: Measure, cover: SetFamily) -> WeightedDivisio
 
 def division_dict(d: WeightedDivision) -> dict:
     """Inverse of :func:`parse_division`."""
+    check_type(d, WeightedDivision, "division")
     return {"cover_index_rows": _dense_rows(d)}

@@ -3,6 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Everything randomized is seeded, so reruns are bit-for-bit stable.
 
+Criteria 1-4, 8 and 9 are properties of the seeded self test: each reads its
+verdict, the checks and failures of one property, from a single
+``run_selftest("full")``, whose sizes are the criteria's counts.  A planted
+defect per property shows that each of them can fail.
+
 Criterion 7 compares the Tsallis upper bound with the base-2 Shannon bound
 as alpha -> 1.  Tsallis entropy is in natural units, so its bound tends to
 the Shannon bound in nats: the test feeds it the component entropies in nats
@@ -21,44 +26,29 @@ import time
 import pytest
 
 from coverentropy import (
-    CompositionCase,
+    CoverEntropyResult,
     DiscreteSpace,
-    EntropyFunctional,
     Measure,
     MixtureSpec,
     SetFamily,
-    check_structure,
     cover_entropy,
-    cover_entropy_weighted,
-    disjointify,
     enumerate_acceptable_partitions,
-    hlp_compare,
     is_mu_cover,
     mix,
     partition_entropy,
-    partition_to_division,
-    random_division,
     renyi,
     shannon,
     shannon_mixture_bounds,
     tsallis,
     tsallis_mixture_bounds,
     verify_mixture_bounds,
-    weighted_entropy,
 )
-from coverentropy.selftest import (
-    random_acceptable_partition,
-    random_cover,
-    random_hlp_input,
-    random_instance,
-    random_probability,
-)
+from coverentropy import selftest
+from coverentropy.selftest import random_cover, random_probability, run_selftest
 
 TOL = 1e-9
 SHARP_TOL = 1e-12
 POOL_SEED = 20240801
-
-FUNCTIONALS = (shannon(), renyi(0.5), renyi(2.0), tsallis(0.5), tsallis(2.0))
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -70,9 +60,22 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def instance_pool():
-    rng = random.Random(POOL_SEED)
-    return [random_instance(rng, n_range=(2, 8), k_range=(2, 5)) for _ in range(500)]
+def full_selftest():
+    """Each property's outcome in one timed ``selftest --scale full`` run,
+    by name, and the run's seconds."""
+    start = time.perf_counter()
+    outcomes, _ = run_selftest("full", seed=POOL_SEED)
+    return {o.name: o for o in outcomes}, time.perf_counter() - start
+
+
+def _report_property(num, name, outcome, checks, detail="", ok=True):
+    """Report criterion ``num`` from a property's outcome: it passes when the
+    property made its ``checks`` checks and none failed."""
+    ok = ok and outcome.passed and outcome.checks == checks
+    detail = f"{outcome.checks} checks{detail}, {outcome.failures} failures"
+    if outcome.counterexample is not None:
+        detail += f", first: {outcome.counterexample}"
+    _report(num, name, ok, detail)
 
 
 def oracle_cover_entropy(e, mu, q):
@@ -84,65 +87,28 @@ def oracle_cover_entropy(e, mu, q):
     )
 
 
-def test_criterion_01_weighted_equals_classical(instance_pool):
-    start = time.perf_counter()
-    worst = 0.0
-    unequal = 0  # the vertex division's row masses are the witness's block masses
-    for mu, q in instance_pool:
-        for e in FUNCTIONALS:
-            a = cover_entropy(e, mu, q)
-            b = cover_entropy_weighted(e, mu, q)
-            assert a.is_infinite == b.is_infinite
-            if not a.is_infinite:
-                worst = max(worst, abs(a.value - b.value))
-                unequal += a.value != b.value
-    elapsed = time.perf_counter() - start
-    ok = worst <= TOL and unequal == 0 and elapsed < 60.0
-    _report(1, "weighted cover entropy equals classical",
-            ok, f"500 instances x 5 functionals, max |diff|={worst:.2e}, "
-                f"{unequal} not bit-identical, {elapsed:.1f}s")
+def test_criterion_01_weighted_equals_classical(full_selftest):
+    outcomes, elapsed = full_selftest
+    _report_property(1, "weighted cover entropy equals classical",
+                     outcomes["classical-weighted-agreement"], 2500,
+                     f" of 500 instances x 5 functionals in a {elapsed:.1f}s full selftest",
+                     ok=elapsed < 60.0)
 
 
-def test_criterion_02_random_division_sandwich(instance_pool):
-    violations = 0
-    checked = 0
-    for idx, (mu, q) in enumerate(instance_pool[:100]):
-        e = FUNCTIONALS[idx % len(FUNCTIONALS)]
-        floor = cover_entropy(e, mu, q).value
-        for s in range(1000):
-            d = random_division(mu, q, seed=idx * 1000 + s)
-            checked += 1
-            if weighted_entropy(e, d) < floor - TOL:
-                violations += 1
-    _report(2, "sampled divisions dominate the classical minimum",
-            violations == 0, f"{checked} divisions, {violations} violations")
+def test_criterion_02_random_division_sandwich(full_selftest):
+    _report_property(2, "sampled divisions dominate the classical minimum",
+                     full_selftest[0]["random-division-lower-bound"], 100_000,
+                     " of 100 instances x 1000 divisions")
 
 
-def test_criterion_03_disjointify_inequality(instance_pool):
-    violations = 0
-    for k in range(10000):
-        mu, q = instance_pool[k % len(instance_pool)]
-        e = FUNCTIONALS[k % len(FUNCTIONALS)]
-        d = random_division(mu, q, seed=10_000_000 + k)
-        p = disjointify(d)
-        if partition_entropy(e, mu, p) > weighted_entropy(e, d) + TOL:
-            violations += 1
-    _report(3, "disjointified partition never beats its division",
-            violations == 0, f"10000 pairs, {violations} violations")
+def test_criterion_03_disjointify_inequality(full_selftest):
+    _report_property(3, "disjointified partition never beats its division",
+                     full_selftest[0]["disjointify-dominates"], 10_000)
 
 
-def test_criterion_04_partition_to_division_inequality(instance_pool):
-    rng = random.Random(POOL_SEED + 4)
-    violations = 0
-    for k in range(10000):
-        mu, q = instance_pool[k % len(instance_pool)]
-        p = random_acceptable_partition(rng, mu, q)
-        e = FUNCTIONALS[k % len(FUNCTIONALS)]
-        d = partition_to_division(mu, p, q)
-        if weighted_entropy(e, d) > partition_entropy(e, mu, p) + TOL:
-            violations += 1
-    _report(4, "induced division never beats its partition",
-            violations == 0, f"10000 pairs, {violations} violations")
+def test_criterion_04_partition_to_division_inequality(full_selftest):
+    _report_property(4, "induced division never beats its partition",
+                     full_selftest[0]["partition-to-division-dominates"], 10_000)
 
 
 def test_criterion_05_mixture_containment_against_oracle():
@@ -238,39 +204,38 @@ def test_criterion_07_alpha_to_one_bridge():
             ok, f"|u_a / ln 2 - 2.0| by alpha: {gaps}")
 
 
-def test_criterion_08_structure_validator():
-    probes = [shannon()]
-    for alpha in (0.25, 0.5, 2.0, 4.0):
-        probes.append(renyi(alpha))
-        probes.append(tsallis(alpha))
-    all_pass = all(
-        check_structure(e, grid_size=201, tol=TOL).passed for e in probes
-    )
-    planted = EntropyFunctional(
-        name="planted-square", alpha=None, f=lambda x: x, g=lambda t: t * t,
-        case=CompositionCase.INCREASING_SUBADDITIVE_CONCAVE,
-    )
-    planted_fails = not check_structure(planted, grid_size=201, tol=TOL).passed
-    _report(8, "structure checks pass for built-ins and catch the planted fake",
-            all_pass and planted_fails,
-            f"{len(probes)} built-ins pass, planted counterexample rejected")
+def test_criterion_07_alpha_to_one_bridge():
+    # stated target: the base-2 Shannon upper bound at a=(0.5,0.5), H=(1,1)
+    a = [0.5, 0.5]
+    entropies = [1.0, 1.0]
+    _, shannon_upper = shannon_mixture_bounds(entropies, a)
+    assert shannon_upper == pytest.approx(2.0)
+    # Tsallis is in nats: convert the bits in, and the bound back out
+    ln2 = math.log(2.0)
+    entropies_nats = [h * ln2 for h in entropies]
+    near = {}
+    for alpha in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 + 1e-4, 1 + 1e-3, 1 + 1e-2):
+        _, upper = tsallis_mixture_bounds(entropies_nats, a, alpha)
+        near[alpha] = abs(upper / ln2 - shannon_upper)
+    close_enough = near[1 - 1e-4] <= 1e-3 and near[1 + 1e-4] <= 1e-3
+    shrink_below = near[1 - 1e-2] >= near[1 - 1e-3] >= near[1 - 1e-4]
+    shrink_above = near[1 + 1e-2] >= near[1 + 1e-3] >= near[1 + 1e-4]
+    ok = close_enough and shrink_below and shrink_above
+    gaps = ", ".join(f"{k:.4f}:{v:.3e}" for k, v in sorted(near.items()))
+    _report(7, "upper bound approaches the base-2 Shannon bound as alpha -> 1",
+            ok, f"|u_a / ln 2 - 2.0| by alpha: {gaps}")
 
 
-def test_criterion_09_hlp_comparator():
-    rng = random.Random(POOL_SEED + 9)
-    phis = (
-        (lambda t: -t * math.log2(t) if t > 0 else 0.0, "concave"),
-        (lambda t: math.sqrt(t), "concave"),
-        (lambda t: t * t, "convex"),
-    )
-    violations = 0
-    for _ in range(10000):
-        inp = random_hlp_input(rng, rng.randint(2, 8), transfers=rng.randint(1, 5))
-        for phi, shape in phis:
-            if not hlp_compare(inp, phi, shape, tol=TOL).confirmed:
-                violations += 1
-    _report(9, "prefix-dominance comparison holds for all probe maps",
-            violations == 0, f"10000 inputs x 3 maps, {violations} violations")
+def test_criterion_08_structure_validator(full_selftest):
+    _report_property(8, "structure checks pass for built-ins and catch the planted fake",
+                     full_selftest[0]["structure-checks"], 10,
+                     " of 9 built-ins and 1 planted counterexample")
+
+
+def test_criterion_09_hlp_comparator(full_selftest):
+    _report_property(9, "prefix-dominance comparison holds for all probe maps",
+                     full_selftest[0]["hlp-comparison"], 30_000,
+                     " of 10000 inputs x 3 maps")
 
 
 def test_criterion_10_deterministic_reports(tmp_path):
@@ -300,3 +265,35 @@ def test_criterion_10_deterministic_reports(tmp_path):
     )
     _report(10, "reports are byte-identical across runs and hash seeds",
             ok, "cover x3, selftest x3")
+
+
+def _one_ulp_up(real):
+    def call(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return r if r.is_infinite else CoverEntropyResult(
+            math.nextafter(r.value, math.inf), r.witness, r.explored, r.assignment)
+    return call
+
+
+#: One planted defect per property that criteria 1-4, 8 and 9 read: the name
+#: the self test calls, and a wrong stand-in built from the real one.
+PLANTED = {
+    "classical-weighted-agreement": ("cover_entropy_weighted", _one_ulp_up),
+    "random-division-lower-bound": ("weighted_entropy", lambda real: lambda *a: real(*a) - 1),
+    "disjointify-dominates": ("weighted_entropy", lambda real: lambda *a: real(*a) - 1),
+    "partition-to-division-dominates": ("weighted_entropy", lambda real: lambda *a: real(*a) + 1),
+    "structure-checks": ("check_structure", lambda real: lambda e, **kw: real(shannon(), **kw)),
+    "hlp-comparison": ("hlp_compare", lambda real: lambda inp, phi, shape, **kw: real(
+        inp, phi, {"concave": "convex", "convex": "concave"}[shape], **kw)),
+}
+
+
+@pytest.mark.parametrize("prop", PLANTED)
+def test_planted_defect_fails_its_property(prop, monkeypatch):
+    # a property that stopped checking would pass both the CLI and the criteria
+    name, defect = PLANTED[prop]
+    monkeypatch.setattr(selftest, name, defect(getattr(selftest, name)))
+    monkeypatch.setitem(selftest.SCALES, "tiny", dict(
+        agree=4, sandwich=(2, 5), disjoint=20, refine=20, mixtures=1, hlp=20, search=1))
+    outcomes, _ = run_selftest("tiny", seed=POOL_SEED)
+    assert {o.name: o.failures for o in outcomes}[prop] > 0

@@ -21,6 +21,9 @@ from coverentropy import _kernels
 from coverentropy.cli import dumps_canonical, main
 
 from bad_values import BAD_SEEDS
+from golden.regen import CASES
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "inputs"
 
 INSTANCE = {
     "n": 3,
@@ -250,21 +253,9 @@ def test_failure_reports_carry_the_input_digest(capsys, tmp_path, content, flags
     assert report["instance_digest"] == hashlib.sha256(content).hexdigest()
 
 
-# valid inputs of the file-reading subcommands, mutated by the fuzz test below
+# a valid division of INSTANCE
 DIVISION = {"cover_index_rows": [[0.3333333333333333, 0.3333333333333333, 0.0],
                                  [0.0, 0.0, 0.3333333333333334]]}
-HLP = {"x": [0.5, 0.5], "y": [0.7, 0.3], "functional": "shannon"}
-BLOCKS = [[0, 1], [2]]
-# subcommand: its inputs in argv order ("blocks" is passed inline) and its flags
-FUZZ_COMMANDS = {
-    "partition": (("instance", "blocks"), ["--functional", "shannon"]),
-    "cover": (("instance",), ["--functional", "shannon", "--samples", "3"]),
-    "mixture": (("mixture",), []),
-    "hlp": (("hlp",), []),
-    "disjointify": (("instance", "division"), ["--functional", "shannon"]),
-}
-FUZZ_DOCS = {"instance": INSTANCE, "division": DIVISION, "mixture": MIXTURE,
-             "hlp": HLP, "blocks": BLOCKS}
 
 # numbers and tokens at the edges of what the parsers accept
 EDGE_VALUES = [10 ** 400, -0.0, 5e-324, 1e308, -1, 0, 3, True, None, "", [], {}]
@@ -319,26 +310,29 @@ def _mutated_text(draw, doc, chunks):
     return text[:start] + (insert.encode() if isinstance(insert, str) else insert) + text[stop:]
 
 
+# the golden cases that read documents: their input files and partition's
+# inline --blocks are what the fuzz below mutates
+FUZZ_CASES = [argv for argv in CASES.values() if argv[0] != "selftest"]
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_inputs_give_one_report_line(tmp_path, data):
-    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
-    inputs, flags = FUZZ_COMMANDS[command]
-    mutated = data.draw(st.sets(st.sampled_from(inputs), min_size=1))
-    argv = [command, *flags]
-    for name in inputs:
-        inline = name == "blocks"
-        content = json.dumps(FUZZ_DOCS[name]).encode()
-        if name in mutated:
+    argv = list(data.draw(st.sampled_from(FUZZ_CASES)))
+    docs = [i for i, a in enumerate(argv) if a.startswith("inputs/") or argv[i - 1] == "--blocks"]
+    mutated = data.draw(st.sets(st.sampled_from(docs), min_size=1))
+    for i in docs:
+        inline = argv[i - 1] == "--blocks"
+        content = argv[i].encode() if inline else (GOLDEN.parent / argv[i]).read_bytes()
+        if i in mutated:
             chunks = argv_text if inline else st.binary(max_size=3)
-            content = _mutated_text(data.draw, FUZZ_DOCS[name], chunks)
+            content = _mutated_text(data.draw, json.loads(content), chunks)
         if inline:
-            argv += ["--blocks", content.decode()]
+            argv[i] = content.decode()
         else:
-            path = tmp_path / f"{name}.json"
-            path.write_bytes(content)
-            argv.append(str(path))
+            argv[i] = str(tmp_path / f"input-{i}.json")
+            Path(argv[i]).write_bytes(content)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -501,25 +495,16 @@ UNREAD_FLAGS = {
 }
 
 
-def _valid_argv(tmp_path, command):
-    if command == "selftest":
-        return ["selftest", "--scale", "quick"]
-    inputs, flags = FUZZ_COMMANDS[command]
-    argv = [command, *flags]
-    for name in inputs:
-        if name == "blocks":
-            argv += ["--blocks", json.dumps(BLOCKS)]
-        else:
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(FUZZ_DOCS[name]))
-            argv.append(str(path))
-    return argv
+def _valid_argv(command):
+    """The first golden case of ``command``, its input paths resolved."""
+    argv = next(argv for argv in CASES.values() if argv[0] == command)
+    return [str(GOLDEN.parent / a) if a.startswith("inputs/") else a for a in argv]
 
 
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags])
-def test_unread_flag_is_one_invalid_input_line(capsys, tmp_path, command, flag):
-    code = main([*_valid_argv(tmp_path, command), flag, "5"])
+def test_unread_flag_is_one_invalid_input_line(capsys, command, flag):
+    code = main([*_valid_argv(command), flag, "5"])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert code == 1
@@ -531,8 +516,8 @@ def test_unread_flag_is_one_invalid_input_line(capsys, tmp_path, command, flag):
     assert f"unrecognized arguments: {flag} 5" in report["results"]["error"]
 
 
-def test_cover_reads_every_tuning_flag(capsys, tmp_path):
-    argv = [*_valid_argv(tmp_path, "cover"), "--budget", "100", "--seed", "4", "--tol", "0.5"]
+def test_cover_reads_every_tuning_flag(capsys):
+    argv = [*_valid_argv("cover"), "--budget", "100", "--seed", "4", "--tol", "0.5"]
     code, report = run_cli(capsys, *argv)
     assert code == 0
     assert report["results"]["weighted"]["sandwich"]["seed"] == 4
@@ -816,8 +801,6 @@ NO_NUMPY_CHILD = (
     "from coverentropy.cli import main\n"
     "raise SystemExit(main(sys.argv[1:]))\n"
 )
-
-GOLDEN = Path(__file__).resolve().parent / "golden" / "inputs"
 
 WITHOUT_NUMPY = {
     "partition": ["partition", "s1-0-instance.json", "--functional", "renyi:2",
