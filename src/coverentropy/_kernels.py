@@ -16,6 +16,19 @@ candidates ascending), moving only on strict improvement.
 lexicographically first ordering of the sets whose g-sum lies within
 ``_PRUNE_SLACK`` (relative) of the optimum; that choice's g-sum is within
 the slack of the scan's and never beats it.
+
+The DP runs in two parts.  :func:`search_graph` expands the residuals and
+their moves from the candidate lists alone, with neither masses nor ``g``;
+:func:`ordering_dp` values such a graph for one measure and one ``g`` and
+walks it, building the graph first when it is given none.  So a caller can
+build a cover's graph once per pattern of positive cells and value it for
+every functional and measure on that pattern
+(:func:`coverentropy.classical.minimizing_assignment` keeps it on the
+cover, for as long as the cover lives).  The result never depends on
+whether the graph was built here: the value, choice, transition count and
+the order of ``g`` calls are the same.  As the expansion calls no ``g``, a
+search that runs out of budget there raises BudgetExceededError even where
+``g`` would give a non-finite value or raise.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import itertools
 import math
 
 from .errors import BudgetExceededError, ValidationError
-from .measure import is_finite_number
+from .measure import frozen, is_finite_number
 
 #: Name of the search implementation; recorded in benchmark metadata.
 BACKEND = "python"
@@ -59,34 +72,40 @@ def scan_assignments(masses, cand_lists, n_sets, g, maximize):
     return best, best_choice, total
 
 
-def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
-    """Exact search over the assignments induced by orderings of the sets.
+@frozen(eq=False)
+class SearchGraph:
+    """The functional-free part of :func:`ordering_dp`, from
+    :func:`search_graph`; any search of the same candidate lists can value it.
 
-    Some optimum is induced by an ordering of the cover sets, each unit
-    going to the first set in the order that holds it (README, "Search").
-    With ``R`` the bitmask of units not yet placed and ``H[i]`` those that
-    set ``i`` holds, the g-sum splits along the order:
-
-        V(R) = opt over sets i meeting R of g(mass(R & H[i])) + V(R & ~H[i])
-
-    with ``V(0) = 0``.  Sets whose part ``R & H[i]`` has no other candidate
-    set take it in every ordering and are placed together in one move.
-    Masses add units in unit order, never as a difference, and ``g`` of a
-    mask is computed once.  The residuals reachable from the full mask are
-    expanded, then valued in ascending order (each is a proper submask of
-    its parent), so nothing recurses.  The witness walk descends once from
-    the full mask: each residual ``R`` takes its first move (sets
-    ascending, or the one collapsed move) whose value lies within
-    ``_PRUNE_SLACK`` (relative to ``V`` of the full mask) of ``V(R)``.  That
-    is the first ordering of the sets within the slack, and the walk writes
-    its choice as it goes.
-
-    ``budget`` caps the transitions (one per set a move places) that the
-    expansion and the walk evaluate together.  Returns (``V`` of the full
-    mask, chosen set per unit, transitions evaluated).  A spent budget raises
-    BudgetExceededError, and a ``g`` value not a finite real ValidationError.
+    Residuals are numbered as first seen: 0 is the empty one and 1 the full
+    mask, if any unit is searched.  ``masks[j]`` is residual ``j`` and
+    ``moves[j]`` its moves, each ``(term, next residual, sets placed)``;
+    ``order`` lists the nonempty residuals by ascending mask.  ``terms``
+    holds, in first-encounter order, each distinct part's unit mask and each
+    collapsed move's tuple of the earlier terms it adds, in set order.
+    ``holders[i]`` is the mask of the units that set ``i`` may take, and
+    ``count`` the expansion's transitions.
     """
-    # phase 1: each set's units, and the units with more than one candidate
+
+    holders: list
+    masks: list
+    moves: list
+    order: list
+    terms: list
+    count: int
+
+
+def search_graph(cand_lists, n_sets, budget):
+    """Expand the residuals reachable from the full mask (see
+    :func:`ordering_dp`) into a :class:`SearchGraph`, without masses or ``g``.
+
+    A residual's moves place the part ``R & H[i]`` of each set meeting it,
+    sets ascending; sets whose part has no other candidate set take it in
+    every ordering and are placed together in one collapsed move.  The
+    expansion's transitions (one per set a move places) count against
+    ``budget``: past it, BudgetExceededError.
+    """
+    # each set's units, and the units with more than one candidate
     holders = [0] * n_sets
     shared = 0
     bit = 1
@@ -96,98 +115,179 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget):
         if len(cands) > 1:
             shared |= bit
         bit <<= 1
-    n = len(masses)
-    full = (1 << n) - 1
-    # the sets that hold some unit, each with its one-set move (units left,
-    # sets placed); move lists share these, so they copy no mask
-    sets = [(h, (full ^ h, (i,))) for i, h in enumerate(holders) if h]
+    full = (1 << len(cand_lists)) - 1
+    # the sets that hold some unit, each with the one-set tuple its moves share
+    sets = [(h, (i,)) for i, h in enumerate(holders) if h]
 
-    # phase 2: expand the residuals reachable from the full mask.  A part's g
-    # term is negated when maximising, so one min serves both directions:
-    # negation is exact, and the walk's slack test reads only magnitudes.
-    gvals = {}
-    gget = gvals.get
-    # residual -> its moves, each (g term, (units left, sets placed))
-    succ = {}
+    terms = []
+    term_ids = {}  # part mask or collapsed tuple -> its term number
+    masks = [0]
+    ids = {0: 0}  # residual mask -> its number
+    moves = [()]  # None until the residual is expanded
+    todo = []
+
+    def visit(rest):
+        """``rest``'s number, stacked unless it is expanded (inlined below)."""
+        k = ids.get(rest)
+        if k is None:
+            k = ids[rest] = len(masks)
+            masks.append(rest)
+            moves.append(None)
+            todo.append(k)
+        elif moves[k] is None:
+            todo.append(k)
+        return k
+
+    if full:
+        visit(full)
     count = 0
-    todo = [full] if full else []
     while todo:
-        r = todo.pop()
-        if r in succ:
+        j = todo.pop()
+        if moves[j] is not None:
             continue
+        r = masks[j]
+        # residuals first seen from r, and stack entries, past these marks
+        seen, pushed = len(masks), len(todo)
         out = []
-        # parts with no other candidate set, and their g terms added in set
-        # order (builtin sum compensates from Python 3.12)
-        n_alone, g_alone = 0, 0.0
-        for h, move in sets:
+        n_alone = 0  # parts with no other candidate set
+        for h, placed in sets:
             part = r & h
             if part:
-                gp = gget(part)
-                if gp is None:
-                    m = 0.0  # the part's mass, added in unit order
-                    bits = part
-                    while bits:
-                        low = bits & -bits
-                        m += masses[low.bit_length() - 1]
-                        bits ^= low
-                    gp = g(m)
-                    if not (-_INF < gp < _INF if gp.__class__ is float else is_finite_number(gp)):
-                        raise ValidationError(f"g is not finite at mass {m!r}: it gives {gp!r}")
-                    gp = gvals[part] = -gp if maximize else gp
-                out.append((gp, move))
+                t = term_ids.get(part)
+                if t is None:
+                    t = term_ids[part] = len(terms)
+                    terms.append(part)
+                rest = r ^ part
+                k = ids.get(rest)  # visit(rest)
+                if k is None:
+                    k = ids[rest] = len(masks)
+                    masks.append(rest)
+                    moves.append(None)
+                    todo.append(k)
+                elif moves[k] is None:
+                    todo.append(k)
+                out.append((t, k, placed))
                 if not part & shared:
                     n_alone += 1
-                    g_alone += gp
-        placed = len(out)
-        if n_alone and placed > 1:
+        n_placed = len(out)
+        if n_alone and n_placed > 1:
             # a unit left in r keeps all its candidate sets, so these sets'
             # parts have no other holder: one move places them all (the
-            # parts are disjoint, so their sum is their union)
-            alone = [i for h, (_, (i,)) in sets if r & h and not r & h & shared]
-            parts = [r & holders[i] for i in alone]
-            out = [(g_alone, (r ^ sum(parts), tuple(alone)))]
-            placed = n_alone
-        count += placed
+            # parts are disjoint, so their union is their sum).  The one-set
+            # moves are dropped, with the residuals first seen from them
+            for rest in masks[seen:]:
+                del ids[rest]
+            del masks[seen:], moves[seen:], todo[pushed:]
+            alone = [(t, placed) for t, _, placed in out if not terms[t] & shared]
+            key = tuple([t for t, _ in alone])
+            t = term_ids.get(key)
+            if t is None:
+                t = term_ids[key] = len(terms)
+                terms.append(key)
+            k = visit(r ^ sum([terms[u] for u in key]))
+            out = [(t, k, tuple([i for _, (i,) in alone]))]
+            n_placed = n_alone
+        count += n_placed
         if count > budget:
             raise BudgetExceededError(_SPENT.format(budget))
-        succ[r] = out
-        for _, (keep, _) in out:
-            rest = r & keep
-            if rest and rest not in succ:
-                todo.append(rest)
+        moves[j] = out
+    order = sorted(range(1, len(masks)), key=masks.__getitem__)
+    return SearchGraph(holders, masks, moves, order, terms, count)
 
-    # phase 3: value the residuals in ascending order, the first least move
-    # winning as in min()
-    memo = {0: 0.0}
-    for r in sorted(succ):
+
+def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget, graph=None):
+    """Exact search over the assignments induced by orderings of the sets.
+
+    Some optimum is induced by an ordering of the cover sets, each unit
+    going to the first set in the order that holds it (README, "Search").
+    With ``R`` the bitmask of units not yet placed and ``H[i]`` those that
+    set ``i`` holds, the g-sum splits along the order:
+
+        V(R) = opt over sets i meeting R of g(mass(R & H[i])) + V(R & ~H[i])
+
+    with ``V(0) = 0``.  ``graph`` is :func:`search_graph` of ``cand_lists``,
+    ``n_sets`` and some budget, built here when not given: the reachable
+    residuals and their moves, which depend on neither ``masses`` nor ``g``.
+    Valuing it, each distinct part's mass adds its units in unit order (never
+    as a difference) and ``g`` is called once per part, in the order the
+    expansion first met them; the residuals are then valued in ascending
+    order (each is a proper submask of its parent), so nothing recurses.
+    The witness walk descends once from the full mask: each residual ``R``
+    takes its first move (sets ascending, or the one collapsed move) whose
+    value lies within ``_PRUNE_SLACK`` (relative to ``V`` of the full mask)
+    of ``V(R)``.  That is the first ordering of the sets within the slack,
+    and the walk writes its choice as it goes.
+
+    ``budget`` caps the transitions (one per set a move places) that the
+    expansion and the walk evaluate together; a given graph's expansion
+    counts as if run here.  Returns (``V`` of the full mask, chosen set per
+    unit, transitions evaluated), the same with or without ``graph``.  A
+    spent budget raises BudgetExceededError before ``g`` is called, and a
+    ``g`` value not a finite real ValidationError.
+    """
+    if graph is None:
+        graph = search_graph(cand_lists, n_sets, budget)
+    count = graph.count
+    if count > budget:
+        raise BudgetExceededError(_SPENT.format(budget))
+    # each term's value: a part's g term, negated when maximising so that one
+    # min serves both directions (negation is exact, and the walk's slack test
+    # reads only magnitudes), or a collapsed move's sum of them in set order
+    vals = []
+    for term in graph.terms:
+        if term.__class__ is tuple:
+            gp = 0.0
+            for t in term:
+                gp += vals[t]
+        else:
+            m = 0.0  # the part's mass, added in unit order
+            bits = term
+            while bits:
+                low = bits & -bits
+                m += masses[low.bit_length() - 1]
+                bits ^= low
+            gp = g(m)
+            if not (-_INF < gp < _INF if gp.__class__ is float else is_finite_number(gp)):
+                raise ValidationError(f"g is not finite at mass {m!r}: it gives {gp!r}")
+            if maximize:
+                gp = -gp
+        vals.append(gp)
+
+    # the residuals in ascending order, the first least move winning as in min()
+    moves = graph.moves
+    memo = [0.0] * len(moves)
+    for j in graph.order:
         best = None
-        for s, (keep, _) in succ[r]:
-            v = memo[r & keep] + s
+        for t, k, _ in moves[j]:
+            v = memo[k] + vals[t]
             if best is None or v < best:
                 best = v
-        memo[r] = best
+        memo[j] = best
 
-    # phase 4: the witness walk, one greedy descent.  A residual's least move
-    # is within the slack, so every residual on the way takes some move
-    slack = _PRUNE_SLACK * (1.0 + abs(memo[full]))
-    choice = [0] * n
-    r = full
-    while r:
-        for s, (keep, placed) in succ[r]:
+    # the witness walk, one greedy descent.  A residual's least move is within
+    # the slack, so every residual on the way takes some move
+    top = 1 if len(moves) > 1 else 0
+    slack = _PRUNE_SLACK * (1.0 + abs(memo[top]))
+    masks, holders = graph.masks, graph.holders
+    choice = [0] * len(masses)
+    j = top
+    while j:
+        v = memo[j]
+        for t, k, placed in moves[j]:
             count += len(placed)
             if count > budget:
                 raise BudgetExceededError(_SPENT.format(budget))
-            rest = r & keep
-            if abs(memo[rest] + s - memo[r]) <= slack:
+            if abs(memo[k] + vals[t] - v) <= slack:
                 break
+        r = masks[j]
         for i in placed:
             part = r & holders[i]
             while part:
                 low = part & -part
                 choice[low.bit_length() - 1] = i
                 part ^= low
-        r = rest
-    return (-memo[full] if maximize else memo[full]), choice, count
+        j = k
+    return (-memo[top] if maximize else memo[top]), choice, count
 
 
 # The benchmark harness traces the search under this name.

@@ -108,13 +108,18 @@ def assignment_to_partition(a: Assignment) -> SetFamily:
     """Group assigned atoms by chosen cover set (ascending cover index);
     the blocks reuse the atoms that ``Assignment`` checked and sorted."""
     check_type(a, Assignment, "assignment")
-    blocks: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for atom, idx in a.choice:
-        blocks.setdefault(idx, []).append(atom)
-    # checked by Assignment: atoms distinct, sorted and inside the space
+        groups.setdefault(idx, []).append(atom)
+    return _partition_of(a.space, groups)
+
+
+def _partition_of(space: DiscreteSpace, groups: dict[int, list[int]]) -> SetFamily:
+    """The blocks ``groups[i]``, ``i`` ascending, of checked atoms: distinct,
+    sorted within each group and inside the space."""
     ordered = tuple(
-        _unchecked(AtomSet, space=a.space, members=tuple(blocks[i])) for i in sorted(blocks))
-    return _unchecked(SetFamily, space=a.space, sets=ordered)
+        _unchecked(AtomSet, space=space, members=tuple(groups[i])) for i in sorted(groups))
+    return _unchecked(SetFamily, space=space, sets=ordered)
 
 
 @frozen
@@ -243,6 +248,15 @@ def minimizing_assignment(
     sets by group mass induces (README, "Search").  Custom functionals take
     the same path, exact whenever their declared case holds.
 
+    The DP's search graph (:func:`coverentropy._kernels.search_graph`)
+    depends only on the cells' candidate sets, so the cover keeps the last
+    one it built, as one entry for as long as the cover lives, keyed by the
+    positive cells' candidate tuples.  Every later search of ``q`` whose
+    positive cells are the same, under another functional, the weighted
+    form or another measure, values that graph instead of expanding it
+    again.  A build that ran out of budget is not kept.  Results never
+    depend on whether the graph was kept.
+
     Witness tie-break: the assignment induced by the lexicographically
     first ordering of the cover sets whose g-sum lies within
     ``_kernels._PRUNE_SLACK`` (relative) of the optimum, the g-sum adding
@@ -254,21 +268,36 @@ def minimizing_assignment(
     Raises :class:`BudgetExceededError` when no certified optimum fits the
     budget, and :class:`ValidationError` when ``q`` is not a mu-cover,
     ``budget`` is not an integer of at least 1, or a ``g`` value is not a
-    finite real; an exception raised inside ``g`` propagates unchanged.
+    finite real; an exception raised inside ``g`` propagates unchanged.  A
+    spent budget is raised before ``g`` is called.
     The DP's choice is checked per Venn cell (one set, one of the cell's
     candidates); the cells partition the searched atoms, so this implies
     every per-atom check of :class:`Assignment`, which is built unchecked.
     """
     budget = check_integer(budget, 1, "budget")
     _check_operands(e, mu, q)
-    _require_shared_space(mu, q)
-    cells = _venn_cells(mu, q)
-    # the cells hold every positive atom unless some atom lies in no cover set
-    if q.uncovered_atoms and not is_mu_cover(q, mu):
+    if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
+    assignment, _, explored = _search(e, mu, q, budget)
+    return assignment, explored
+
+
+def _search(
+    e: EntropyFunctional, mu: Measure, q: SetFamily, budget: int
+) -> tuple[Assignment, dict[int, list[int]], int]:
+    """:func:`minimizing_assignment` of checked operands: ``budget`` an int,
+    ``q`` a mu-cover on ``mu``'s space.  Returns the assignment, its atoms
+    grouped by chosen set (each group ascending), and the transitions."""
+    cells = _venn_cells(mu, q)
+    cands = tuple([c for _, _, c in cells])
+    kept = q.__dict__.get("_search_graph")
+    if kept is not None and kept[0] == cands:
+        graph = kept[1]
+    else:
+        graph = _kernels.search_graph(cands, len(q), budget)
+        q.__dict__["_search_graph"] = (cands, graph)
     _, choice, explored = _kernels.ordering_dp(
-        [m for m, _, _ in cells], [c for _, _, c in cells], len(q), e.g,
-        not e.minimizes_g_sum, budget)
+        [m for m, _, _ in cells], cands, len(q), e.g, not e.minimizes_g_sum, budget, graph)
     if len(choice) != len(cells):
         raise ValidationError("the search left a Venn cell without a cover set")
     chosen: list[int | None] = [None] * mu.space.n
@@ -278,9 +307,18 @@ def minimizing_assignment(
         for atom in atoms:
             chosen[atom] = idx
     # checked per cell above: each atom of the space once, inside its set;
-    # read in atom order, the pairs come sorted
-    pairs = tuple((atom, idx) for atom, idx in enumerate(chosen) if idx is not None)
-    return _unchecked(Assignment, space=mu.space, cover=q, choice=pairs), explored
+    # read in atom order, the pairs and each group come sorted
+    pairs = []
+    groups: dict[int, list[int]] = {}
+    for atom, idx in enumerate(chosen):
+        if idx is not None:
+            pairs.append((atom, idx))
+            if idx in groups:
+                groups[idx].append(atom)
+            else:
+                groups[idx] = [atom]
+    assignment = _unchecked(Assignment, space=mu.space, cover=q, choice=tuple(pairs))
+    return assignment, groups, explored
 
 
 def cover_entropy(
@@ -296,17 +334,20 @@ def cover_entropy(
     than ``q`` and attains the reported value exactly: the value is
     :func:`partition_entropy` of the witness, the same g-sum helper on the
     same block masses without the partition check, which the search has
-    already made (:func:`minimizing_assignment` checks coverage
-    and places each atom once, inside its set).
+    already made (it checks coverage and places each atom once, inside its
+    set).  The checks of :func:`minimizing_assignment` run once, here, and
+    the assignment and the witness blocks come from one pass over its choice.
     """
-    check_integer(budget, 1, "budget")
+    budget = check_integer(budget, 1, "budget")
     _check_operands(e, mu, q)
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
-    assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
-    witness = assignment_to_partition(assignment)
+    assignment, groups, explored = _search(e, mu, q, budget)
+    witness = _partition_of(mu.space, groups)
+    masses = mu.masses
     return CoverEntropyResult(
-        value=_g_sum_value(e, [mu.mass_of(block) for block in witness]),
+        value=_g_sum_value(e, [math.fsum([masses[atom] for atom in block.members])
+                               for block in witness]),
         witness=witness,
         explored=explored,
         assignment=assignment,

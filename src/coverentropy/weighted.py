@@ -34,7 +34,7 @@ from .classical import (
     Assignment,
     CoverEntropyResult,
     _check_operands,
-    minimizing_assignment,
+    _search,
 )
 from .errors import ValidationError
 from .functionals import EntropyFunctional, HlpInput, _g_sum_value
@@ -267,11 +267,11 @@ def cover_entropy_weighted(
     the reported value is recomputed from the witness's row masses.  The
     result carries that assignment; the witness partition is not built.
     """
-    check_integer(budget, 1, "budget")
+    budget = check_integer(budget, 1, "budget")
     _check_operands(e, mu, q)
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
-    assignment, explored = minimizing_assignment(e, mu, q, budget=budget)
+    assignment, _, explored = _search(e, mu, q, budget)
     witness = division_from_assignment(assignment, mu)
     return CoverEntropyResult(
         value=_g_sum_value(e, witness.row_masses),

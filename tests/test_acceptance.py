@@ -204,28 +204,6 @@ def test_criterion_07_alpha_to_one_bridge():
             ok, f"|u_a / ln 2 - 2.0| by alpha: {gaps}")
 
 
-def test_criterion_07_alpha_to_one_bridge():
-    # stated target: the base-2 Shannon upper bound at a=(0.5,0.5), H=(1,1)
-    a = [0.5, 0.5]
-    entropies = [1.0, 1.0]
-    _, shannon_upper = shannon_mixture_bounds(entropies, a)
-    assert shannon_upper == pytest.approx(2.0)
-    # Tsallis is in nats: convert the bits in, and the bound back out
-    ln2 = math.log(2.0)
-    entropies_nats = [h * ln2 for h in entropies]
-    near = {}
-    for alpha in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 + 1e-4, 1 + 1e-3, 1 + 1e-2):
-        _, upper = tsallis_mixture_bounds(entropies_nats, a, alpha)
-        near[alpha] = abs(upper / ln2 - shannon_upper)
-    close_enough = near[1 - 1e-4] <= 1e-3 and near[1 + 1e-4] <= 1e-3
-    shrink_below = near[1 - 1e-2] >= near[1 - 1e-3] >= near[1 - 1e-4]
-    shrink_above = near[1 + 1e-2] >= near[1 + 1e-3] >= near[1 + 1e-4]
-    ok = close_enough and shrink_below and shrink_above
-    gaps = ", ".join(f"{k:.4f}:{v:.3e}" for k, v in sorted(near.items()))
-    _report(7, "upper bound approaches the base-2 Shannon bound as alpha -> 1",
-            ok, f"|u_a / ln 2 - 2.0| by alpha: {gaps}")
-
-
 def test_criterion_08_structure_validator(full_selftest):
     _report_property(8, "structure checks pass for built-ins and catch the planted fake",
                      full_selftest[0]["structure-checks"], 10,

@@ -585,6 +585,136 @@ class TestTieHeavyCovers:
         assert r.explored <= k * 2 ** (k - 1) + k * (k + 1) // 2
 
 
+#: The five built-ins under both cover entropies: the searches that can share
+#: one cover's search graph.
+_SEARCHES = [(e, search) for e in builtin_functionals()
+             for search in (cover_entropy, cover_entropy_weighted)]
+
+
+def _fresh(q):
+    """A cover equal to ``q`` that has kept no search graph."""
+    return SetFamily.of(q.space, q.as_lists())
+
+
+def _outcome(search, e, mu, q):
+    """What a search gives, to compare bit for bit: its value's repr, witness
+    (a division by its values), transitions and assignment, or its error."""
+    try:
+        r = search(e, mu, q)
+    except (ValidationError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+    w = r.witness
+    return repr(r.value), w.values if isinstance(w, WeightedDivision) else w, r.explored, r.assignment
+
+
+def _assert_same_as_fresh(search, e, mu, q):
+    got = _outcome(search, e, mu, q)
+    assert got == _outcome(search, e, mu, _fresh(q))
+    return got
+
+
+def _probability(masses):
+    total = math.fsum(masses)
+    return Measure(DiscreteSpace(len(masses)), [m / total for m in masses], probability=True)
+
+
+def _recording(calls):
+    """Shannon whose ``g`` appends each mass it is called on to ``calls``."""
+    def g(t):
+        calls.append(t)
+        return shannon().g(t)
+
+    return EntropyFunctional(name="recorded", alpha=None, f=lambda x: -x, g=g,
+                             case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX)
+
+
+class TestKeptSearchGraph:
+    """A cover keeps the last search graph it built, keyed by its positive
+    cells' candidate sets; a search that reuses it must equal, bit for bit,
+    the same search on a fresh cover."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(covers_with_dust(), st.permutations(range(len(_SEARCHES))))
+    def test_searches_in_any_order_equal_fresh_searches(self, instance, order):
+        mu, q = instance
+        for i in order:
+            e, search = _SEARCHES[i]
+            _assert_same_as_fresh(search, e, mu, q)
+
+    def test_one_build_per_cover_and_cell_pattern(self, monkeypatch):
+        builds = []
+        build = _kernels.search_graph
+
+        def counted(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(_kernels, "search_graph", counted)
+        mu, q = _complete_graph_edges(6)
+        for e, search in _SEARCHES:
+            search(e, mu, q)
+        rng = random.Random(2)
+        nu = _probability([rng.random() + 0.1 for _ in range(mu.space.n)])
+        for e in builtin_functionals():
+            verify_mixture_bounds(e, MixtureSpec(((0.5, mu), (0.5, nu))), q)
+        assert len(builds) == 1
+        # an equal cover keeps its own graph
+        cover_entropy(shannon(), mu, _fresh(q))
+        assert len(builds) == 2
+        # emptying a cell changes the pattern; only the last graph is kept
+        emptied = _probability([0.0, *mu.masses[1:]])
+        for m in (emptied, emptied, mu):
+            cover_entropy(shannon(), m, q)
+        assert len(builds) == 4
+        assert builds[2] != builds[0] == builds[1] == builds[3]
+
+    def test_emptied_cell_then_first_measure_again(self):
+        rng = np.random.default_rng(4)
+        mu, q = _dense_instance(rng, 30, 6)
+        masses = list(mu.masses)
+        masses[q.atom_signatures[0][1][0]] = 0.0  # the first cell's first atom
+        for atom in q.atom_signatures[1][1]:  # and the whole second cell
+            masses[atom] = 0.0
+        emptied = _probability(masses)
+        for m in (mu, emptied, mu):
+            for e, search in _SEARCHES:
+                _assert_same_as_fresh(search, e, m, q)
+
+    def test_budget_below_the_kept_graph_raises_before_g(self):
+        mu, q = _complete_graph_edges(6)
+        cover_entropy(shannon(), mu, q)
+        cands = [c for _, _, c in _venn_cells(mu, q)]
+        budget = _kernels.search_graph(cands, len(q), DEFAULT_BUDGET).count - 1
+
+        def g(t):
+            raise AssertionError("g called")
+
+        e = EntropyFunctional(name="no-g", alpha=None, f=lambda x: -x, g=g,
+                              case=CompositionCase.DECREASING_SUPERADDITIVE_CONVEX)
+        for cover in (q, _fresh(q)):
+            with pytest.raises(BudgetExceededError) as info:
+                cover_entropy(e, mu, cover, budget=budget)
+            assert str(info.value) == (f"the search evaluated {budget} transitions "
+                                       "without certifying an optimum")
+
+    def test_spent_build_keeps_no_graph(self):
+        mu, q = _complete_graph_edges(8)
+        with pytest.raises(BudgetExceededError):
+            cover_entropy(shannon(), mu, q, budget=5)
+        assert "_search_graph" not in vars(q)
+        for e, search in _SEARCHES:
+            _assert_same_as_fresh(search, e, mu, q)
+
+    def test_g_sees_the_same_masses_on_a_kept_graph(self):
+        rng = np.random.default_rng(3)
+        mu, q = _dense_instance(rng, 40, 6)
+        cover_entropy(tsallis(2), mu, q)  # builds the graph and keeps it
+        kept, fresh = [], []
+        assert (_outcome(cover_entropy, _recording(kept), mu, q)
+                == _outcome(cover_entropy, _recording(fresh), mu, _fresh(q)))
+        assert kept and list(map(repr, kept)) == list(map(repr, fresh))
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:

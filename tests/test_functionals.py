@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,18 @@ class TestStructureCheck:
         report = check_structure(huge_f, grid_size=11, tol=1e-9)
         assert report.worst_f_violation == math.inf and not report.f_monotone
         assert report.g_additive and report.g_curvature
+
+
+    def test_probes_at_the_grid_cap_fit_in_little_memory(self):
+        # the additivity check makes about 1e6 probes at grid_size 2001, and
+        # keeps only their running worst and finiteness, not the probes
+        tracemalloc.start()
+        try:
+            check_structure(shannon(), 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10 ** 6
 
 
 class TestParseFunctional:
