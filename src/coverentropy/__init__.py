@@ -24,19 +24,18 @@ _EXPORTS = {
     "classical": (
         "Assignment", "CoverEntropyResult", "ENUMERATION_CAP", "assignment_to_partition",
         "cover_entropy", "enumerate_acceptable_partitions", "minimizing_assignment",
-        "partition_entropy", "search_space_size"),
+        "partition_entropy"),
     "errors": ("BudgetExceededError", "SpaceMismatchError", "ValidationError"),
     "functionals": (
         "CompositionCase", "EntropyFunctional", "HlpInput", "builtin_functionals", "evaluate",
         "parse_functional", "renyi", "shannon", "tsallis"),
     "measure": (
         "AtomSet", "DEFAULT_BUDGET", "DiscreteSpace", "MASS_TOL", "Measure", "SetFamily",
-        "complement", "finer_than", "instance_dict", "is_mu_cover", "is_mu_partition",
-        "load_instance", "parse_instance", "restrict"),
+        "finer_than", "instance_dict", "is_mu_cover", "is_mu_partition", "load_instance",
+        "parse_instance"),
     "mixture": (
-        "LimitBridgeRow", "MixtureBoundReport", "MixtureSpec", "limit_bridge", "mix",
-        "mix_division", "parse_mixture", "shannon_mixture_bounds", "tsallis_mixture_bounds",
-        "verify_mixture_bounds"),
+        "MixtureBoundReport", "MixtureSpec", "mix", "mix_division", "parse_mixture",
+        "shannon_mixture_bounds", "tsallis_mixture_bounds", "verify_mixture_bounds"),
     "probes": ("ComparisonReport", "StructureReport", "check_structure", "hlp_compare"),
     "weighted": (
         "WeightedDivision", "cover_entropy_weighted", "disjointify", "disjointify_certificate",

@@ -22,13 +22,13 @@ their moves from the candidate lists alone, with neither masses nor ``g``;
 :func:`ordering_dp` values such a graph for one measure and one ``g`` and
 walks it, building the graph first when it is given none.  So a caller can
 build a cover's graph once per pattern of positive cells and value it for
-every functional and measure on that pattern
-(:func:`coverentropy.classical.minimizing_assignment` keeps it on the
-cover, for as long as the cover lives).  The result never depends on
-whether the graph was built here: the value, choice, transition count and
-the order of ``g`` calls are the same.  As the expansion calls no ``g``, a
-search that runs out of budget there raises BudgetExceededError even where
-``g`` would give a non-finite value or raise.
+every functional and measure on that pattern: ``classical._search`` keeps
+it on the cover, for as long as the cover lives, for all three searches
+(``minimizing_assignment``, ``cover_entropy``, ``cover_entropy_weighted``).
+The result never depends on whether the graph was built here: the value,
+choice, transition count and the order of ``g`` calls are the same.  As the
+expansion calls no ``g``, a search that runs out of budget there raises
+BudgetExceededError even where ``g`` would give a non-finite value or raise.
 """
 
 from __future__ import annotations

@@ -8,15 +8,13 @@ positive-mass atoms by an atom-to-cover-set assignment, and some optimal
 assignment never splits a Venn cell and is induced by an ordering of the
 cover sets (see :func:`minimizing_assignment`).  The search therefore
 assigns whole cells with the dynamic program over set orderings of
-:mod:`coverentropy._kernels`; it is sequential and deterministic, so
-results do not depend on any thread-count setting.
+:mod:`coverentropy._kernels`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator
 
 # by name, not through the package root's __getattr__, so -X importtime logs it
@@ -29,7 +27,6 @@ from .measure import (
     DiscreteSpace,
     Measure,
     SetFamily,
-    _check_family_and_measure,
     _require_shared_space,
     _unchecked,
     check_integer,
@@ -85,15 +82,6 @@ class Assignment:
             if atom not in self.cover[idx]:
                 raise ValidationError(f"atom {atom} is not a member of cover set {idx}")
         object.__setattr__(self, "choice", pairs)
-
-    @classmethod
-    def from_mapping(cls, cover: SetFamily, mapping: Mapping[int, int]) -> "Assignment":
-        check_type(cover, SetFamily, "cover")
-        check_type(mapping, Mapping, "mapping")
-        return cls(cover.space, cover, tuple(mapping.items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.choice)
 
 
 def _index_pair(atom, idx) -> tuple[int, int]:
@@ -172,13 +160,6 @@ def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int
     searched = sorted(
         (atom, list(options)) for _, atoms, options in _venn_cells(mu, q) for atom in atoms)
     return [atom for atom, _ in searched], [options for _, options in searched]
-
-
-def search_space_size(mu: Measure, q: SetFamily) -> int:
-    """Number of atom-to-set assignments for this instance (Python int)."""
-    _check_family_and_measure(q, mu)
-    _, cands = _searched_atoms(mu, q)
-    return math.prod(map(len, cands))
 
 
 def enumerate_acceptable_partitions(mu: Measure, q: SetFamily) -> Iterator[SetFamily]:

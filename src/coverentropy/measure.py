@@ -119,9 +119,6 @@ class DiscreteSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_integer(self.n, 1, "atom count"))
 
-    def atoms(self) -> range:
-        return range(self.n)
-
 
 def real_list(values, what: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats, else a ValidationError naming ``what``:
@@ -176,8 +173,7 @@ def _mass_vector(values, what: str, probability: bool = False) -> tuple[float, .
 class Measure:
     """A mass vector (:func:`_mass_vector`) over a space, kept as the tuple
     of floats ``masses``; ``probability`` is a bool, and ``True`` also pins
-    its total to 1 within ``MASS_TOL``, which restrictions and submeasures
-    need not meet."""
+    its total to 1 within ``MASS_TOL``, which submeasures need not meet."""
 
     space: DiscreteSpace
     masses: tuple[float, ...]
@@ -317,23 +313,6 @@ def _require_shared_space(a, b) -> None:
         raise SpaceMismatchError(
             f"operands live on different spaces ({a.space.n} vs {b.space.n} atoms)"
         )
-
-
-def restrict(mu: Measure, a: AtomSet) -> Measure:
-    """Restriction of ``mu`` to ``a``: keep mass on members, zero elsewhere."""
-    check_type(mu, Measure, "measure")
-    check_type(a, AtomSet, "atom set")
-    _require_shared_space(mu, a)
-    out = [0.0] * mu.space.n
-    for atom in a.members:
-        out[atom] = mu.masses[atom]
-    return Measure(mu.space, out)
-
-
-def complement(a: AtomSet) -> AtomSet:
-    check_type(a, AtomSet, "atom set")
-    members = set(a.members)
-    return AtomSet(a.space, tuple(i for i in a.space.atoms() if i not in members))
 
 
 def _check_family_and_measure(fam, mu) -> None:

@@ -21,8 +21,7 @@ component that is not.
 
 Component entropies are computed with the exact classical search, so the
 containment checks here are exact at this scale rather than epsilon
-approximate.  Everything is pure; component entropies could be evaluated
-concurrently without changing any reported value.
+approximate.
 """
 
 from __future__ import annotations
@@ -191,14 +190,9 @@ def _bounds(kept, alpha) -> tuple[float | None, float | None]:
         powers = [c ** alpha for c, _ in kept]
         upper = (_sum_in_order(p * h for p, (_, h) in zip(powers, kept))
                  + (_sum_in_order(powers) - 1.0) / (1.0 - alpha))
-    return _finite("mixture bounds", lower, upper)
-
-
-def _finite(what: str, *values: float) -> tuple[float, ...]:
-    """``values`` unchanged if all are finite, else a ValidationError naming ``what``."""
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"{what} leave float range: {values}")
-    return values
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValidationError(f"mixture bounds leave float range: {(lower, upper)}")
+    return lower, upper
 
 
 def tsallis_mixture_bounds(
@@ -312,57 +306,6 @@ def verify_mixture_bounds(
         coefficients=spec.coefficients,
         alpha=e.alpha,
     )
-
-
-# ---------------------------------------------------------------------------
-# Bounds as alpha approaches 1
-# ---------------------------------------------------------------------------
-
-@frozen
-class LimitBridgeRow:
-    """One alpha sample: both bounds plus deviations from the Shannon bounds."""
-
-    alpha: float
-    lower: float
-    upper: float
-    lower_gap: float
-    upper_gap: float
-
-
-def limit_bridge(
-    a: Sequence[float],
-    component_entropies: Sequence[float],
-    alphas: Sequence[float],
-) -> tuple[LimitBridgeRow, ...]:
-    """Tabulate the Tsallis bounds against the Shannon bounds along ``alphas``.
-
-    The lower bound carries no alpha dependence, so its gap is identically
-    zero.  The upper bound's additive term converges to the *natural-log*
-    coefficient entropy, a factor ``ln 2`` below the base-2 term in the
-    Shannon bound, and the table reports the raw gaps so callers can see
-    exactly that.
-    """
-    entropies = _listed(component_entropies, "component entropies")
-    if not all(map(is_finite_number, entropies)):
-        raise ValidationError(
-            f"component entropies must be finite numbers, got {entropies}")
-    kept = _clean_inputs(entropies, a)
-    shannon_lower, shannon_upper = _bounds(kept, None)
-    rows = []
-    for alpha in _listed(alphas, "alphas"):
-        lower, upper = _bounds(kept, _check_alpha(alpha))
-        lower_gap, upper_gap = _finite(
-            "bound gaps", abs(lower - shannon_lower), abs(upper - shannon_upper))
-        rows.append(
-            LimitBridgeRow(
-                alpha=float(alpha),
-                lower=lower,
-                upper=upper,
-                lower_gap=lower_gap,
-                upper_gap=upper_gap,
-            )
-        )
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

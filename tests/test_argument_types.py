@@ -2,8 +2,11 @@
 bare AttributeError from reading a field it does not have, or a TypeError; and
 a fuzz of every public callable lets no other exception escape."""
 
+import ast
 import math
+import re
 from collections.abc import Iterator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from coverentropy import (
     ValidationError,
     assignment_to_partition,
     check_structure,
-    complement,
     cover_entropy,
     cover_entropy_weighted,
     disjointify,
@@ -43,8 +45,6 @@ from coverentropy import (
     partition_entropy,
     partition_to_division,
     random_division,
-    restrict,
-    search_space_size,
     shannon,
     tsallis,
     verify_mixture_bounds,
@@ -57,7 +57,7 @@ MU = Measure(SPACE, [0.5, 0.5], probability=True)
 Q = SetFamily.of(SPACE, [[0, 1], [1]])
 P = SetFamily.of(SPACE, [[0], [1]])
 E = shannon()
-A = Assignment.from_mapping(Q, {0: 0, 1: 1})
+A = Assignment(SPACE, Q, ((0, 0), (1, 1)))
 D = division_from_assignment(A, MU)
 SPEC = MixtureSpec(((1.0, MU),))
 
@@ -99,9 +99,7 @@ CALLS = {
     "MixtureBoundReport component entropies": lambda: MixtureBoundReport(None, None, None, 5, (), None),
     "is_mu_cover family": lambda: is_mu_cover(5, MU),
     "is_mu_partition measure": lambda: is_mu_partition(Q, 5),
-    "restrict atom set": lambda: restrict(MU, 5),
     "finer_than cover": lambda: finer_than(Q, 5),
-    "complement": lambda: complement(5),
     "Measure.mass_of": lambda: MU.mass_of(5),
     "evaluate functional": lambda: evaluate(5, [0.5]),
     "random_division cover": lambda: random_division(MU, 5, seed=0),
@@ -109,10 +107,7 @@ CALLS = {
     "Measure probability": lambda: Measure(SPACE, [0.5, 0.5], np.array([])),
     "AtomSet space": lambda: AtomSet(5, (0,)),
     "SetFamily space": lambda: SetFamily(5, ()),
-    "Assignment.from_mapping mapping": lambda: Assignment.from_mapping(Q, [1, 2]),
-    "Assignment.from_mapping cover": lambda: Assignment.from_mapping(5, {}),
     "instance_dict measure": lambda: instance_dict(5, Q),
-    "search_space_size measure": lambda: search_space_size(5, Q),
     "load_instance source": lambda: load_instance(5),
 }
 
@@ -154,7 +149,6 @@ VALID = {
     "DiscreteSpace": (2,),
     "EntropyFunctional": ("square", None, abs, abs, CASE),
     "HlpInput": ((0.5, 0.5), (0.7, 0.3)),
-    "LimitBridgeRow": (2.0, 0.5, 1.5, 0.0, 0.5),
     "Measure": (SPACE, [0.5, 0.5], True),
     "MixtureBoundReport": (0.5, 1.5, 1.0, (1.0,), (1.0,), 2.0),
     "MixtureSpec": (((1.0, MU),),),
@@ -166,7 +160,6 @@ VALID = {
     "assignment_to_partition": (A,),
     "builtin_functionals": (),
     "check_structure": (E, 5, 1e-9),
-    "complement": (ATOM,),
     "cover_entropy": (E, MU, Q, 100),
     "cover_entropy_weighted": (E, MU, Q, 100),
     "disjointify": (D,),
@@ -180,7 +173,6 @@ VALID = {
     "instance_dict": (MU, Q),
     "is_mu_cover": (Q, MU),
     "is_mu_partition": (P, MU),
-    "limit_bridge": ([0.5, 0.5], [1.0, 1.0], [0.5, 2.0]),
     "load_instance": (b'{"n": 2, "mu": [0.5, 0.5], "cover": [[0, 1]]}',),
     "minimizing_assignment": (E, MU, Q, 100),
     "mix": (SPEC,),
@@ -194,8 +186,6 @@ VALID = {
     "partition_to_division": (MU, P, Q),
     "random_division": (MU, Q, 0),
     "renyi": (2.0,),
-    "restrict": (MU, ATOM),
-    "search_space_size": (MU, Q),
     "shannon": (),
     "shannon_mixture_bounds": ([1.0, 1.0], [0.5, 0.5]),
     "tsallis": (2.0,),
@@ -241,6 +231,20 @@ MUTANTS = st.recursive(
 
 def test_fuzz_table_names_every_exported_callable():
     assert set(VALID) == {n for n in coverentropy.__all__ if callable(getattr(coverentropy, n))}
+
+
+def test_every_export_is_read_or_listed_in_the_readme():
+    # read: a Name load or an Attribute in a package module or a perfbench script
+    root = Path(__file__).resolve().parents[1]
+    sources = [*root.glob("src/coverentropy/*.py"), *root.glob("perfbench/*.py")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in sources if path.name != "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    readme = (root / "README.md").read_text().partition("### Public names without a caller\n")[2]
+    listed = set(re.findall(r"^- `(\w+)`:", readme.split("\n#")[0], re.MULTILINE))
+    assert set(coverentropy.__all__) - read == listed
 
 
 def _mutated(draw, value):

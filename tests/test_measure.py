@@ -17,7 +17,6 @@ from coverentropy import (
     SetFamily,
     SpaceMismatchError,
     ValidationError,
-    complement,
     cover_entropy,
     evaluate,
     finer_than,
@@ -28,7 +27,6 @@ from coverentropy import (
     parse_instance,
     parse_mixture,
     partition_entropy,
-    restrict,
     shannon,
 )
 from coverentropy.measure import is_finite_number, is_integer, real_list
@@ -40,29 +38,6 @@ def measure(*mass, probability=False):
 
 def family(n, *blocks):
     return SetFamily.of(DiscreteSpace(n), blocks)
-
-
-# -- strategies --------------------------------------------------------------
-
-@st.composite
-def probability_vectors(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    raw = draw(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n)
-    )
-    total = sum(raw)
-    if total < 1e-6:
-        raw = [1.0] * n
-        total = float(n)
-    return [v / total for v in raw]
-
-
-@st.composite
-def measure_and_subset(draw):
-    mass = draw(probability_vectors())
-    space = DiscreteSpace(len(mass))
-    members = draw(st.sets(st.integers(min_value=0, max_value=len(mass) - 1)))
-    return Measure(space, mass, probability=True), AtomSet(space, tuple(members))
 
 
 # -- types -------------------------------------------------------------------
@@ -159,39 +134,6 @@ class TestTypes:
             SetFamily(DiscreteSpace(2), (a, b))
 
 
-# -- restrict ----------------------------------------------------------------
-
-class TestRestrict:
-    def test_indicator_restriction(self):
-        m = restrict(measure(0.5, 0.5), AtomSet(DiscreteSpace(2), (0,)))
-        assert m.masses == (0.5, 0.0)
-
-    def test_identity_case(self):
-        m = restrict(measure(0.5, 0.5), AtomSet(DiscreteSpace(2), (0, 1)))
-        assert m.masses == (0.5, 0.5)
-
-    def test_partial_restriction(self):
-        m = restrict(measure(0.2, 0.3, 0.5), AtomSet(DiscreteSpace(3), (1, 2)))
-        assert m.masses == (0.0, 0.3, 0.5)
-
-    def test_space_mismatch(self):
-        with pytest.raises(SpaceMismatchError):
-            restrict(measure(1.0), AtomSet(DiscreteSpace(2), (0,)))
-
-    @given(measure_and_subset())
-    def test_idempotent(self, pair):
-        mu, a = pair
-        once = restrict(mu, a)
-        twice = restrict(once, a)
-        assert once.masses == twice.masses
-
-    @given(measure_and_subset())
-    def test_complement_split_preserves_total(self, pair):
-        mu, a = pair
-        total = restrict(mu, a).total + restrict(mu, complement(a)).total
-        assert total == pytest.approx(mu.total, abs=1e-12)
-
-
 # -- partition / cover predicates ---------------------------------------------
 
 class TestPredicates:
@@ -228,7 +170,7 @@ def signatures_from_incidence(fam):
     """``(atom_signatures, uncovered atoms)`` read off the incidence columns."""
     groups = {}
     inc = incidence(fam)
-    for atom in fam.space.atoms():
+    for atom in range(fam.space.n):
         sets = tuple(np.flatnonzero(inc[:, atom]).tolist())
         groups.setdefault(sets, []).append(atom)
     uncovered = groups.pop((), [])
@@ -237,7 +179,7 @@ def signatures_from_incidence(fam):
 
 def signatures_from_lists(fam):
     """The same, from one list of holding sets per atom, scanning every set."""
-    held = [[] for _ in fam.space.atoms()]
+    held = [[] for _ in range(fam.space.n)]
     for idx, s in enumerate(fam.sets):
         for atom in s.members:
             held[atom].append(idx)

@@ -11,7 +11,6 @@ from coverentropy import (
     MixtureSpec,
     SetFamily,
     ValidationError,
-    limit_bridge,
     mix,
     mix_division,
     partition_entropy,
@@ -212,7 +211,6 @@ NAN = float("nan")
 BOUND_FUNCTIONS = {
     "tsallis": lambda h, a: tsallis_mixture_bounds(h, a, 2.0),
     "shannon": shannon_mixture_bounds,
-    "limit_bridge": lambda h, a: limit_bridge(a, h, [2.0]),
 }
 
 
@@ -244,11 +242,7 @@ class TestBoundInputValidation:
         (lambda: tsallis_mixture_bounds(5, [1.0], 2.0), "entropies"),
         (lambda: tsallis_mixture_bounds([1.0], None, 2.0), "coefficients"),
         (lambda: shannon_mixture_bounds([0.0], 5), "coefficients"),
-        (lambda: limit_bridge(5, [0.0], [2.0]), "coefficients"),
-        (lambda: limit_bridge([1.0], 5, [2.0]), "entropies"),
-        (lambda: limit_bridge([1.0], [0.0], 5), "alphas"),
-    ], ids=["tsallis-entropies", "tsallis-coefficients", "shannon-coefficients",
-            "bridge-coefficients", "bridge-entropies", "bridge-alphas"])
+    ], ids=["tsallis-entropies", "tsallis-coefficients", "shannon-coefficients"])
     def test_non_sequence_rejected(self, call, what):
         with pytest.raises(ValidationError, match=what):
             call()
@@ -259,19 +253,11 @@ class TestBoundInputValidation:
 
     @pytest.mark.parametrize("call", [
         lambda: tsallis_mixture_bounds([1.7e308, 1.7e308], [0.5, 0.5], 0.5),
-        lambda: limit_bridge([0.5, 0.5], [1.7e308, 1.7e308], [0.5]),
-    ], ids=["tsallis", "limit_bridge"])
+    ], ids=["tsallis"])
     def test_bound_beyond_float_range_rejected(self, call):
         # finite entropies whose upper bound, 2**0.5 * 1.7e308, is not
         with pytest.raises(ValidationError, match="float range"):
             call()
-
-    def test_bound_gap_beyond_float_range_rejected(self):
-        # both upper bounds are finite (about 1.75e308 and -1.64e307), and
-        # so are the entropies; their distance is not
-        h = 2.047e307
-        with pytest.raises(ValidationError, match="gaps leave float range"):
-            limit_bridge([0.9] + [0.01] * 10, [-h] + [h] * 10, [0.01])
 
 
 class TestVerifyMixtureBounds:
@@ -437,31 +423,36 @@ class TestComponentwiseInequalities:
 
 
 class TestLimitBridge:
+    """The alpha -> 1 bridge of criterion 7 on the closed forms, at
+    coefficients (0.5, 0.5) and component entropies (1, 1)."""
+
+    @staticmethod
+    def bounds(alpha):
+        return tsallis_mixture_bounds([1.0, 1.0], [0.5, 0.5], alpha)
+
     def test_lower_gap_identically_zero(self):
-        rows = limit_bridge([0.5, 0.5], [1.0, 1.0], [0.5, 0.9, 1.1, 2.0])
-        assert all(r.lower_gap == 0.0 for r in rows)
-        assert all(r.lower == pytest.approx(1.0) for r in rows)
+        shannon_lower, _ = shannon_mixture_bounds([1.0, 1.0], [0.5, 0.5])
+        for alpha in (0.5, 0.9, 1.1, 2.0):
+            lower, _ = self.bounds(alpha)
+            assert lower == shannon_lower == pytest.approx(1.0)
 
     def test_degenerate_coefficient_pins_upper(self):
-        rows = limit_bridge([1.0, 0.0], [1.5, 99.0], [0.5, 2.0, 3.0])
-        for r in rows:
-            assert r.upper == pytest.approx(1.5)
-            assert r.lower == pytest.approx(1.5)
+        for alpha in (0.5, 2.0, 3.0):
+            lower, upper = tsallis_mixture_bounds([1.5, 99.0], [1.0, 0.0], alpha)
+            assert upper == pytest.approx(1.5)
+            assert lower == pytest.approx(1.5)
 
     def test_frozen_upper_values(self):
-        # mpmath-frozen samples of the upper bound at a=(0.5,0.5), H=(1,1)
-        rows = limit_bridge([0.5, 0.5], [1.0, 1.0], [0.99, 1.01])
-        assert rows[0].upper == pytest.approx(1.70251055573, abs=1e-9)
-        assert rows[1].upper == pytest.approx(1.68384295173, abs=1e-9)
+        # mpmath-frozen samples of the upper bound
+        assert self.bounds(0.99)[1] == pytest.approx(1.70251055573, abs=1e-9)
+        assert self.bounds(1.01)[1] == pytest.approx(1.68384295173, abs=1e-9)
 
     def test_upper_converges_to_natural_log_coefficient_entropy(self):
         # the additive term (sum a^alpha - 1)/(1 - alpha) tends to
         # -sum a*ln(a): natural-log units, i.e. ln2 below the base-2 term
         target = 1.0 + LN2
-        gaps = []
-        for alpha in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 + 1e-4, 1 + 1e-3, 1 + 1e-2):
-            (row,) = limit_bridge([0.5, 0.5], [1.0, 1.0], [alpha])
-            gaps.append(abs(row.upper - target))
+        gaps = [abs(self.bounds(alpha)[1] - target)
+                for alpha in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 + 1e-4, 1 + 1e-3, 1 + 1e-2)]
         assert gaps[2] <= 1e-3 and gaps[3] <= 1e-3
         assert gaps[0] >= gaps[1] >= gaps[2]  # shrinking from below
         assert gaps[5] >= gaps[4] >= gaps[3]  # shrinking from above
@@ -471,8 +462,9 @@ class TestLimitBridge:
         reason="the upper bound's additive term converges to the natural-log "
         "coefficient entropy (1+ln2 here), not to the base-2 Shannon term "
         "(2.0); base-2 agreement within 1e-3 near alpha=1 cannot hold",
+        raises=AssertionError,
     )
     def test_upper_matches_base_two_shannon_bound_near_one(self):
+        _, shannon_upper = shannon_mixture_bounds([1.0, 1.0], [0.5, 0.5])
         for alpha in (1 - 1e-4, 1 + 1e-4):
-            (row,) = limit_bridge([0.5, 0.5], [1.0, 1.0], [alpha])
-            assert row.upper_gap <= 1e-3
+            assert abs(self.bounds(alpha)[1] - shannon_upper) <= 1e-3

@@ -17,7 +17,6 @@ from coverentropy import (
     WeightedDivision,
     evaluate,
     hlp_compare,
-    limit_bridge,
     parse_division,
     parse_instance,
     parse_mixture,
@@ -73,7 +72,6 @@ def boundary_calls(u, v):
     pairs = [(c, MU) for c in u] if isinstance(u, (list, tuple)) else u
     yield lambda: MixtureSpec(pairs)
     yield lambda: tsallis_mixture_bounds(u, v, 2.0)
-    yield lambda: limit_bridge(v, u, [2.0, 0.5])
 
 
 @given(VALUES, VALUES)

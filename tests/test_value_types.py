@@ -17,7 +17,7 @@ from coverentropy import (
 )
 from coverentropy.classical import Assignment, CoverEntropyResult
 from coverentropy.measure import _unchecked
-from coverentropy.mixture import LimitBridgeRow, MixtureBoundReport, MixtureSpec
+from coverentropy.mixture import MixtureBoundReport, MixtureSpec
 from coverentropy.probes import ComparisonReport, StructureReport
 from coverentropy.selftest import PropertyOutcome
 from coverentropy.weighted import WeightedDivision
@@ -65,9 +65,6 @@ VALUE_TYPES = [
                           "alpha"), (0.5, 1.5, 1.0, (1.0,), (1.0,), None),
      "MixtureBoundReport(lower=0.5, upper=1.5, achieved=1.0, component_entropies=(1.0,), "
      "coefficients=(1.0,), alpha=None)"),
-    (LimitBridgeRow, ("alpha", "lower", "upper", "lower_gap", "upper_gap"),
-     (0.5, 1.0, 2.0, 0.0, 0.25),
-     "LimitBridgeRow(alpha=0.5, lower=1.0, upper=2.0, lower_gap=0.0, upper_gap=0.25)"),
     (PropertyOutcome, ("name", "checks", "failures", "counterexample"), ("p", 3, 1, {"n": 2}),
      "PropertyOutcome(name='p', checks=3, failures=1, counterexample={'n': 2})"),
 ]
@@ -141,7 +138,7 @@ def test_equality_tells_fields_and_classes_apart():
     assert hash(DiscreteSpace(3)) == hash(DiscreteSpace(3))
     assert AtomSet(SPACE, (0,)) != AtomSet(SPACE, (1,))
     # equal fields on different classes do not make equal values
-    assert LimitBridgeRow(0.5, 1.0, 2.0, 0.0, 0.25) != ComparisonReport(0.5, 1.0, "concave", True)
+    assert PropertyOutcome(0.5, 1.0, "concave", True) != ComparisonReport(0.5, 1.0, "concave", True)
     assert {DiscreteSpace(3), DiscreteSpace(3), DiscreteSpace(4)} == {SPACE, DiscreteSpace(4)}
 
 

@@ -207,7 +207,7 @@ class TestDivisionFromAssignment:
 
     def test_positive_mass_left_unplaced_is_rejected(self):
         q = family(3, [0, 1], [1, 2])
-        a = Assignment.from_mapping(q, {0: 0, 2: 1})
+        a = Assignment(q.space, q, ((0, 0), (2, 1)))
         with pytest.raises(ValidationError, match="rows do not sum back .* atom 1 "):
             division_from_assignment(a, measure(0.5, 0.25, 0.25))
 
@@ -216,13 +216,13 @@ class TestDivisionFromAssignment:
         mu = Measure(DiscreteSpace(21), [1 - 2e-12] + [1e-13] * 20)
         q = family(21, [0], range(1, 21))
         with pytest.raises(ValidationError, match=r"atom 1 \(off by 1e-13, 2e-12 over all atoms\)"):
-            division_from_assignment(Assignment.from_mapping(q, {0: 0}), mu)
-        a = Assignment.from_mapping(q, {0: 0, **{atom: 1 for atom in range(11, 21)}})
+            division_from_assignment(Assignment(q.space, q, ((0, 0),)), mu)
+        a = Assignment(q.space, q, ((0, 0), *((atom, 1) for atom in range(11, 21))))
         assert division_from_assignment(a, mu).values[1][10:] == mu.masses[11:]
 
     def test_measure_on_another_space_is_rejected(self):
         q = family(2, [0, 1])
-        a = Assignment.from_mapping(q, {0: 0, 1: 0})
+        a = Assignment(q.space, q, ((0, 0), (1, 0)))
         with pytest.raises(SpaceMismatchError):
             division_from_assignment(a, uniform(3))
 
