@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # by name, not through the package root's __getattr__, so -X importtime logs it
 import coverentropy._kernels as _kernels
@@ -146,7 +146,14 @@ def partition_entropy(e: EntropyFunctional, mu: Measure, p: SetFamily) -> float:
     if not is_mu_partition(p, mu):
         raise ValidationError("family is not a mu-partition (overlap or uncovered mass)")
     # disjoint blocks of a checked measure: their masses form a mass vector
-    return _g_sum_value(e, [mu.mass_of(block) for block in p])
+    return _g_sum_value(e, _block_masses(mu, p))
+
+
+def _block_masses(mu: Measure, blocks: Iterable[AtomSet]) -> list[float]:
+    """Each block's mass, the ``math.fsum`` of :meth:`Measure.mass_of` without
+    its type and space checks: for blocks of a family checked against ``mu``."""
+    masses = mu.masses
+    return [math.fsum([masses[atom] for atom in block.members]) for block in blocks]
 
 
 def _searched_atoms(mu: Measure, q: SetFamily) -> tuple[list[int], list[list[int]]]:
@@ -325,10 +332,8 @@ def cover_entropy(
         return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
     assignment, groups, explored = _search(e, mu, q, budget)
     witness = _partition_of(mu.space, groups)
-    masses = mu.masses
     return CoverEntropyResult(
-        value=_g_sum_value(e, [math.fsum([masses[atom] for atom in block.members])
-                               for block in witness]),
+        value=_g_sum_value(e, _block_masses(mu, witness)),
         witness=witness,
         explored=explored,
         assignment=assignment,

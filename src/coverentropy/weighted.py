@@ -16,7 +16,9 @@ row masses and the block masses (a Hardy-Littlewood-Polya comparison, see
 :func:`~coverentropy.probes.hlp_compare`).  Minimising the weighted
 entropy over the whole division polytope therefore matches the classical
 cover entropy; the minimum is attained at an assignment-induced (vertex)
-division, which is how :func:`cover_entropy_weighted` computes it.  All
+division, which is how :func:`cover_entropy_weighted` computes it.  The
+vertex division and the sampler check only sum-back, and the difference
+chain and its partition none: the rest holds by construction.  All
 operations are pure, and the random sampler draws from the standard
 library's ``random.Random(seed)``, so it depends only on ``(seed,
 instance)``; numpy is imported only by the dense ``rows`` view.
@@ -33,6 +35,7 @@ from .classical import (
     DEFAULT_BUDGET,
     Assignment,
     CoverEntropyResult,
+    _block_masses,
     _check_operands,
     _search,
 )
@@ -72,6 +75,8 @@ class WeightedDivision:
     nonnegative, and the gaps between each atom's mass and the ``math.fsum``
     of its values total at most ``MASS_TOL`` (an exact ``math.fsum`` too), so
     every division that passes is valued and certified with no mass check.
+    :func:`division_from_assignment` and :func:`random_division` check only
+    the gaps, as the rest holds by construction.
 
     Quantities derived from the values are computed on first use and kept on
     the division, so every reader shares one copy: ``row_masses`` (the
@@ -88,7 +93,7 @@ class WeightedDivision:
         check_type(self.mu, Measure, "measure")
         check_type(self.cover, SetFamily, "cover")
         _require_shared_space(self.mu, self.cover)
-        sets, n = self.cover.sets, self.mu.space.n
+        sets = self.cover.sets
         raw = self.values
         if not isinstance(raw, (list, tuple)) or len(raw) != len(sets):
             raise ValidationError(f"division rows must match the cover's shape: a list or "
@@ -101,16 +106,11 @@ class WeightedDivision:
                                       f"{len(s.members)} member values of cover set {i}, "
                                       f"got {len(row)} entries")
             values.append(row)
-        parts: list[list[float]] = [[] for _ in range(n)]
-        for s, row in zip(sets, values):
-            for atom, v in zip(s.members, row):
-                # false for NaN and infinity too; the sum-back check rejects
-                # any value above 1 + 2 * MASS_TOL, and bounding values first
-                # keeps its sums finite
-                if not 0.0 <= v <= 2.0:
-                    raise ValidationError("division rows must be finite, nonnegative and at most 1")
-                parts[atom].append(v)
-        _check_sum_back([abs(math.fsum(p) - m) for p, m in zip(parts, self.mu.masses)])
+        # false for NaN and infinity too; the sum-back check rejects any value
+        # above 1 + 2 * MASS_TOL, and bounding values first keeps its sums finite
+        if not all(0.0 <= v <= 2.0 for row in values for v in row):
+            raise ValidationError("division rows must be finite, nonnegative and at most 1")
+        _check_sum_back(_sum_back_gaps(self.mu, sets, values))
         object.__setattr__(self, "values", tuple(values))
 
     @cached_property
@@ -137,15 +137,17 @@ class WeightedDivision:
         every set before it, and ``block_masses[j]`` its mass under ``mu``.
         """
         masses = self.row_masses
+        # a stable sort keeps ascending indices in order among equal masses
         order = sorted((i for i, m in enumerate(masses) if m > 0.0),
-                       key=lambda i: (-masses[i], i))
+                       key=masses.__getitem__, reverse=True)
         taken: set[int] = set()
         blocks = []
         for i in order:
             fresh = tuple(a for a in self.cover[i].members if a not in taken)
             taken.update(fresh)
-            blocks.append(AtomSet(self.mu.space, fresh))
-        return tuple(order), tuple(blocks), tuple(self.mu.mass_of(b) for b in blocks)
+            # a sorted subset of a checked cover set's members
+            blocks.append(_unchecked(AtomSet, space=self.mu.space, members=fresh))
+        return tuple(order), tuple(blocks), tuple(_block_masses(self.mu, blocks))
 
 
 def _check_sum_back(gaps: list[float]) -> None:
@@ -156,6 +158,16 @@ def _check_sum_back(gaps: list[float]) -> None:
         worst = max(gaps)
         raise ValidationError(f"rows do not sum back to the measure at atom {gaps.index(worst)} "
                               f"(off by {worst}, {total} over all atoms)")
+
+
+def _sum_back_gaps(mu: Measure, sets: tuple[AtomSet, ...], values) -> list[float]:
+    """Each atom's gap between its mass and the ``math.fsum`` of its values,
+    added in set order; ``values[i]`` lists set ``sets[i]``'s member values."""
+    parts: list[list[float]] = [[] for _ in mu.masses]
+    for s, row in zip(sets, values):
+        for atom, v in zip(s.members, row):
+            parts[atom].append(v)
+    return [abs(math.fsum(p) - m) for p, m in zip(parts, mu.masses)]
 
 
 def _dense_rows(d: WeightedDivision) -> list[list[float]]:
@@ -231,7 +243,9 @@ def disjointify(d: WeightedDivision) -> SetFamily:
     """
     check_type(d, WeightedDivision, "division")
     _, blocks, block_masses = d._chain
-    return SetFamily(d.mu.space, tuple(b for b, m in zip(blocks, block_masses) if m > 0.0))
+    # blocks of the chain, each an AtomSet on the division's space
+    return _unchecked(SetFamily, space=d.mu.space,
+                      sets=tuple(b for b, m in zip(blocks, block_masses) if m > 0.0))
 
 
 def disjointify_certificate(d: WeightedDivision) -> HlpInput:
@@ -292,7 +306,9 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     ``t`` and mass ``m`` becomes ``(x / t) * m``: flat-Dirichlet weights over
     the sets containing the atom, scaled by its mass.  Atoms contained in a
     single set keep their exact mass there (``x / x == 1.0``) regardless of
-    the seed; atoms in no set get no mass.
+    the seed; atoms in no set get no mass.  Only the sum-back gaps are
+    checked: ``mu`` and ``q`` pass :func:`is_mu_cover`, and each value lies
+    in ``[0, m]``, since ``t`` is at least each of its draws.
     """
     uniform = random.Random(check_integer(seed, 0, "seed")).random
     if not is_mu_cover(q, mu):
@@ -310,7 +326,10 @@ def random_division(mu: Measure, q: SetFamily, seed: int) -> WeightedDivision:
     masses = mu.masses
     values = tuple(tuple([(x / total[atom]) * masses[atom] for atom, x in zip(s.members, chunk)])
                    for s, chunk in zip(q.sets, chunks))
-    return WeightedDivision(mu, q, values)
+    _check_sum_back(_sum_back_gaps(mu, q.sets, values))
+    # checked by is_mu_cover and above; each value (x / t) * m lies in [0, m],
+    # as the float total t of an atom's nonnegative draws is at least each x
+    return _unchecked(WeightedDivision, mu=mu, cover=q, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from coverentropy.measure import MASS_TOL
 from coverentropy.selftest import random_acceptable_partition, random_instance, run_selftest
 
 from bad_values import BAD_BUDGETS
-from oracles import incidence
+from oracles import covers_with_dust, incidence
 
 OVERLAP_UNIFORM3 = 0.9182958340544896  # shannon entropy of (2/3, 1/3), mpmath-frozen
 
@@ -85,22 +85,6 @@ def instances_with_gaps(draw):
     space = DiscreteSpace(n)
     sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5))
     return Measure(space, [v / total for v in raw]), SetFamily.of(space, sets)
-
-
-@st.composite
-def covers_with_dust(draw):
-    """A measure with some zero-mass atoms under up to five sets, where the
-    atoms in no set carry at most ``MASS_TOL`` between them, so the sets
-    always form a mu-cover."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    space = DiscreteSpace(n)
-    sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5))
-    held = set().union(*sets)
-    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n))
-    total = sum(raw[a] for a in held) or 1.0
-    dust = st.one_of(st.just(0.0), st.floats(0.0, MASS_TOL / (2 * n)))
-    mass = [raw[a] / total if a in held else draw(dust) for a in range(n)]
-    return Measure(space, mass), SetFamily.of(space, sets)
 
 
 class TestPartitionEntropy:

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coverentropy.weighted as weighted
 from coverentropy import (
     Assignment,
+    AtomSet,
     DiscreteSpace,
     HlpInput,
     Measure,
@@ -34,7 +38,7 @@ from coverentropy import (
 from coverentropy.selftest import random_acceptable_partition, random_instance
 
 from bad_values import BAD_SEEDS, BAD_TOLS
-from oracles import incidence
+from oracles import covers_with_dust, incidence
 
 # mpmath-frozen comparison sums for x=(0.5,0.5) vs y=(0.7,0.3)
 NEG_TLOG_SUM_Y = 0.8812908992306926
@@ -514,7 +518,7 @@ class TestRandomDivision:
         assert not np.array_equal(a.rows, b.rows)
 
     def test_requires_cover(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="family is not a mu-cover of the measure"):
             random_division(measure(0.5, 0.5), family(2, [0]), seed=0)
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
@@ -561,7 +565,7 @@ class TestRandomDivision:
         rng = random.Random(13)
         for i in range(40):
             mu, q = random_instance(rng)
-            d = random_division(mu, q, seed=i)  # validator runs in constructor
+            d = random_division(mu, q, seed=i)  # the sampler checks sum-back
             assert math.fsum(d.row_masses) == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_dirichlet_law(self):
@@ -581,9 +585,40 @@ class TestRandomDivision:
         inc = rng.random((8, n)) < 0.6
         inc[0] |= ~inc.any(axis=0)
         q = family(n, *(np.flatnonzero(row).tolist() for row in inc))
-        d = random_division(mu, q, seed=0)  # validator runs in constructor
+        d = random_division(mu, q, seed=0)  # the sampler checks sum-back
         floor = cover_entropy(shannon(), mu, q).value
         assert weighted_entropy(shannon(), d) >= floor - 1e-9
+        assert_built_as_checked(d)
+
+
+def assert_built_as_checked(d):
+    """The sampler, the difference chain and ``disjointify`` build their
+    values without the constructors' checks; each must be a value those
+    constructors accept unchanged."""
+    mu = d.mu
+    assert WeightedDivision(mu, d.cover, d.values).values == d.values
+    _, blocks, block_masses = d._chain
+    for b, m in zip(blocks, block_masses):
+        assert b == AtomSet(mu.space, b.members)
+        assert m.hex() == mu.mass_of(b).hex()
+    p = disjointify(d)
+    assert p == SetFamily(mu.space, p.sets)
+
+
+class TestUncheckedBuilds:
+    @given(covers_with_dust(), st.integers(min_value=0, max_value=2 ** 64))
+    @settings(max_examples=150, deadline=None)
+    def test_dusty_instances(self, instance, seed):
+        mu, q = instance
+        assert_built_as_checked(random_division(mu, q, seed=seed))
+
+    def test_sampler_runs_the_sum_back_check(self, monkeypatch):
+        def planted(gaps):
+            raise ValidationError("planted sum-back failure")
+
+        monkeypatch.setattr(weighted, "_check_sum_back", planted)
+        with pytest.raises(ValidationError, match="planted sum-back failure"):
+            random_division(uniform(2), family(2, [0, 1], [0, 1]), seed=0)
 
 
 class TestDivisionSchema:
