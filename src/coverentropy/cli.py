@@ -6,8 +6,9 @@ sign, infinities as the string ``"infinity"``), so identical inputs and flags
 reproduce the report byte for byte.  Exit code 0 means status ``ok``; other
 statuses map to distinct nonzero codes.
 
-This module loads only argument parsing, the input readers and the
-functionals; each subcommand imports the modules it runs
+This module loads only the input readers and the functionals, and reads
+its arguments against one table, ``_COMMANDS``: argparse would load gettext
+and locale too.  Each subcommand imports the modules it runs
 (:mod:`~coverentropy.classical` once its input has loaded,
 :mod:`~coverentropy.weighted`, :mod:`~coverentropy.mixture`,
 :mod:`~coverentropy.probes`, :mod:`~coverentropy.selftest`), so a child
@@ -17,11 +18,11 @@ sampler and the self test draw with the standard library's ``random``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 try:  # the interpreter's own sha256 (_sha2 from Python 3.12 on): hashlib loads OpenSSL
     from _sha2 import sha256
@@ -133,18 +134,15 @@ def _emit(args, status: str, results: dict) -> int:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _load_blocks(text: str) -> list[list[int]]:
-    """Accept inline JSON (starts with '[') or a path to a JSON file."""
-    raw = text.strip()
-    return parse_blocks(load_json(raw.encode() if raw.startswith("[") else raw, "blocks"),
-                        "blocks")
-
-
 def cmd_partition(args) -> int:
-    [instance] = _read_inputs(args, args.instance)
+    blocks = args.blocks.strip()
+    if blocks.startswith("["):  # inline JSON is an argument, not an input file
+        [instance], blocks = _read_inputs(args, args.instance), blocks.encode()
+    else:
+        instance, blocks = _read_inputs(args, args.instance, blocks)
     mu, cover = load_instance(instance)
     e = parse_functional(args.functional)
-    blocks = SetFamily.of(mu.space, _load_blocks(args.blocks))
+    blocks = SetFamily.of(mu.space, parse_blocks(load_json(blocks, "blocks"), "blocks"))
     from .classical import partition_entropy
     value = partition_entropy(e, mu, blocks)
     return _emit(args, "ok", {
@@ -264,101 +262,103 @@ def cmd_selftest(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Arguments
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as :class:`ValidationError` instead of printing
-    usage and exiting with 2, which is the budget exit code."""
-
-    def error(self, message):
-        raise ValidationError(message)
-
-
-def _checked(convert, check, **bounds):
-    """argparse type: ``convert`` the text, then apply the library's ``check``,
-    so a flag accepts exactly what the library accepts."""
-    def parse(text: str):
-        try:
-            return check(convert(text), **bounds)
-        except ValueError as exc:  # ValidationError included
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
-#: The flags that tune a computation; each subcommand takes the ones it reads.
+#: The flags that tune a computation: each one's reader, which applies the
+#: library's own check to the text, and its default.
 _TUNING = {
-    "--budget": dict(type=_checked(int, check_integer, least=1, what="budget"),
-                     default=DEFAULT_BUDGET,
-                     help="search budget: DP transitions the search may evaluate, "
-                          "witness walk included (default 10^6)"),
-    "--seed": dict(type=_checked(int, check_integer, least=0, what="seed"), default=0,
-                   help="base seed for seeded sampling (default 0)"),
-    "--tol": dict(type=_checked(float, check_tolerance), default=CHECK_TOL,
-                  help="numeric tolerance for report checks (default 1e-9)"),
+    "--budget": (lambda text: check_integer(int(text), 1, "budget"), DEFAULT_BUDGET),
+    "--seed": (lambda text: check_integer(int(text), 0, "seed"), 0),
+    "--tol": (lambda text: check_tolerance(float(text)), CHECK_TOL),
 }
+_FUNCTIONAL = {"--functional": (str, None)}
+
+#: Each subcommand's handler, positionals and flags, with the tuning flags it
+#: reads.  A flag maps to its reader, or the tuple of its choices, and its
+#: default; ``None`` marks a required flag.
+_COMMANDS = {
+    "partition": (cmd_partition, ("instance",), {**_FUNCTIONAL, "--blocks": (str, None)}),
+    "cover": (cmd_cover, ("instance",), {
+        **_FUNCTIONAL, "--mode": (("classical", "weighted", "both"), "both"),
+        "--samples": (lambda text: check_integer(int(text), 0, "samples"), 100),
+        **_TUNING}),
+    "mixture": (cmd_mixture, ("mixture",), {"--budget": _TUNING["--budget"]}),
+    "hlp": (cmd_hlp, ("input",), {"--tol": _TUNING["--tol"]}),
+    "disjointify": (cmd_disjointify, ("instance", "division"), _FUNCTIONAL),
+    "selftest": (cmd_selftest, (), {
+        "--scale": (("quick", "default", "full"), "default"),
+        "--budget": _TUNING["--budget"], "--seed": _TUNING["--seed"]}),
+}
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="coverentropy",
-        description="Entropies of measurable covers: classical, weighted, and "
-                    "mixture bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _value(name: str, reader, text: str):
+    """``text`` read for argument ``name``, or argparse's error for it."""
+    if isinstance(reader, tuple):
+        if text in reader:
+            return text
+        choices = ", ".join(map(repr, reader))
+        raise ValidationError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return reader(text)
+    except ValueError as exc:  # ValidationError included
+        raise ValidationError(f"argument {name}: {exc}") from None
 
-    def command(name, func, summary, *tuning):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        for flag in tuning:
-            p.add_argument(flag, **_TUNING[flag])
-        return p
 
-    p = command("partition", cmd_partition, "entropy of an explicit partition")
-    p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--functional", required=True,
-                   help="shannon | renyi:ALPHA | tsallis:ALPHA")
-    p.add_argument("--blocks", required=True,
-                   help="partition blocks as inline JSON or a JSON file path")
+def _usage(args) -> int:
+    lines = ["usage: coverentropy COMMAND [ARGUMENTS]; each command writes one JSON report"]
+    for name, (_, positionals, flags) in _COMMANDS.items():
+        words = [name, *(p.upper() for p in positionals)]
+        for flag, (reader, default) in flags.items():
+            value = "{%s}" % ",".join(reader) if isinstance(reader, tuple) else flag[2:].upper()
+            words.append(f"{flag} {value}" if default is None else f"[{flag} {value}]")
+        lines.append("  " + " ".join(words))
+    sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_OK
 
-    p = command("cover", cmd_cover, "cover entropy (classical, weighted, or both)",
-                "--budget", "--seed", "--tol")
-    p.add_argument("instance")
-    p.add_argument("--functional", required=True)
-    p.add_argument("--mode", choices=["classical", "weighted", "both"],
-                   default="both")
-    p.add_argument("--samples", type=_checked(int, check_integer, least=0, what="samples"),
-                   default=100, help="random divisions for the weighted sandwich check")
 
-    p = command("mixture", cmd_mixture,
-                "verify mixture-entropy bounds from a mixture JSON", "--budget")
-    p.add_argument("mixture")
-
-    p = command("hlp", cmd_hlp, "Hardy-Littlewood-Polya comparison for a named phi",
-                "--tol")
-    p.add_argument("input", help='JSON with "x", "y" and "functional"')
-
-    p = command("disjointify", cmd_disjointify,
-                "disjointify a division and report both entropies")
-    p.add_argument("instance")
-    p.add_argument("division")
-    p.add_argument("--functional", required=True)
-
-    p = command("selftest", cmd_selftest, "run the seeded property suite",
-                "--budget", "--seed")
-    p.add_argument("--scale", choices=["quick", "default", "full"],
-                   default="default")
-    return parser
+def _parse(argv: list[str], args):
+    """Set ``args`` from ``argv`` by ``_COMMANDS``; return the handler to run.
+    A flag's value follows its ``=`` or is the next argument, and the last
+    one wins.  A bad value, then a missing argument, then an unknown one
+    raises ``ValidationError`` with argparse's message."""
+    if not argv:
+        raise ValidationError("the following arguments are required: command")
+    if argv[0] in _HELP:
+        return _usage
+    args.command = _value("command", tuple(_COMMANDS), argv[0])
+    handler, positionals, flags = _COMMANDS[args.command]
+    values = {flag: default for flag, (_, default) in flags.items()}
+    given, extra, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return _usage
+        flag, eq, text = token.partition("=")
+        if flag in flags:
+            text = text if eq else next(tokens, None)
+            if text is None:
+                raise ValidationError(f"argument {flag}: expected one argument")
+            values[flag] = _value(flag, flags[flag][0], text)
+        elif token.startswith("-") or len(given) == len(positionals):
+            extra.append(token)
+        else:
+            given.append(token)
+    missing = [*positionals[len(given):], *(f for f, v in values.items() if v is None)]
+    if missing:
+        raise ValidationError("the following arguments are required: " + ", ".join(missing))
+    if extra:
+        raise ValidationError("unrecognized arguments: " + " ".join(extra))
+    for name, value in [*zip(positionals, given), *((f[2:], v) for f, v in values.items())]:
+        setattr(args, name, value)
+    return handler
 
 
 def main(argv=None) -> int:
-    # command and digest stay empty until the arguments name one and the
-    # input files are read
-    args = argparse.Namespace(command="", digest="")
+    # command and digest stay empty until a subcommand is named and its files are read
+    args = SimpleNamespace(command="", digest="")
     try:
-        build_parser().parse_args(argv, namespace=args)
-        return args.func(args)
+        return _parse(sys.argv[1:] if argv is None else argv, args)(args)
     except ValidationError as exc:
         return _emit(args, "invalid-input", {"error": str(exc)})
     except BudgetExceededError as exc:

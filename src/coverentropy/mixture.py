@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .classical import DEFAULT_BUDGET, cover_entropy
+from .classical import DEFAULT_BUDGET, _block_masses, cover_entropy
 from .errors import ValidationError
 from .functionals import (
     EntropyFunctional, _check_alpha, _f_value, _g_sum, _sum_in_order, parse_functional)
@@ -294,7 +294,8 @@ def verify_mixture_bounds(
                 "the mixture is covered within MASS_TOL but a weighted component is not")
     else:
         coeffs = spec.coefficients
-        blocks = [[m.mass_of(b) for b in r.witness] for m, r in zip(spec.measures, results)]
+        # each witness is a partition the search checked against its measure
+        blocks = [_block_masses(m, r.witness) for m, r in zip(spec.measures, results)]
         low = _sum_in_order(a * _g_sum(e, ms) for a, ms in zip(coeffs, blocks))
         high = _g_sum(e, [a * x for a, ms in zip(coeffs, blocks) for x in ms])
         lower, upper = _f_value(e, low), _f_value(e, high)

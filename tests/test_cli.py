@@ -360,6 +360,20 @@ class TestPartitionCommand:
                                "--functional", "shannon", "--blocks", str(blocks))
         assert code == 0
         assert report["results"]["entropy"] == pytest.approx(1.5849625007211562)
+        # the digest covers both files' bytes, in argument order
+        data = Path(instance_file).read_bytes() + blocks.read_bytes()
+        assert report["instance_digest"] == hashlib.sha256(data).hexdigest()
+        other = tmp_path / "other.json"
+        other.write_text("[[0, 1], [2]]")
+        _, second = run_cli(capsys, "partition", instance_file,
+                            "--functional", "shannon", "--blocks", str(other))
+        assert second["instance_digest"] != report["instance_digest"]
+
+    def test_inline_blocks_stay_out_of_the_digest(self, capsys, instance_file):
+        _, report = run_cli(capsys, "partition", instance_file,
+                            "--functional", "shannon", "--blocks", "[[0, 1], [2]]")
+        data = Path(instance_file).read_bytes()
+        assert report["instance_digest"] == hashlib.sha256(data).hexdigest()
 
     def test_whole_support_block(self, capsys, instance_file):
         code, report = run_cli(capsys, "partition", instance_file,
@@ -526,6 +540,81 @@ def test_cover_reads_every_tuning_flag(capsys):
     assert report["results"]["equality"]["within_tol"] is True
 
 
+# argv that read alike: "=" joins a flag to its value, options may come before
+# or after the positionals, and a repeated flag keeps its last value
+SAME_READING = {
+    "equals": (["cover", "INSTANCE", "--functional=shannon", "--mode=classical",
+                "--budget=99"],
+               ["cover", "INSTANCE", "--functional", "shannon", "--mode", "classical",
+                "--budget", "99"]),
+    "options-first": (["cover", "--mode", "classical", "--functional", "shannon", "INSTANCE"],
+                      ["cover", "INSTANCE", "--functional", "shannon", "--mode", "classical"]),
+    "last-wins": (["cover", "INSTANCE", "--functional", "tsallis:2", "--mode", "weighted",
+                   "--functional", "shannon", "--mode=classical"],
+                  ["cover", "INSTANCE", "--functional", "shannon", "--mode", "classical"]),
+    "negative-value": (["cover", "INSTANCE", "--functional", "shannon", "--budget", "-5"],
+                       ["cover", "INSTANCE", "--functional", "shannon", "--budget=-5"]),
+}
+
+
+@pytest.mark.parametrize("case", SAME_READING)
+def test_argument_forms_give_the_same_report(capsys, instance_file, case):
+    first, second = ([instance_file if a == "INSTANCE" else a for a in argv]
+                     for argv in SAME_READING[case])
+    assert main(first) == main(second)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == out[1]
+
+
+# bad command lines, each with its error: argparse's wording
+BAD_ARGV = {
+    "no-value": (["cover", "INSTANCE", "--functional", "shannon", "--mode"],
+                 "argument --mode: expected one argument"),
+    "bad-choice": (["cover", "INSTANCE", "--functional", "shannon", "--mode", "x"],
+                   "argument --mode: invalid choice: 'x' (choose from 'classical', 'weighted', "
+                   "'both')"),
+    "missing-flag": (["partition", "INSTANCE", "--blocks", "[[0, 1, 2]]"],
+                     "the following arguments are required: --functional"),
+    "missing-all": (["disjointify"],
+                    "the following arguments are required: instance, division, --functional"),
+    "extra-positional": (["cover", "INSTANCE", "INSTANCE", "--functional", "shannon"],
+                         "unrecognized arguments: INSTANCE"),
+    "prefix": (["cover", "INSTANCE", "--func", "shannon", "--functional", "shannon"],
+               "unrecognized arguments: --func shannon"),
+    "unknown-command": (["frob"], "argument command: invalid choice: 'frob' (choose from "
+                        "'partition', 'cover', 'mixture', 'hlp', 'disjointify', 'selftest')"),
+    "empty": ([], "the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGV)
+def test_bad_argv_is_one_invalid_input_line(capsys, instance_file, case):
+    argv, error = BAD_ARGV[case]
+    code = main([instance_file if a == "INSTANCE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    [line] = captured.out.splitlines()
+    report = json.loads(line)
+    assert line == dumps_canonical(report)
+    assert report["status"] == "invalid-input"
+    assert report["results"]["error"] == error.replace("INSTANCE", instance_file)
+    assert report["command"] == (argv[0] if case not in ("unknown-command", "empty") else "")
+    assert report["instance_digest"] == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cover", "--help"],
+                                  ["partition", "INSTANCE", "-h"]])
+def test_help_names_every_subcommand(capsys, instance_file, argv):
+    assert main([instance_file if a == "INSTANCE" else a for a in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("usage: coverentropy")
+    commands = {line.split()[0] for line in lines[1:]}
+    assert commands == {"partition", "cover", "mixture", "hlp", "disjointify", "selftest"}
+
+
 class TestSelftestCommand:
     def test_quick_scale_passes(self, capsys):
         code, report = run_cli(capsys, "selftest", "--scale", "quick")
@@ -620,14 +709,19 @@ def run_fresh(code: str, *argv: str) -> str:
                           text=True, check=True).stdout
 
 
+# the modules no child loads: numpy, dataclasses with inspect, which it
+# loads, and argparse with gettext and locale, which it loads
+UNLOADED = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
+NONE_LOADED = ["False"] * len(UNLOADED)
+
 # a child that runs cli.main on its arguments and prints the exit code and
-# whether numpy, dataclasses and inspect (which dataclasses loads) got loaded
+# whether each module of UNLOADED got loaded
 CLI_CHILD = (
     "import contextlib, io, sys\n"
     "from coverentropy.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(code, *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n"
+    f"print(code, *(m in sys.modules for m in {UNLOADED}))\n"
 )
 
 # the same for the grid check of a built-in functional: 0 when it passes
@@ -635,7 +729,7 @@ STRUCTURE_CHILD = (
     "import sys\n"
     "from coverentropy import check_structure, shannon\n"
     "print(int(not check_structure(shannon()).passed),\n"
-    "      *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n"
+    f"      *(m in sys.modules for m in {UNLOADED}))\n"
 )
 
 
@@ -676,7 +770,7 @@ class TestLazyImports:
         argv, code, modules = IMPORT_GRAPH[case]
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
         status, graph = run_fresh(GRAPH_CHILD, *argv).splitlines()
-        assert status.split() == [str(code), "False", "False", "False"]
+        assert status.split() == [str(code), *NONE_LOADED]
         assert graph.split() == [*sorted(f"coverentropy.{m}" for m in modules), "False"]
 
     def test_bare_import_loads_no_submodule(self):
@@ -686,19 +780,19 @@ class TestLazyImports:
         assert run_fresh(code).split() == ["0", _kernels.BACKEND]
 
     def test_cli_import_leaves_weighted_mixture_and_selftest_unloaded(self):
-        # numpy, dataclasses and inspect too; loaded modules are listed before
-        # any name of __all__ is resolved, and a name that does not resolve
-        # fails the child
+        # and every module of UNLOADED; loaded modules are listed before any
+        # name of __all__ is resolved, and a name that does not resolve fails
+        # the child
         code = (
             "import sys, coverentropy.cli, coverentropy\n"
             "print(' '.join(m for m in sys.modules if m.startswith('coverentropy.')\n"
-            "               or m in ('numpy', 'dataclasses', 'inspect')))\n"
+            f"               or m in {UNLOADED}))\n"
             "[getattr(coverentropy, name) for name in coverentropy.__all__]\n"
         )
         loaded = set(run_fresh(code).split())
         assert "coverentropy.cli" in loaded
         assert not loaded & {"coverentropy.selftest", "coverentropy.mixture",
-                             "coverentropy.weighted", "numpy", "dataclasses", "inspect"}
+                             "coverentropy.weighted", *UNLOADED}
 
     @pytest.mark.parametrize("case", ["cover-classical", "partition", "hlp",
                                       "nan-literal", "missing-cover", "check-structure"])
@@ -723,7 +817,7 @@ class TestLazyImports:
             "check-structure": ([], 0),
         }[case]
         child = STRUCTURE_CHILD if case == "check-structure" else CLI_CHILD
-        assert run_fresh(child, *argv).split() == [str(expected), "False", "False", "False"]
+        assert run_fresh(child, *argv).split() == [str(expected), *NONE_LOADED]
 
     @pytest.mark.parametrize("case", ["mixture", "mixture-renyi", "disjointify",
                                       "cover-weighted", "cover-both",
@@ -762,7 +856,7 @@ class TestLazyImports:
             # every property draws from random.Random
             "selftest": (["selftest", "--scale", "quick", "--seed", "3"], 0),
         }[case]
-        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), "False", "False", "False"]
+        assert run_fresh(CLI_CHILD, *argv).split() == [str(expected), *NONE_LOADED]
 
     def test_weighted_and_mixture_imports_leave_numpy_unloaded(self):
         code = ("import sys, coverentropy.weighted, coverentropy.mixture\n"
