@@ -290,7 +290,6 @@ _COMMANDS = {
         "--scale": (("quick", "default", "full"), "default"),
         "--budget": _TUNING["--budget"], "--seed": _TUNING["--seed"]}),
 }
-_HELP = ("-h", "--help")
 
 
 def _value(name: str, reader, text: str):
@@ -319,21 +318,20 @@ def _usage(args) -> int:
 
 
 def _parse(argv: list[str], args):
-    """Set ``args`` from ``argv`` by ``_COMMANDS``; return the handler to run.
-    A flag's value follows its ``=`` or is the next argument, and the last
-    one wins.  A bad value, then a missing argument, then an unknown one
-    raises ``ValidationError`` with argparse's message."""
+    """Set ``args`` from ``argv`` by ``_COMMANDS``; return the handler to run,
+    the usage text's if ``-h`` or ``--help`` is anywhere.  A flag's value
+    follows its ``=`` or is the next argument, and the last one wins.  A bad
+    value, then a missing argument, then an unknown one raises
+    ``ValidationError`` with argparse's message."""
     if not argv:
         raise ValidationError("the following arguments are required: command")
-    if argv[0] in _HELP:
+    if "-h" in argv or "--help" in argv:
         return _usage
     args.command = _value("command", tuple(_COMMANDS), argv[0])
     handler, positionals, flags = _COMMANDS[args.command]
     values = {flag: default for flag, (_, default) in flags.items()}
     given, extra, tokens = [], [], iter(argv[1:])
     for token in tokens:
-        if token in _HELP:
-            return _usage
         flag, eq, text = token.partition("=")
         if flag in flags:
             text = text if eq else next(tokens, None)

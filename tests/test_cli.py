@@ -581,6 +581,8 @@ BAD_ARGV = {
                          "unrecognized arguments: INSTANCE"),
     "prefix": (["cover", "INSTANCE", "--func", "shannon", "--functional", "shannon"],
                "unrecognized arguments: --func shannon"),
+    "unknown-option-first": (["cover", "--frob", "INSTANCE", "--functional", "shannon"],
+                             "unrecognized arguments: --frob"),
     "unknown-command": (["frob"], "argument command: invalid choice: 'frob' (choose from "
                         "'partition', 'cover', 'mixture', 'hlp', 'disjointify', 'selftest')"),
     "empty": ([], "the following arguments are required: command"),
