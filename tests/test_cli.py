@@ -540,6 +540,11 @@ def test_cover_reads_every_tuning_flag(capsys):
     assert report["results"]["equality"]["within_tol"] is True
 
 
+def _argv(argv, instance_file):
+    """``argv`` with each ``INSTANCE`` replaced by the instance file's path."""
+    return [instance_file if a == "INSTANCE" else a for a in argv]
+
+
 # argv that read alike: "=" joins a flag to its value, options may come before
 # or after the positionals, and a repeated flag keeps its last value
 SAME_READING = {
@@ -559,9 +564,8 @@ SAME_READING = {
 
 @pytest.mark.parametrize("case", SAME_READING)
 def test_argument_forms_give_the_same_report(capsys, instance_file, case):
-    first, second = ([instance_file if a == "INSTANCE" else a for a in argv]
-                     for argv in SAME_READING[case])
-    assert main(first) == main(second)
+    first, second = SAME_READING[case]
+    assert main(_argv(first, instance_file)) == main(_argv(second, instance_file))
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 and out[0] == out[1]
 
@@ -592,7 +596,7 @@ BAD_ARGV = {
 @pytest.mark.parametrize("case", BAD_ARGV)
 def test_bad_argv_is_one_invalid_input_line(capsys, instance_file, case):
     argv, error = BAD_ARGV[case]
-    code = main([instance_file if a == "INSTANCE" else a for a in argv])
+    code = main(_argv(argv, instance_file))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
@@ -608,7 +612,7 @@ def test_bad_argv_is_one_invalid_input_line(capsys, instance_file, case):
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cover", "--help"],
                                   ["partition", "INSTANCE", "-h"]])
 def test_help_names_every_subcommand(capsys, instance_file, argv):
-    assert main([instance_file if a == "INSTANCE" else a for a in argv]) == 0
+    assert main(_argv(argv, instance_file)) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     lines = captured.out.splitlines()
