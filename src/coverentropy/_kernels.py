@@ -2,9 +2,8 @@
 this module holds nothing else.
 
 Both searches take one positive mass per searched unit (a Venn cell, see
-:func:`coverentropy.classical.minimizing_assignment`), the ascending cover-set
-indices that may receive each unit, the number of cover sets, the
-functional's inner map ``g`` and the direction of the g-sum's optimum.
+:func:`coverentropy.classical.minimizing_assignment`), the units' candidate
+sets (the DP's as a :func:`search_graph`), ``g`` and the optimum's direction.
 
 Both score a choice with the same arithmetic: a group's mass is the sum of
 its units' masses added in unit order, and the g-sum adds ``g`` of the
@@ -20,15 +19,11 @@ the slack of the scan's and never beats it.
 The DP runs in two parts.  :func:`search_graph` expands the residuals and
 their moves from the candidate lists alone, with neither masses nor ``g``;
 :func:`ordering_dp` values such a graph for one measure and one ``g`` and
-walks it, building the graph first when it is given none.  So a caller can
-build a cover's graph once per pattern of positive cells and value it for
-every functional and measure on that pattern: ``classical._search`` keeps
-it on the cover, for as long as the cover lives, for all three searches
-(``minimizing_assignment``, ``cover_entropy``, ``cover_entropy_weighted``).
-The result never depends on whether the graph was built here: the value,
-choice, transition count and the order of ``g`` calls are the same.  As the
-expansion calls no ``g``, a search that runs out of budget there raises
-BudgetExceededError even where ``g`` would give a non-finite value or raise.
+walks it.  ``classical._search``, the one place that builds a graph, keeps
+it on the cover and values it for every functional and measure with the
+same positive cells.  As the expansion calls no ``g``, a search that runs
+out of budget there raises BudgetExceededError even where ``g`` would give
+a non-finite value or raise.
 """
 
 from __future__ import annotations
@@ -195,7 +190,7 @@ def search_graph(cand_lists, n_sets, budget):
     return SearchGraph(holders, masks, moves, order, terms, count)
 
 
-def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget, graph=None):
+def ordering_dp(masses, graph, g, maximize, budget):
     """Exact search over the assignments induced by orderings of the sets.
 
     Some optimum is induced by an ordering of the cover sets, each unit
@@ -205,8 +200,8 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget, graph=None):
 
         V(R) = opt over sets i meeting R of g(mass(R & H[i])) + V(R & ~H[i])
 
-    with ``V(0) = 0``.  ``graph`` is :func:`search_graph` of ``cand_lists``,
-    ``n_sets`` and some budget, built here when not given: the reachable
+    with ``V(0) = 0``.  ``graph`` is :func:`search_graph` of the units'
+    candidate lists, the number of sets and some budget: the reachable
     residuals and their moves, which depend on neither ``masses`` nor ``g``.
     Valuing it, each distinct part's mass adds its units in unit order (never
     as a difference) and ``g`` is called once per part, in the order the
@@ -219,14 +214,11 @@ def ordering_dp(masses, cand_lists, n_sets, g, maximize, budget, graph=None):
     and the walk writes its choice as it goes.
 
     ``budget`` caps the transitions (one per set a move places) that the
-    expansion and the walk evaluate together; a given graph's expansion
-    counts as if run here.  Returns (``V`` of the full mask, chosen set per
-    unit, transitions evaluated), the same with or without ``graph``.  A
-    spent budget raises BudgetExceededError before ``g`` is called, and a
-    ``g`` value not a finite real ValidationError.
+    expansion and the walk evaluate together; the graph's expansion counts
+    as if run here.  Returns (``V`` of the full mask, chosen set per unit,
+    transitions evaluated).  A spent budget raises BudgetExceededError before
+    ``g`` is called, and a ``g`` value not a finite real ValidationError.
     """
-    if graph is None:
-        graph = search_graph(cand_lists, n_sets, budget)
     count = graph.count
     if count > budget:
         raise BudgetExceededError(_SPENT.format(budget))

@@ -134,15 +134,9 @@ class CoverEntropyResult:
         return self.value is None
 
 
-def _check_operands(e: EntropyFunctional, mu: Measure, fam: SetFamily) -> None:
-    check_type(e, EntropyFunctional, "functional")
-    check_type(mu, Measure, "measure")
-    check_type(fam, SetFamily, "family")
-
-
 def partition_entropy(e: EntropyFunctional, mu: Measure, p: SetFamily) -> float:
     """Entropy of an explicit partition: ``f`` of the g-sum of block masses."""
-    _check_operands(e, mu, p)
+    check_type(e, EntropyFunctional, "functional")
     if not is_mu_partition(p, mu):
         raise ValidationError("family is not a mu-partition (overlap or uncovered mass)")
     # disjoint blocks of a checked measure: their masses form a mass vector
@@ -263,7 +257,7 @@ def minimizing_assignment(
     every per-atom check of :class:`Assignment`, which is built unchecked.
     """
     budget = check_integer(budget, 1, "budget")
-    _check_operands(e, mu, q)
+    check_type(e, EntropyFunctional, "functional")
     if not is_mu_cover(q, mu):
         raise ValidationError("family is not a mu-cover of the measure")
     assignment, _, explored = _search(e, mu, q, budget)
@@ -285,7 +279,7 @@ def _search(
         graph = _kernels.search_graph(cands, len(q), budget)
         q.__dict__["_search_graph"] = (cands, graph)
     _, choice, explored = _kernels.ordering_dp(
-        [m for m, _, _ in cells], cands, len(q), e.g, not e.minimizes_g_sum, budget, graph)
+        [m for m, _, _ in cells], graph, e.g, not e.minimizes_g_sum, budget)
     if len(choice) != len(cells):
         raise ValidationError("the search left a Venn cell without a cover set")
     chosen: list[int | None] = [None] * mu.space.n
@@ -327,7 +321,7 @@ def cover_entropy(
     the assignment and the witness blocks come from one pass over its choice.
     """
     budget = check_integer(budget, 1, "budget")
-    _check_operands(e, mu, q)
+    check_type(e, EntropyFunctional, "functional")
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
     assignment, groups, explored = _search(e, mu, q, budget)

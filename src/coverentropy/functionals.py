@@ -71,9 +71,6 @@ class EntropyFunctional:
         """True when minimizing the functional means minimizing ``sum g``."""
         return self.case is CompositionCase.INCREASING_SUBADDITIVE_CONCAVE
 
-    def __call__(self, masses: Sequence[float]) -> float:
-        return evaluate(self, masses)
-
     def __repr__(self) -> str:  # keep reprs short in reports and errors
         return f"EntropyFunctional({self.name!r})"
 

@@ -6,8 +6,8 @@ checks and failures and keeps the first counterexample.  Each property draws
 from its own ``random.Random``, seeded with a string of the base seed and the
 property's index, so a run is reproducible from ``(seed, scale)`` on every
 Python version; the suite, like the division sampler, never loads numpy.  At
-``--scale full`` it is acceptance criteria 1-4, 8 and 9: ``tests/`` reads
-their verdicts from one full run, and shares the instance generators.
+``--scale full`` it is acceptance criteria 1-6, 8 and 9: ``tests/`` reads
+their verdicts from one full run, and shares the generators and the oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .functionals import (
 from .measure import (
     CHECK_TOL, AtomSet, DiscreteSpace, Measure, SetFamily, check_integer, frozen,
     instance_dict)
-from .mixture import MixtureSpec, verify_mixture_bounds
+from .mixture import MixtureSpec, mix, tsallis_mixture_bounds, verify_mixture_bounds
 from .probes import check_structure, hlp_compare
 from .weighted import (
     cover_entropy_weighted,
@@ -147,6 +147,11 @@ def random_acceptable_partition(
     return SetFamily(mu.space, tuple(AtomSet(mu.space, b) for b in out))
 
 
+def enumeration_minimum(e: EntropyFunctional, mu: Measure, q: SetFamily) -> float:
+    """The naive oracle: the least partition entropy over the acceptable partitions."""
+    return min(partition_entropy(e, mu, p) for p in enumerate_acceptable_partitions(mu, q))
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -224,7 +229,8 @@ def prop_partition_to_division_dominates(rng, count, budget) -> Iterator[dict | 
 
 
 def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
-    """Random mixtures stay inside their Tsallis and Renyi bounds."""
+    """Each mixture's oracle entropy lies within its verified bounds and, for
+    Tsallis, within the closed form over the components' oracle entropies."""
     alphas = (0.5, 2.0, 3.0)
     for i in range(count):
         n = rng.randint(2, 6)
@@ -235,26 +241,29 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
         q = random_cover(rng, Measure(DiscreteSpace(n), mean, probability=True), k)
         coeffs = random_probability(rng, parts, zero_chance=0.0).masses
         spec = MixtureSpec(tuple(zip(coeffs, mus)))
-        for e in (tsallis(alphas[i % len(alphas)]), renyi(alphas[i % len(alphas)])):
+        alpha = alphas[i % len(alphas)]
+        for make in (tsallis, renyi):
+            e = make(alpha)
+            counterexample = dict(mixture=dict(
+                n=n, coefficients=list(coeffs), measures=[list(m.masses) for m in mus],
+                cover=q.as_lists(), functional=e.name))
             try:
-                verify_mixture_bounds(e, spec, q, budget=budget)
+                report = verify_mixture_bounds(e, spec, q, budget=budget)
+                bounds = [(report.lower, report.upper)]
+                if make is tsallis:
+                    components = [enumeration_minimum(e, m, q) for m in mus]
+                    bounds.append(tsallis_mixture_bounds(components, coeffs, alpha))
+                achieved = enumeration_minimum(e, mix(spec), q)
+                ok = all(lo - CHECK_TOL <= achieved <= hi + CHECK_TOL for lo, hi in bounds)
+                counterexample.update(achieved=achieved, bounds=bounds)
             except Exception as exc:
-                yield dict(
-                    mixture=dict(
-                        n=n,
-                        coefficients=list(coeffs),
-                        measures=[list(m.masses) for m in mus],
-                        cover=q.as_lists(),
-                        functional=e.name,
-                    ),
-                    error=str(exc),
-                )
-            else:
-                yield None
+                ok = False
+                counterexample.update(error=str(exc))
+            yield None if ok else counterexample
 
 
 def prop_sharpness_extremes(budget) -> Iterator[dict | None]:
-    """Point masses on split atoms hit the upper bound; equal components the lower."""
+    """Split point masses attain the upper bounds, equal components the lower."""
     space2 = DiscreteSpace(2)
     delta0 = Measure(space2, [1.0, 0.0], probability=True)
     delta1 = Measure(space2, [0.0, 1.0], probability=True)
@@ -263,17 +272,26 @@ def prop_sharpness_extremes(budget) -> Iterator[dict | None]:
     shared = Measure(space3, [0.2, 0.3, 0.5], probability=True)
     overlap = SetFamily.of(space3, [[0, 1], [1, 2]])
     for a1 in [x / 10 for x in range(1, 10)]:
-        for e in (f(alpha) for alpha in (0.5, 2.0, 3.0) for f in (tsallis, renyi)):
-            spec = MixtureSpec(((a1, delta0), (1.0 - a1, delta1)))
-            report = verify_mixture_bounds(e, spec, singletons, budget=budget)
-            yield None if not abs(report.achieved - report.upper) > SHARP_TOL else dict(
-                case="upper", a1=a1, functional=e.name,
-                achieved=report.achieved, upper=report.upper)
-            spec_same = MixtureSpec(((a1, shared), (1.0 - a1, shared)))
-            report = verify_mixture_bounds(e, spec_same, overlap, budget=budget)
-            yield None if not abs(report.achieved - report.lower) > SHARP_TOL else dict(
-                case="lower", a1=a1, functional=e.name,
-                achieved=report.achieved, lower=report.lower)
+        a2 = 1.0 - a1
+        for alpha in (0.5, 2.0, 3.0):
+            for make in (tsallis, renyi):
+                e = make(alpha)
+                split = verify_mixture_bounds(
+                    e, MixtureSpec(((a1, delta0), (a2, delta1))), singletons, budget=budget)
+                same = verify_mixture_bounds(
+                    e, MixtureSpec(((a1, shared), (a2, shared))), overlap, budget=budget)
+                uppers, lowers = [split.upper], [same.lower]
+                if make is tsallis:
+                    _, upper = tsallis_mixture_bounds(split.component_entropies, [a1, a2], alpha)
+                    lower, _ = tsallis_mixture_bounds(same.component_entropies, [a1, a2], alpha)
+                    uppers += [(a1 ** alpha + a2 ** alpha - 1.0) / (1.0 - alpha), upper]
+                    lowers.append(lower)
+                else:
+                    uppers.append(math.log2(a1 ** alpha + a2 ** alpha) / (1.0 - alpha))
+                for case, report, targets in (("upper", split, uppers), ("lower", same, lowers)):
+                    ok = all(abs(report.achieved - t) <= SHARP_TOL for t in targets)
+                    yield None if ok else dict(case=case, a1=a1, functional=e.name,
+                                               achieved=report.achieved, targets=targets)
 
 
 def prop_structure_checks() -> Iterator[dict | None]:
@@ -331,8 +349,7 @@ def prop_search_agreement(rng, count, budget) -> Iterator[dict | None]:
     for i in range(count):
         mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 4))
         e = functionals[i % len(functionals)]
-        expected = min(partition_entropy(e, mu, p)
-                       for p in enumerate_acceptable_partitions(mu, q))
+        expected = enumeration_minimum(e, mu, q)
         assignment, _ = minimizing_assignment(e, mu, q, budget=budget)
         got = partition_entropy(e, mu, assignment_to_partition(assignment))
         yield None if not abs(got - expected) > SHARP_TOL else dict(

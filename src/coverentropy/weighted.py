@@ -36,7 +36,6 @@ from .classical import (
     Assignment,
     CoverEntropyResult,
     _block_masses,
-    _check_operands,
     _search,
 )
 from .errors import ValidationError
@@ -282,7 +281,7 @@ def cover_entropy_weighted(
     result carries that assignment; the witness partition is not built.
     """
     budget = check_integer(budget, 1, "budget")
-    _check_operands(e, mu, q)
+    check_type(e, EntropyFunctional, "functional")
     if not is_mu_cover(q, mu):
         return CoverEntropyResult(value=None, witness=None, explored=0, assignment=None)
     assignment, _, explored = _search(e, mu, q, budget)

@@ -3,9 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Everything randomized is seeded, so reruns are bit-for-bit stable.
 
-Criteria 1-4, 8 and 9 are properties of the seeded self test: each reads its
+Criteria 1-6, 8 and 9 are properties of the seeded self test: each reads its
 verdict, the checks and failures of one property, from a single
-``run_selftest("full")``, whose sizes are the criteria's counts.  A planted
+``run_selftest("full")``, whose sizes are the criteria's counts.  Criterion 5
+values each mixture with the naive oracle (the enumeration minimum) and
+criterion 6 compares the extreme mixtures with the closed forms.  A planted
 defect per property shows that each of them can fail.
 
 Criterion 7 compares the Tsallis upper bound with the base-2 Shannon bound
@@ -18,7 +20,6 @@ covered in tests/test_mixture.py::TestLimitBridge.
 
 import math
 import os
-import random
 import subprocess
 import sys
 import time
@@ -27,27 +28,13 @@ import pytest
 
 from coverentropy import (
     CoverEntropyResult,
-    DiscreteSpace,
-    Measure,
-    MixtureSpec,
-    SetFamily,
-    cover_entropy,
-    enumerate_acceptable_partitions,
-    is_mu_cover,
-    mix,
-    partition_entropy,
-    renyi,
     shannon,
     shannon_mixture_bounds,
-    tsallis,
     tsallis_mixture_bounds,
-    verify_mixture_bounds,
 )
 from coverentropy import selftest
-from coverentropy.selftest import random_cover, random_probability, run_selftest
+from coverentropy.selftest import run_selftest
 
-TOL = 1e-9
-SHARP_TOL = 1e-12
 POOL_SEED = 20240801
 
 
@@ -78,15 +65,6 @@ def _report_property(num, name, outcome, checks, detail="", ok=True):
     _report(num, name, ok, detail)
 
 
-def oracle_cover_entropy(e, mu, q):
-    """Brute-force reference: minimum over every enumerated partition."""
-    if not is_mu_cover(q, mu):
-        return None
-    return min(
-        partition_entropy(e, mu, p) for p in enumerate_acceptable_partitions(mu, q)
-    )
-
-
 def test_criterion_01_weighted_equals_classical(full_selftest):
     outcomes, elapsed = full_selftest
     _report_property(1, "weighted cover entropy equals classical",
@@ -111,75 +89,16 @@ def test_criterion_04_partition_to_division_inequality(full_selftest):
                      full_selftest[0]["partition-to-division-dominates"], 10_000)
 
 
-def test_criterion_05_mixture_containment_against_oracle():
-    rng = random.Random(POOL_SEED + 5)
-    alphas = (0.5, 2.0, 3.0)
-    violations = 0
-    for k in range(200):
-        n = rng.randint(2, 6)
-        parts = rng.randint(2, 3)
-        mus = [random_probability(rng, n, zero_chance=0.0) for _ in range(parts)]
-        mean = [math.fsum(column) / parts for column in zip(*(m.masses for m in mus))]
-        carrier = Measure(DiscreteSpace(n), mean, probability=True)
-        q = random_cover(rng, carrier, rng.randint(2, 4))
-        coeffs = random_probability(rng, parts, zero_chance=0.0).masses
-        alpha = alphas[k % 3]
-        e = tsallis(alpha)
-        comp = [oracle_cover_entropy(e, m, q) for m in mus]
-        spec = MixtureSpec(tuple((float(c), m) for c, m in zip(coeffs, mus)))
-        achieved = oracle_cover_entropy(e, mix(spec), q)
-        lower, upper = tsallis_mixture_bounds(comp, coeffs, alpha)
-        assert lower is not None and achieved is not None
-        if not (lower - TOL <= achieved <= upper + TOL):
-            violations += 1
-        # Renyi has no closed form; its bounds come from the g-sum rule
-        e = renyi(alpha)
-        report = verify_mixture_bounds(e, spec, q)
-        achieved = oracle_cover_entropy(e, mix(spec), q)
-        if not (report.lower - TOL <= achieved <= report.upper + TOL):
-            violations += 1
-    _report(5, "mixture entropy stays within its bounds (brute-force oracle)",
-            violations == 0, f"200 mixtures x (tsallis, renyi), {violations} violations")
+def test_criterion_05_mixture_containment_against_oracle(full_selftest):
+    _report_property(5, "mixture entropy stays within its bounds (brute-force oracle)",
+                     full_selftest[0]["mixture-bound-containment"], 400,
+                     " of 200 mixtures x (tsallis, renyi)")
 
 
-def test_criterion_06_sharpness_of_both_bounds():
-    space2 = DiscreteSpace(2)
-    d0 = Measure(space2, [1.0, 0.0], probability=True)
-    d1 = Measure(space2, [0.0, 1.0], probability=True)
-    singles = SetFamily.of(space2, [[0], [1]])
-    space3 = DiscreteSpace(3)
-    shared = Measure(space3, [0.2, 0.3, 0.5], probability=True)
-    overlap = SetFamily.of(space3, [[0, 1], [1, 2]])
-    worst_upper = worst_lower = 0.0
-    for a1 in [x / 10 for x in range(1, 10)]:
-        a2 = 1.0 - a1
-        for alpha in (0.5, 2.0, 3.0):
-            e = tsallis(alpha)
-            closed_form = (a1 ** alpha + a2 ** alpha - 1.0) / (1.0 - alpha)
-            # split point masses: the upper bound is attained exactly
-            achieved = cover_entropy(
-                e, Measure(space2, [a1, a2], probability=True), singles).value
-            comp = [cover_entropy(e, m, singles).value for m in (d0, d1)]
-            _, upper = tsallis_mixture_bounds(comp, [a1, a2], alpha)
-            worst_upper = max(worst_upper, abs(achieved - upper),
-                              abs(achieved - closed_form))
-            # identical components: the lower bound is attained exactly
-            spec = MixtureSpec(((a1, shared), (a2, shared)))
-            achieved_same = cover_entropy(e, mix(spec), overlap).value
-            h = cover_entropy(e, shared, overlap).value
-            lower, _ = tsallis_mixture_bounds([h, h], [a1, a2], alpha)
-            worst_lower = max(worst_lower, abs(achieved_same - lower))
-            # the same extremes for Renyi, whose bounds come from the g-sum rule
-            e = renyi(alpha)
-            closed_form = math.log2(a1 ** alpha + a2 ** alpha) / (1.0 - alpha)
-            report = verify_mixture_bounds(e, MixtureSpec(((a1, d0), (a2, d1))), singles)
-            worst_upper = max(worst_upper, abs(report.achieved - report.upper),
-                              abs(report.achieved - closed_form))
-            report = verify_mixture_bounds(e, spec, overlap)
-            worst_lower = max(worst_lower, abs(report.achieved - report.lower))
-    ok = worst_upper <= SHARP_TOL and worst_lower <= SHARP_TOL
-    _report(6, "both bounds are attained at the extreme mixtures",
-            ok, f"upper gap {worst_upper:.2e}, lower gap {worst_lower:.2e}")
+def test_criterion_06_sharpness_of_both_bounds(full_selftest):
+    _report_property(6, "both bounds are attained at the extreme mixtures",
+                     full_selftest[0]["sharpness-extremes"], 108,
+                     " of 9 weights x 3 orders x (tsallis, renyi) x (upper, lower)")
 
 
 def test_criterion_07_alpha_to_one_bridge():
@@ -253,13 +172,16 @@ def _one_ulp_up(real):
     return call
 
 
-#: One planted defect per property that criteria 1-4, 8 and 9 read: the name
+#: One planted defect per property that criteria 1-6, 8 and 9 read: the name
 #: the self test calls, and a wrong stand-in built from the real one.
 PLANTED = {
     "classical-weighted-agreement": ("cover_entropy_weighted", _one_ulp_up),
     "random-division-lower-bound": ("weighted_entropy", lambda real: lambda *a: real(*a) - 1),
     "disjointify-dominates": ("weighted_entropy", lambda real: lambda *a: real(*a) - 1),
     "partition-to-division-dominates": ("weighted_entropy", lambda real: lambda *a: real(*a) + 1),
+    "mixture-bound-containment": ("tsallis_mixture_bounds", lambda real: lambda *a: tuple(
+        b + 1 for b in real(*a))),
+    "sharpness-extremes": ("renyi", lambda real: lambda alpha: real(alpha + 1)),
     "structure-checks": ("check_structure", lambda real: lambda e, **kw: real(shannon(), **kw)),
     "hlp-comparison": ("hlp_compare", lambda real: lambda inp, phi, shape, **kw: real(
         inp, phi, {"concave": "convex", "convex": "concave"}[shape], **kw)),

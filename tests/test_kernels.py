@@ -28,12 +28,10 @@ from coverentropy import (
     _kernels,
     builtin_functionals,
     cover_entropy,
-    enumerate_acceptable_partitions,
-    partition_entropy,
     tsallis,
 )
 from coverentropy.classical import _searched_atoms, _venn_cells
-from coverentropy.selftest import random_instance
+from coverentropy.selftest import enumeration_minimum, random_instance
 
 
 def _packed_cases(seed, count):
@@ -93,12 +91,18 @@ def _ordering_oracle(masses, cands, n_sets, g, maximize):
     return next((s, c) for s, c in scored if abs(s - best) <= slack)
 
 
+def _dp(masses, cands, n_sets, g, maximize, budget):
+    """:func:`_kernels.ordering_dp` on the search graph of ``cands``, built
+    with the same budget, as the package's search calls it."""
+    graph = _kernels.search_graph(cands, n_sets, budget)
+    return _kernels.ordering_dp(masses, graph, g, maximize, budget)
+
+
 def _check_against_oracle_and_scan(masses, cands, n_sets, g, maximize):
     """Assert the DP's choice and its score are the oracle's, the score is
     within the slack of the scan's optimum without beating it, and the DP's
     value is within the slack too; return (score, choice, transitions)."""
-    value, choice, explored = _kernels.ordering_dp(
-        masses, cands, n_sets, g, maximize, 10 ** 7)
+    value, choice, explored = _dp(masses, cands, n_sets, g, maximize, 10 ** 7)
     score = _score(masses, choice, n_sets, g)
     assert (score, choice) == _ordering_oracle(masses, cands, n_sets, g, maximize)
     best, _, _ = _kernels.scan_assignments(masses, cands, n_sets, g, maximize)
@@ -174,7 +178,7 @@ class TestScanAgreement:
         g = builtin_functionals()[0].g
         best, choice, total = _kernels.scan_assignments([], [], 3, g, True)
         assert best == 0.0 and total == 1 and choice == []
-        assert _kernels.ordering_dp([], [], 3, g, True, 1) == (0.0, [], 0)
+        assert _dp([], [], 3, g, True, 1) == (0.0, [], 0)
 
 
 class TestTieBreak:
@@ -231,9 +235,8 @@ class TestCustomFunctional:
         rng = random.Random(7)
         for _ in range(40):
             mu, q = random_instance(rng, n_range=(2, 6), k_range=(2, 4))
-            expected = min(partition_entropy(e, mu, p)
-                           for p in enumerate_acceptable_partitions(mu, q))
-            assert cover_entropy(e, mu, q).value == pytest.approx(expected, abs=1e-12)
+            assert cover_entropy(e, mu, q).value == pytest.approx(
+                enumeration_minimum(e, mu, q), abs=1e-12)
 
 
 #: Transitions that ordering_dp evaluates over all of _guard_cases().
@@ -251,17 +254,17 @@ class TestBudgetGuard:
 
     def test_budget_of_exactly_explored_completes(self):
         for case in _guard_cases():
-            full = _kernels.ordering_dp(*case, 10 ** 7)
-            assert _kernels.ordering_dp(*case, full[2]) == full
+            full = _dp(*case, 10 ** 7)
+            assert _dp(*case, full[2]) == full
 
     def test_budget_one_short_fails_with_that_count(self):
         for case in _guard_cases():
-            explored = _kernels.ordering_dp(*case, 10 ** 7)[2]
+            explored = _dp(*case, 10 ** 7)[2]
             with pytest.raises(BudgetExceededError) as info:
-                _kernels.ordering_dp(*case, explored - 1)
+                _dp(*case, explored - 1)
             assert str(info.value) == (f"the search evaluated {explored - 1} transitions "
                                        "without certifying an optimum")
 
     def test_total_explored_is_pinned(self):
-        total = sum(_kernels.ordering_dp(*case, 10 ** 7)[2] for case in _guard_cases())
+        total = sum(_dp(*case, 10 ** 7)[2] for case in _guard_cases())
         assert total == TOTAL_EXPLORED
