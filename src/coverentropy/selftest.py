@@ -244,9 +244,6 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
         alpha = alphas[i % len(alphas)]
         for make in (tsallis, renyi):
             e = make(alpha)
-            counterexample = dict(mixture=dict(
-                n=n, coefficients=list(coeffs), measures=[list(m.masses) for m in mus],
-                cover=q.as_lists(), functional=e.name))
             try:
                 report = verify_mixture_bounds(e, spec, q, budget=budget)
                 bounds = [(report.lower, report.upper)]
@@ -255,11 +252,12 @@ def prop_mixture_containment(rng, count, budget) -> Iterator[dict | None]:
                     bounds.append(tsallis_mixture_bounds(components, coeffs, alpha))
                 achieved = enumeration_minimum(e, mix(spec), q)
                 ok = all(lo - CHECK_TOL <= achieved <= hi + CHECK_TOL for lo, hi in bounds)
-                counterexample.update(achieved=achieved, bounds=bounds)
+                found = dict(achieved=achieved, bounds=bounds)
             except Exception as exc:
-                ok = False
-                counterexample.update(error=str(exc))
-            yield None if ok else counterexample
+                ok, found = False, dict(error=str(exc))
+            yield None if ok else dict(mixture=dict(
+                n=n, coefficients=list(coeffs), measures=[list(m.masses) for m in mus],
+                cover=q.as_lists(), functional=e.name), **found)
 
 
 def prop_sharpness_extremes(budget) -> Iterator[dict | None]:
